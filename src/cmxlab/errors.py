@@ -10,7 +10,8 @@ class DimensionMismatchError(CmxlabError, ValueError):
 
 
 class CapacityError(CmxlabError, ValueError):
-    """Requested dense operation exceeds the configured qubit limit."""
+    """Requested operation exceeds a qubit limit: the dense limit, or the
+    64-bit mask width of a PauliSum."""
 
 
 class HamiltonianParseError(CmxlabError, ValueError):

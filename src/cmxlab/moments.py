@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,8 +58,15 @@ class MomentTable:
         return self.connected[k - 1]
 
 
+def masked_expectation(x_mask: int, z_mask: int, state: StateVector) -> float:
+    """<Phi|P|Phi> for the phaseless string with these masks, built only for
+    the expectation kernel."""
+    return pauli_expectation(PauliString(state.n_qubits, x_mask, z_mask), state)
+
+
 class PauliExpectationCache:
-    """Memoized <Phi|P|Phi> per distinct phaseless string, with counters.
+    """Memoized <Phi|P|Phi> per distinct phaseless string, keyed by its
+    (x_mask, z_mask), with counters.
 
     The identity string never reaches the cache; its expectation is exactly 1
     and costs no measurement.
@@ -70,15 +77,15 @@ class PauliExpectationCache:
         self.hits = 0
         self.misses = 0
 
-    def expectation(self, p: PauliString, state: StateVector) -> float:
-        key = (p.x_mask, p.z_mask)
+    def expectation(self, x_mask: int, z_mask: int, state: StateVector) -> float:
+        key = (x_mask, z_mask)
         try:
             value = self.values[key]
             self.hits += 1
             return value
         except KeyError:
             self.misses += 1
-            value = pauli_expectation(p, state)
+            value = masked_expectation(x_mask, z_mask, state)
             self.values[key] = value
             return value
 
@@ -108,13 +115,32 @@ def _real_moment(value: complex, order: int) -> float:
     return float(value.real)
 
 
+def assemble_moments(
+    powers: Sequence[PauliSum],
+    max_order: int,
+    value: Callable[[int, int], float],
+) -> MomentTable:
+    """K_l = sum over the terms c P of H^l of c * value(x_mask, z_mask).
+
+    The identity term contributes c itself.  Terms are added one by one in
+    the power's term order, so every caller gets the same rounding.
+    """
+    raw = [1.0]
+    for order in range(1, max_order + 1):
+        power = powers[order - 1]
+        acc = 0.0 + 0.0j
+        for x, z, c in zip(power.x.tolist(), power.z.tolist(), power.coeff.tolist()):
+            acc += c if x == z == 0 else c * value(x, z)
+        raw.append(_real_moment(acc, order))
+    return MomentTable(tuple(raw))
+
+
 def raw_moments_pauli(
     h: PauliSum,
     state: StateVector,
     max_order: int,
     cache: PauliExpectationCache | None = None,
     powers: Sequence[PauliSum] | None = None,
-    use_cache: bool = True,
 ) -> tuple[MomentTable, PauliExpectationCache]:
     """Raw moments via the Pauli-product expansion.
 
@@ -134,18 +160,10 @@ def raw_moments_pauli(
         )
     if cache is None:
         cache = PauliExpectationCache()
-    raw = [1.0]
-    for order in range(1, max_order + 1):
-        acc = 0.0 + 0.0j
-        for p, c in powers[order - 1].items():
-            if p.is_identity:
-                acc += c
-            elif use_cache:
-                acc += c * cache.expectation(p, state)
-            else:
-                acc += c * pauli_expectation(p, state)
-        raw.append(_real_moment(acc, order))
-    return MomentTable(tuple(raw)), cache
+    table = assemble_moments(
+        powers, max_order, lambda x, z: cache.expectation(x, z, state)
+    )
+    return table, cache
 
 
 def raw_moments_dense(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .moments import MomentTable, PauliExpectationCache, _real_moment, hamiltonian_powers
+from .moments import MomentTable, assemble_moments, hamiltonian_powers, masked_expectation
 from .pauli import PauliString, PauliSum
 from .statevector import StateVector
 
@@ -104,10 +104,10 @@ def hadamard_test_estimate(
     return ShotEstimate(raw, mitigated, standard_error, nm.shots)
 
 
-def _string_rng(nm: NoiseModel, p: PauliString) -> np.random.Generator:
+def _string_rng(nm: NoiseModel, x_mask: int, z_mask: int) -> np.random.Generator:
     # sub-seed per string: estimates are independent of evaluation order
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=nm.seed, spawn_key=(p.x_mask, p.z_mask))
+        np.random.SeedSequence(entropy=nm.seed, spawn_key=(x_mask, z_mask))
     )
 
 
@@ -129,22 +129,17 @@ def noisy_moments(
     if not h.is_hermitian():
         raise ContractViolationError("moments require a Hermitian sum")
     powers = hamiltonian_powers(h, max_order)
-    estimates: dict[PauliString, ShotEstimate] = {}
-    cache = PauliExpectationCache()
+    sampled: dict[tuple[int, int], ShotEstimate] = {}
 
-    def estimate_for(p: PauliString) -> float:
-        if p not in estimates:
-            truth = cache.expectation(p, state)
-            estimates[p] = hadamard_test_estimate(
-                truth, nm, depth_proxy, rng=_string_rng(nm, p)
+    def estimate(x: int, z: int) -> float:
+        est = sampled.get((x, z))
+        if est is None:
+            truth = masked_expectation(x, z, state)
+            est = sampled[x, z] = hadamard_test_estimate(
+                truth, nm, depth_proxy, rng=_string_rng(nm, x, z)
             )
-        est = estimates[p]
         return est.mitigated_estimate if mitigated else est.raw_estimate
 
-    raw = [1.0]
-    for order in range(1, max_order + 1):
-        acc = 0.0 + 0.0j
-        for p, c in powers[order - 1].items():
-            acc += c if p.is_identity else c * estimate_for(p)
-        raw.append(_real_moment(acc, order))
-    return MomentTable(tuple(raw)), estimates
+    table = assemble_moments(powers, max_order, estimate)
+    estimates = {PauliString(h.n_qubits, x, z): est for (x, z), est in sampled.items()}
+    return table, estimates

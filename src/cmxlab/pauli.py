@@ -10,6 +10,12 @@ with P(0,0)=I, P(1,0)=X, P(0,1)=Z and P(1,1)=Y.  The convention Y = i*X*Z is
 used internally when multiplying; a string with phase_exponent = 0 is
 Hermitian, unitary, and squares to the identity.
 
+`PauliString` is the scalar API.  A `PauliSum` keeps its phaseless terms as
+arrays instead: uint64 x and z masks and complex128 coefficients, so it is
+limited to MAX_SUM_QUBITS = 64 qubits.  Sum products are one broadcast XOR
+over all term pairs, and terms are collected in first-occurrence order with
+coefficients bit-identical to a scalar `multiply` loop accumulating a dict.
+
 Labels are read left to right as qubit 0..n-1, e.g. "XIZ" puts X on qubit 0.
 """
 
@@ -19,13 +25,16 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DimensionMismatchError, HamiltonianParseError
+import numpy as np
+
+from .errors import CapacityError, DimensionMismatchError, HamiltonianParseError
 
 _BITS_FROM_CHAR = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _CHAR_FROM_BITS = {v: k for k, v in _BITS_FROM_CHAR.items()}
 _PHASE_PREFIX = {0: "", 1: "i*", 2: "-", 3: "-i*"}
 
 DEFAULT_PRUNE_THRESHOLD = 1e-12
+MAX_SUM_QUBITS = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,16 +160,77 @@ def reduce_product(factors: Iterable[PauliString], n_qubits: int | None = None) 
     return out
 
 
-class PauliSum:
-    """A Hamiltonian H = sum_j h_j P_j over phaseless strings.
+# i**k for k = 0..3 exactly as Python evaluates 1j**k, split into parts
+_PHASE_REAL = np.array([1.0, 0.0, -1.0, -0.0])
+_PHASE_IMAG = np.array([0.0, 1.0, 0.0, -1.0])
 
-    Canonical map from phaseless PauliString to a complex coefficient; phases
-    on input keys are folded into the coefficients, repeated keys are merged,
-    and coefficients with magnitude below the prune threshold are dropped.
-    Instances are immutable; arithmetic returns new sums.
+
+def _complex_product(ar, ai, br, bi):
+    """Real and imaginary parts of (ar + i ai)(br + i bi), rounded as
+    Python's complex `*` rounds them.  numpy's complex multiply may fuse the
+    operations into FMA instructions and change the last bits."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+# A sum product is formed and collected in row blocks of at least this many
+# string products, or of twice the terms collected so far if that is more,
+# so its transient arrays stay a small multiple of the result.
+_MIN_BLOCK = 1 << 14
+
+
+def _key_type(n_qubits: int) -> np.dtype:
+    """Smallest unsigned dtype that holds an n-qubit mask.  Narrow keys make
+    products cheaper, and 8- or 16-bit keys get numpy's radix sort."""
+    return np.min_scalar_type((1 << n_qubits) - 1)
+
+
+def _collect(x, z, real, imag):
+    """Merge repeated (x, z) keys into one term each.
+
+    Keys keep their first-occurrence order, and each coefficient is summed
+    from 0.0 in occurrence order, so the result is bit-identical to adding
+    the terms one by one into a dict.  Nothing is pruned, so collecting a
+    collected prefix together with further terms continues the same sums.
+    """
+    count = len(x)
+    if not count:
+        return x, z, real, imag
+    # stable sort: each run of equal keys starts at its first occurrence
+    order = np.lexsort((z, x))
+    xs, zs = x[order], z[order]
+    starts = np.empty(count, dtype=bool)
+    starts[0] = True
+    np.not_equal(xs[1:], xs[:-1], out=starts[1:])
+    starts[1:] |= zs[1:] != zs[:-1]
+    del xs, zs
+    first = order[starts]
+    rank = np.argsort(first)
+    slot = np.empty(len(first), dtype=np.intp)
+    slot[rank] = np.arange(len(first))
+    term = np.empty(count, dtype=np.intp)
+    term[order] = slot[np.cumsum(starts, dtype=np.intp) - 1]
+    first = first[rank]
+    return (
+        x[first],
+        z[first],
+        np.bincount(term, real, len(first)),
+        np.bincount(term, imag, len(first)),
+    )
+
+
+class PauliSum:
+    """A Hamiltonian H = sum_j h_j P_j over phaseless strings, on at most
+    MAX_SUM_QUBITS qubits.
+
+    The terms live in three aligned read-only arrays: uint64 ``x`` and ``z``
+    masks and complex128 ``coeff``.  Phases on input strings are folded into
+    the coefficients, repeated keys are merged in first-occurrence order, and
+    coefficients with magnitude below the prune threshold are dropped.
+    `PauliString` objects are built only at the edges, by `items()` and
+    `sorted_items()`.  Instances are immutable; arithmetic returns new sums.
     """
 
-    __slots__ = ("n_qubits", "prune_threshold", "_terms")
+    __slots__ = ("n_qubits", "prune_threshold", "x", "z", "coeff")
 
     def __init__(
         self,
@@ -170,20 +240,51 @@ class PauliSum:
     ):
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
-        self.n_qubits = n_qubits
-        self.prune_threshold = prune_threshold
-        collected: dict[PauliString, complex] = {}
+        if n_qubits > MAX_SUM_QUBITS:
+            raise CapacityError(
+                f"{n_qubits} qubits exceeds the {MAX_SUM_QUBITS}-qubit mask width of a PauliSum"
+            )
+        xs, zs, cs = [], [], []
         items = terms.items() if isinstance(terms, Mapping) else terms
         for p, c in items:
             if p.n_qubits != n_qubits:
                 raise DimensionMismatchError(
                     f"term acts on {p.n_qubits} qubits, sum on {n_qubits}"
                 )
-            key = p.phaseless()
-            collected[key] = collected.get(key, 0.0) + complex(c) * p.phase
-        self._terms = {
-            p: c for p, c in collected.items() if abs(c) >= prune_threshold
-        }
+            xs.append(p.x_mask)
+            zs.append(p.z_mask)
+            cs.append(complex(c) * p.phase)
+        key = _key_type(n_qubits)
+        coeff = np.array(cs, dtype=complex)
+        self._assign(
+            n_qubits,
+            prune_threshold,
+            *_collect(np.array(xs, dtype=key), np.array(zs, dtype=key), coeff.real, coeff.imag),
+        )
+
+    def _assign(self, n_qubits, prune_threshold, x, z, real, imag) -> None:
+        """Store collected terms, dropping those below the prune threshold."""
+        self.n_qubits = n_qubits
+        self.prune_threshold = prune_threshold
+        # np.hypot rounds like Python's abs(complex); np.abs on complex does not
+        keep = np.hypot(real, imag) >= prune_threshold
+        self.x = x[keep].astype(np.uint64)
+        self.z = z[keep].astype(np.uint64)
+        self.coeff = np.empty(len(self.x), dtype=complex)
+        self.coeff.real, self.coeff.imag = real[keep], imag[keep]
+        for array in (self.x, self.z, self.coeff):
+            array.setflags(write=False)
+
+    def _derived(self, x, z, real, imag) -> "PauliSum":
+        """A sum on the same qubits and threshold from collected terms."""
+        out = PauliSum.__new__(PauliSum)
+        out._assign(self.n_qubits, self.prune_threshold, x, z, real, imag)
+        return out
+
+    def _keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The x and z masks in the narrowest dtype that holds them."""
+        key = _key_type(self.n_qubits)
+        return self.x.astype(key, copy=False), self.z.astype(key, copy=False)
 
     @classmethod
     def from_label_terms(
@@ -203,76 +304,123 @@ class PauliSum:
         return cls(n_qubits, pairs, prune_threshold)
 
     def items(self) -> Iterator[tuple[PauliString, complex]]:
-        return iter(self._terms.items())
+        """(string, coefficient) pairs in term order, strings built lazily."""
+        n = self.n_qubits
+        for x, z, c in zip(self.x.tolist(), self.z.tolist(), self.coeff.tolist()):
+            yield PauliString(n, x, z), c
 
     def sorted_items(self) -> list[tuple[PauliString, complex]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].label)
+        return sorted(self.items(), key=lambda kv: kv[0].label)
+
+    def _index(self, p: PauliString) -> int | None:
+        if p.n_qubits != self.n_qubits:
+            return None
+        hits = np.flatnonzero((self.x == p.x_mask) & (self.z == p.z_mask))
+        return int(hits[0]) if len(hits) else None
 
     def coefficient(self, p: PauliString) -> complex:
-        c = self._terms.get(p.phaseless(), 0.0)
+        i = self._index(p)
+        c = 0.0 if i is None else self.coeff[i].item()
         if p.phase_exponent and c:
             c = c * (-1j) ** p.phase_exponent
         return c
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.coeff)
 
     def __contains__(self, p: PauliString) -> bool:
-        return p.phaseless() in self._terms
+        return self._index(p) is not None
 
     def __eq__(self, other) -> bool:
+        """Same qubit count and the same term set, in any order."""
         if not isinstance(other, PauliSum):
             return NotImplemented
-        return self.n_qubits == other.n_qubits and self._terms == other._terms
+        if self.n_qubits != other.n_qubits or len(self) != len(other):
+            return False
+        a = np.lexsort((self.z, self.x))
+        b = np.lexsort((other.z, other.x))
+        return bool(
+            np.array_equal(self.x[a], other.x[b])
+            and np.array_equal(self.z[a], other.z[b])
+            and np.array_equal(self.coeff[a], other.coeff[b])
+        )
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if self.n_qubits != other.n_qubits:
             raise DimensionMismatchError("cannot add sums on different qubit counts")
-        merged = dict(self._terms)
-        for p, c in other._terms.items():
-            merged[p] = merged.get(p, 0.0) + c
-        return PauliSum(self.n_qubits, merged, self.prune_threshold)
+        (ax, az), (bx, bz) = self._keys(), other._keys()
+        return self._derived(*_collect(
+            np.concatenate([ax, bx]),
+            np.concatenate([az, bz]),
+            np.concatenate([self.coeff.real, other.coeff.real]),
+            np.concatenate([self.coeff.imag, other.coeff.imag]),
+        ))
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + other.scaled(-1.0)
 
     def scaled(self, factor: complex) -> "PauliSum":
-        return PauliSum(
-            self.n_qubits,
-            {p: c * factor for p, c in self._terms.items()},
-            self.prune_threshold,
+        factor = complex(factor)
+        real, imag = _complex_product(
+            self.coeff.real, self.coeff.imag, factor.real, factor.imag
         )
+        return self._derived(*_collect(*self._keys(), real, imag))
 
     def __mul__(self, other: "PauliSum") -> "PauliSum":
         """Operator product with term collection.
 
-        Cost is |A|*|B| products funneled into at most 4**n collected keys,
-        which is what keeps high Hamiltonian powers affordable.
+        The string products of a block of A's terms with all of B's come
+        from one broadcast XOR of the masks, with the phase of each (see
+        `multiply`) counted mod 4 in uint8 arithmetic.  Each block is
+        collected together with the terms collected so far, which continues
+        the same running sums.  The result keeps the terms in the order a
+        row-major double loop over A then B first meets them, with
+        coefficients bit for bit equal to that loop's dict accumulation.  It
+        holds at most min(|A|*|B|, 4**n) terms, which keeps high Hamiltonian
+        powers affordable.
         """
         if self.n_qubits != other.n_qubits:
             raise DimensionMismatchError("cannot multiply sums on different qubit counts")
-        collected: dict[PauliString, complex] = {}
-        for pa, ca in self._terms.items():
-            for pb, cb in other._terms.items():
-                q = multiply(pa, pb)
-                key = q.phaseless()
-                collected[key] = collected.get(key, 0.0) + ca * cb * q.phase
-        return PauliSum(self.n_qubits, collected, self.prune_threshold)
+        (ax, az), (bx, bz) = self._keys(), other._keys()
+        ay, by = np.bitwise_count(ax & az), np.bitwise_count(bx & bz)
+        ar, ai = self.coeff.real[:, None], self.coeff.imag[:, None]
+        br, bi = other.coeff.real, other.coeff.imag
+        x, z, real, imag = ax[:0], az[:0], ar[:0, 0], ai[:0, 0]
+        start = 0
+        while start < len(ax):
+            rows = slice(start, start + max(_MIN_BLOCK, 2 * len(x)) // max(1, len(bx)) + 1)
+            px = (ax[rows, None] ^ bx).ravel()
+            pz = (az[rows, None] ^ bz).ravel()
+            phase = (ay[rows, None] + by + 2 * np.bitwise_count(az[rows, None] & bx)).ravel()
+            phase -= np.bitwise_count(px & pz)
+            phase &= 3
+            pr, pi = _complex_product(ar[rows], ai[rows], br, bi)
+            pr, pi = _complex_product(
+                pr.ravel(), pi.ravel(), _PHASE_REAL[phase], _PHASE_IMAG[phase]
+            )
+            x, z, real, imag = _collect(
+                np.concatenate([x, px]),
+                np.concatenate([z, pz]),
+                np.concatenate([real, pr]),
+                np.concatenate([imag, pi]),
+            )
+            start = rows.stop
+        return self._derived(x, z, real, imag)
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         """True when every canonical coefficient is real within tol
         (relative to the largest coefficient magnitude)."""
-        if not self._terms:
+        if not len(self):
             return True
-        scale = max(abs(c) for c in self._terms.values())
-        return all(abs(c.imag) <= tol * max(1.0, scale) for c in self._terms.values())
+        scale = float(np.hypot(self.coeff.real, self.coeff.imag).max())
+        return bool(np.all(np.abs(self.coeff.imag) <= tol * max(1.0, scale)))
 
     def coefficient_norm(self) -> float:
         """Sum of |h_j|; an upper bound on the operator norm."""
-        return sum(abs(c) for c in self._terms.values())
+        return sum(np.hypot(self.coeff.real, self.coeff.imag).tolist())
 
     def __repr__(self) -> str:
-        return f"PauliSum(n_qubits={self.n_qubits}, terms={len(self._terms)})"
+        return f"PauliSum(n_qubits={self.n_qubits}, terms={len(self)})"
 
 
 _HEADER_RE = re.compile(r"^\s*([A-Za-z_][\w.-]*)\s*=\s*(.*?)\s*$")

@@ -66,30 +66,29 @@ def basis_state(bits: str) -> StateVector:
 
 def _index_mask(mask: int, n: int) -> int:
     """Map a qubit-indexed mask (bit q = qubit q) onto amplitude-index bits
-    (qubit q = bit n-1-q)."""
-    out = 0
-    for q in range(n):
-        if mask >> q & 1:
-            out |= 1 << (n - 1 - q)
-    return out
+    (qubit q = bit n-1-q): the n-bit reversal of the mask."""
+    return int(format(mask, f"0{n}b")[::-1], 2)
 
 
-def apply_pauli(p: PauliString, s: StateVector) -> StateVector:
-    """Exact p|s>: an index permutation with unit phase factors."""
+def _pauli_image(p: PauliString, s: StateVector) -> np.ndarray:
+    """Amplitudes of p|s>: an index permutation with unit phase factors."""
     if p.n_qubits != s.n_qubits:
         raise DimensionMismatchError(
             f"string acts on {p.n_qubits} qubits, state on {s.n_qubits}"
         )
     n = s.n_qubits
-    dim = 1 << n
     x_idx = _index_mask(p.x_mask, n)
     z_idx = _index_mask(p.z_mask, n)
-    src = np.arange(dim) ^ x_idx
+    src = np.arange(1 << n) ^ x_idx
     # P(x,z)|b> = i^(x&z) (-1)^(z&b) |b^x>, accumulated over qubits
     global_phase = 1j ** ((p.phase_exponent + (p.x_mask & p.z_mask).bit_count()) % 4)
     parity = (np.bitwise_count(src & z_idx) & 1).astype(bool)
-    amps = np.where(parity, -global_phase, global_phase) * s.amplitudes[src]
-    return StateVector(n, amps)
+    return np.where(parity, -global_phase, global_phase) * s.amplitudes[src]
+
+
+def apply_pauli(p: PauliString, s: StateVector) -> StateVector:
+    """Exact p|s>: an index permutation with unit phase factors."""
+    return StateVector(s.n_qubits, _pauli_image(p, s))
 
 
 def apply_pauli_sum(h: PauliSum, s: StateVector) -> StateVector:
@@ -98,7 +97,7 @@ def apply_pauli_sum(h: PauliSum, s: StateVector) -> StateVector:
         raise DimensionMismatchError("operator and state sizes differ")
     acc = np.zeros_like(s.amplitudes)
     for p, c in h.items():
-        acc = acc + c * apply_pauli(p, s).amplitudes
+        acc = acc + c * _pauli_image(p, s)
     return StateVector(s.n_qubits, acc)
 
 
@@ -106,8 +105,7 @@ def pauli_expectation(p: PauliString, s: StateVector) -> float:
     """<s|P|s> for a phaseless (Hermitian) string; always real in [-1, 1]."""
     if not p.is_phaseless:
         raise ContractViolationError("expectation of a phased string is not real")
-    val = complex(np.vdot(s.amplitudes, apply_pauli(p, s).amplitudes))
-    return float(val.real)
+    return float(complex(np.vdot(s.amplitudes, _pauli_image(p, s))).real)
 
 
 def expectation(h: PauliSum, s: StateVector) -> float:
@@ -125,7 +123,7 @@ def apply_generator_rotation(theta: float, g: PauliString, s: StateVector) -> St
     generator G, using G**2 = I."""
     if not g.is_phaseless:
         raise ContractViolationError("rotation generator must be phaseless")
-    rotated = np.cos(theta) * s.amplitudes + 1j * np.sin(theta) * apply_pauli(g, s).amplitudes
+    rotated = np.cos(theta) * s.amplitudes + 1j * np.sin(theta) * _pauli_image(g, s)
     return StateVector(s.n_qubits, rotated)
 
 

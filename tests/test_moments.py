@@ -78,13 +78,6 @@ class TestRawMomentsPauli:
             p = PauliString(4, x, z)
             assert value == pytest.approx(pauli_expectation(p, state), abs=1e-12)
 
-    def test_cache_soundness(self):
-        h = siam_sum(2.0)
-        state = basis_state("0110")
-        with_cache, _ = raw_moments_pauli(h, state, 6, use_cache=True)
-        without, _ = raw_moments_pauli(h, state, 6, use_cache=False)
-        assert np.allclose(with_cache.raw, without.raw, atol=1e-12)
-
     def test_precomputed_powers(self):
         h = siam_sum(1.0)
         powers = hamiltonian_powers(h, 5)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmxlab.errors import DimensionMismatchError, HamiltonianParseError
+from cmxlab.errors import CapacityError, DimensionMismatchError, HamiltonianParseError
 from cmxlab.pauli import (
     PauliString,
     PauliSum,
@@ -194,6 +194,126 @@ class TestPauliSum:
         b = PauliSum.from_label_terms([(1.0, "XX")])
         with pytest.raises(DimensionMismatchError):
             a + b
+
+
+def scalar_product(a, b):
+    """Reference sum product: scalar `multiply` over all pairs, row-major,
+    accumulated into a dict and pruned."""
+    collected = {}
+    for pa, ca in a.items():
+        for pb, cb in b.items():
+            q = multiply(pa, pb)
+            key = q.phaseless()
+            collected[key] = collected.get(key, 0.0) + ca * cb * q.phase
+    return [(p, c) for p, c in collected.items() if abs(c) >= a.prune_threshold]
+
+
+def exact_terms(pairs):
+    """Terms in order with coefficients as bit patterns (signed zeros count)."""
+    return [(p, c.real.hex(), c.imag.hex()) for p, c in pairs]
+
+
+coefficients = st.floats(-4.0, 4.0, allow_subnormal=False)
+
+
+def sum_pairs(max_terms=10):
+    """Two random sums on one qubit count in [1, 12], with phased input
+    strings, complex coefficients and repeated keys."""
+
+    def build(n, raw_a, raw_b):
+        m = (1 << n) - 1
+        return tuple(
+            PauliSum(n, [(PauliString(n, x & m, z & m, e), complex(re, im))
+                         for x, z, e, re, im in raw])
+            for raw in (raw_a, raw_b)
+        )
+
+    term = st.tuples(
+        st.integers(0, 4095), st.integers(0, 4095), st.integers(0, 3), coefficients, coefficients
+    )
+    return st.builds(
+        build,
+        st.integers(1, 12),
+        st.lists(term, max_size=max_terms),
+        st.lists(term, max_size=max_terms),
+    )
+
+
+class TestArrayProduct:
+    @given(sum_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_fold_bit_for_bit(self, pair):
+        a, b = pair
+        assert exact_terms((a * b).items()) == exact_terms(scalar_product(a, b))
+
+    def test_multi_block_product(self, rng):
+        # about 50k string products: several row blocks, with keys that recur
+        # across blocks
+        h = random_hermitian_sum(rng, 6, 30)
+        a = h * h * h
+        assert len(a) * len(h) > 2 * (1 << 14)
+        assert exact_terms((a * h).items()) == exact_terms(scalar_product(a, h))
+
+    def test_64_qubit_product(self):
+        rng = np.random.default_rng(64)
+
+        def random_sum(n_terms):
+            masks = rng.integers(0, 2**64, size=(n_terms, 2), dtype=np.uint64).tolist()
+            masks[0][0] |= 1 << 63  # exercise the top bit
+            coeffs = rng.uniform(-1.0, 1.0, size=n_terms).tolist()
+            return PauliSum(64, [(PauliString(64, x, z), c) for (x, z), c in zip(masks, coeffs)])
+
+        a, b = random_sum(7), random_sum(5)
+        c = a * (a + b)
+        assert len(c) == len(scalar_product(a, a + b)) > 0
+        assert exact_terms(c.items()) == exact_terms(scalar_product(a, a + b))
+        assert all(p.n_qubits == 64 for p, _ in c.items())
+
+    def test_65_qubits_rejected(self):
+        with pytest.raises(CapacityError):
+            PauliSum(65)
+        with pytest.raises(CapacityError):
+            PauliSum(65, [(PauliString(65, 1 << 64, 0), 1.0)])
+
+    def test_sum_and_scale_match_dict_fold(self, rng):
+        a = random_hermitian_sum(rng, 5, 12)
+        b = random_hermitian_sum(rng, 5, 12)
+        merged = {}
+        for p, c in [*a.items(), *b.items()]:
+            merged[p] = merged.get(p, 0.0) + c
+        expected = [(p, c) for p, c in merged.items() if abs(c) >= a.prune_threshold]
+        assert exact_terms((a + b).items()) == exact_terms(expected)
+        scaled = [(p, c * (0.5 - 2j)) for p, c in a.items()]
+        assert exact_terms(a.scaled(0.5 - 2j).items()) == exact_terms(scaled)
+
+
+class TestOrderIndependentQueries:
+    def test_term_order_does_not_matter(self, rng):
+        labels = ["XXI", "ZIZ", "IYY", "ZZZ", "XIY"]
+        terms = [(float(c), label) for c, label in zip(rng.uniform(-1, 1, 5), labels)]
+        forward = PauliSum.from_label_terms(terms)
+        backward = PauliSum.from_label_terms(terms[::-1])
+        assert [p.label for p, _ in forward.items()] != [p.label for p, _ in backward.items()]
+        assert forward == backward
+        for c, label in terms:
+            p = PauliString.from_label(label)
+            assert p in forward and p in backward
+            assert forward.coefficient(p) == backward.coefficient(p) == c
+        absent = PauliString.from_label("YYY")
+        assert absent not in forward and forward.coefficient(absent) == 0.0
+
+    def test_phased_lookup_and_other_qubit_count(self):
+        h = PauliSum.from_label_terms([(2.0, "XZ"), (1.0, "ZZ")])
+        assert h.coefficient(PauliString.from_label("XZ", phase_exponent=1)) == -2.0j
+        assert PauliString.from_label("XZI") not in h
+        assert h.coefficient(PauliString.from_label("XZI")) == 0.0
+
+    def test_unequal_sums(self):
+        h = PauliSum.from_label_terms([(1.0, "XZ"), (0.5, "ZZ")])
+        assert h != PauliSum.from_label_terms([(1.0, "XZ"), (0.25, "ZZ")])
+        assert h != PauliSum.from_label_terms([(1.0, "XZ"), (0.5, "ZY")])
+        assert h != PauliSum.from_label_terms([(1.0, "XZ")])
+        assert h != PauliSum.from_label_terms([(1.0, "XZI"), (0.5, "ZZI")])
 
 
 class TestTextFormat:
