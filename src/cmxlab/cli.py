@@ -34,7 +34,7 @@ from .moments import (
 )
 from .noise import NoiseModel, noisy_moments
 from .pauli import PauliString, PauliSum, parse_pauli_sum
-from .pds import solve_pds
+from .pds import IMAG_ROOT_TOLERANCE, solve_pds
 from .statevector import (
     StateVector,
     apply_generator_rotation,
@@ -613,7 +613,7 @@ def _cmd_pds(args: argparse.Namespace, out) -> int:
               f"pinv={_fmt_flag(result.used_pseudo_inverse)}\n")
     out.write("real roots: " + " ".join(_fmt(r) for r in result.real_roots_sorted) + "\n")
     dropped = [r for r in result.roots
-               if abs(r.imag) > 1e-8 * (1.0 + abs(r.real))]
+               if abs(r.imag) > IMAG_ROOT_TOLERANCE * (1.0 + abs(r.real))]
     if dropped:
         out.write("complex roots dropped from bounds: "
                   + " ".join(f"{r.real:.6g}{r.imag:+.6g}j" for r in dropped) + "\n")

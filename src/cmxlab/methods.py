@@ -42,9 +42,7 @@ class MethodSpec:
     @property
     def required_max_order(self) -> int:
         """Highest raw moment K_n the method consumes."""
-        if self.name == "pds":
-            return 2 * self.order - 1
-        if self.name in ("cmx-cioslowski", "cmx-knowles"):
+        if self.name in ("pds", "cmx-cioslowski", "cmx-knowles"):
             return 2 * self.order - 1
         if self.name == "hw-series":
             return self.order + 1

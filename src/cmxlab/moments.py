@@ -2,9 +2,9 @@
 Horn-Weinstein energy series.
 
 Two independent routes compute the raw moments: the Pauli route expands H^n
-as a collected Pauli sum and measures each distinct phaseless string once
-(through an expectation cache), while the dense route repeatedly applies H to
-the state.  They must agree; tests enforce it.
+as a collected Pauli sum and measures each distinct phaseless string once,
+while the dense route repeatedly applies H to the state.  They must agree;
+tests enforce it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import (
     ContractViolationError,
     InsufficientMomentsError,
 )
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString, PauliSum, group_keys
 from .statevector import (
     DENSE_QUBIT_LIMIT,
     StateVector,
@@ -49,14 +49,6 @@ class MomentTable:
         if self.connected and len(self.connected) != self.max_order:
             raise ValueError("connected moments must cover I_1..I_max")
 
-    def raw_moment(self, n: int) -> float:
-        return self.raw[n]
-
-    def connected_moment(self, k: int) -> float:
-        if not self.connected:
-            raise InsufficientMomentsError("connected moments not derived yet")
-        return self.connected[k - 1]
-
 
 def masked_expectation(x_mask: int, z_mask: int, state: StateVector) -> float:
     """<Phi|P|Phi> for the phaseless string with these masks, built only for
@@ -64,30 +56,22 @@ def masked_expectation(x_mask: int, z_mask: int, state: StateVector) -> float:
     return pauli_expectation(PauliString(state.n_qubits, x_mask, z_mask), state)
 
 
+@dataclass(frozen=True)
 class PauliExpectationCache:
-    """Memoized <Phi|P|Phi> per distinct phaseless string, keyed by its
-    (x_mask, z_mask), with counters.
+    """The exact <Phi|P|Phi> of every distinct phaseless string one moment
+    table measured, keyed by (x_mask, z_mask) in first-measured order.
 
-    The identity string never reaches the cache; its expectation is exactly 1
-    and costs no measurement.
+    ``misses`` counts the measured strings, one kernel call each; ``hits``
+    counts the other non-identity terms, which reuse a measured value.  The
+    identity string is never measured: its expectation is exactly 1.
     """
 
-    def __init__(self):
-        self.values: dict[tuple[int, int], float] = {}
-        self.hits = 0
-        self.misses = 0
+    values: dict[tuple[int, int], float]
+    hits: int
 
-    def expectation(self, x_mask: int, z_mask: int, state: StateVector) -> float:
-        key = (x_mask, z_mask)
-        try:
-            value = self.values[key]
-            self.hits += 1
-            return value
-        except KeyError:
-            self.misses += 1
-            value = masked_expectation(x_mask, z_mask, state)
-            self.values[key] = value
-            return value
+    @property
+    def misses(self) -> int:
+        return len(self.values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -115,38 +99,58 @@ def _real_moment(value: complex, order: int) -> float:
     return float(value.real)
 
 
+def _ordered_sum(terms: np.ndarray) -> float:
+    """Sum from 0.0 in array order, as a Python loop adds; np.sum would add
+    pairwise.  The + 0.0 gives an all-negative-zero sum the 0.0 start."""
+    return float(np.cumsum(terms)[-1]) + 0.0 if len(terms) else 0.0
+
+
 def assemble_moments(
     powers: Sequence[PauliSum],
     max_order: int,
     value: Callable[[int, int], float],
-) -> MomentTable:
+) -> tuple[MomentTable, int]:
     """K_l = sum over the terms c P of H^l of c * value(x_mask, z_mask).
 
-    The identity term contributes c itself.  Terms are added one by one in
-    the power's term order, so every caller gets the same rounding.
+    `value` is called exactly once per distinct non-identity string of
+    H^1..H^max_order, in the order the terms first meet it; each call
+    stands for one measured circuit.  The identity term contributes c
+    itself.  Each K_l is summed from 0.0 in the power's term order, real
+    and imaginary parts apart, so the result is bit for bit that of adding
+    the terms one by one.  Also returns the number of non-identity terms,
+    so hits = terms - distinct strings.
     """
+    used = powers[:max_order]
+    x = np.concatenate([p.x for p in used])
+    z = np.concatenate([p.z for p in used])
+    coeff = np.concatenate([p.coeff for p in used])
+    measured = (x | z) != 0
+    x, z = x[measured], z[measured]
+    first, group = group_keys(x, z)
+    distinct = zip(x[first].tolist(), z[first].tolist())
+    values = np.ones(len(coeff))
+    values[measured] = np.array([value(a, b) for a, b in distinct], dtype=float)[group]
+    real, imag = coeff.real * values, coeff.imag * values
     raw = [1.0]
-    for order in range(1, max_order + 1):
-        power = powers[order - 1]
-        acc = 0.0 + 0.0j
-        for x, z, c in zip(power.x.tolist(), power.z.tolist(), power.coeff.tolist()):
-            acc += c if x == z == 0 else c * value(x, z)
-        raw.append(_real_moment(acc, order))
-    return MomentTable(tuple(raw))
+    stop = 0
+    for order, power in enumerate(used, start=1):
+        start, stop = stop, stop + len(power)
+        total = complex(_ordered_sum(real[start:stop]), _ordered_sum(imag[start:stop]))
+        raw.append(_real_moment(total, order))
+    return MomentTable(tuple(raw)), len(x)
 
 
 def raw_moments_pauli(
     h: PauliSum,
     state: StateVector,
     max_order: int,
-    cache: PauliExpectationCache | None = None,
     powers: Sequence[PauliSum] | None = None,
 ) -> tuple[MomentTable, PauliExpectationCache]:
     """Raw moments via the Pauli-product expansion.
 
     K_l = sum over collected terms c * <Phi|P|Phi>, each distinct phaseless
-    string evaluated once through the cache.  Precomputed powers can be
-    passed when sweeping many states against one Hamiltonian.
+    string measured once.  Precomputed powers can be passed when sweeping
+    many states against one Hamiltonian.
     """
     if not h.is_hermitian():
         raise ContractViolationError("moments require a Hermitian sum")
@@ -158,12 +162,14 @@ def raw_moments_pauli(
         raise InsufficientMomentsError(
             f"{len(powers)} precomputed powers cannot serve order {max_order}"
         )
-    if cache is None:
-        cache = PauliExpectationCache()
-    table = assemble_moments(
-        powers, max_order, lambda x, z: cache.expectation(x, z, state)
-    )
-    return table, cache
+    values: dict[tuple[int, int], float] = {}
+
+    def measure(x: int, z: int) -> float:
+        value = values[x, z] = masked_expectation(x, z, state)
+        return value
+
+    table, terms = assemble_moments(powers, max_order, measure)
+    return table, PauliExpectationCache(values, terms - len(values))
 
 
 def raw_moments_dense(

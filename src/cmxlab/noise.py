@@ -132,14 +132,12 @@ def noisy_moments(
     sampled: dict[tuple[int, int], ShotEstimate] = {}
 
     def estimate(x: int, z: int) -> float:
-        est = sampled.get((x, z))
-        if est is None:
-            truth = masked_expectation(x, z, state)
-            est = sampled[x, z] = hadamard_test_estimate(
-                truth, nm, depth_proxy, rng=_string_rng(nm, x, z)
-            )
+        truth = masked_expectation(x, z, state)
+        est = sampled[x, z] = hadamard_test_estimate(
+            truth, nm, depth_proxy, rng=_string_rng(nm, x, z)
+        )
         return est.mitigated_estimate if mitigated else est.raw_estimate
 
-    table = assemble_moments(powers, max_order, estimate)
+    table, _ = assemble_moments(powers, max_order, estimate)
     estimates = {PauliString(h.n_qubits, x, z): est for (x, z), est in sampled.items()}
     return table, estimates

@@ -184,17 +184,16 @@ def _key_type(n_qubits: int) -> np.dtype:
     return np.min_scalar_type((1 << n_qubits) - 1)
 
 
-def _collect(x, z, real, imag):
-    """Merge repeated (x, z) keys into one term each.
+def group_keys(x, z) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal (x, z) keys in first-occurrence order.
 
-    Keys keep their first-occurrence order, and each coefficient is summed
-    from 0.0 in occurrence order, so the result is bit-identical to adding
-    the terms one by one into a dict.  Nothing is pruned, so collecting a
-    collected prefix together with further terms continues the same sums.
+    Returns ``first``, the index of each distinct key's first occurrence in
+    ascending order, and ``group``, which maps every key to its distinct
+    key's position in ``first``.
     """
     count = len(x)
     if not count:
-        return x, z, real, imag
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     # stable sort: each run of equal keys starts at its first occurrence
     order = np.lexsort((z, x))
     xs, zs = x[order], z[order]
@@ -207,14 +206,25 @@ def _collect(x, z, real, imag):
     rank = np.argsort(first)
     slot = np.empty(len(first), dtype=np.intp)
     slot[rank] = np.arange(len(first))
-    term = np.empty(count, dtype=np.intp)
-    term[order] = slot[np.cumsum(starts, dtype=np.intp) - 1]
-    first = first[rank]
+    group = np.empty(count, dtype=np.intp)
+    group[order] = slot[np.cumsum(starts, dtype=np.intp) - 1]
+    return first[rank], group
+
+
+def _collect(x, z, real, imag):
+    """Merge repeated (x, z) keys into one term each.
+
+    Keys keep their first-occurrence order, and each coefficient is summed
+    from 0.0 in occurrence order, so the result is bit-identical to adding
+    the terms one by one into a dict.  Nothing is pruned, so collecting a
+    collected prefix together with further terms continues the same sums.
+    """
+    first, group = group_keys(x, z)
     return (
         x[first],
         z[first],
-        np.bincount(term, real, len(first)),
-        np.bincount(term, imag, len(first)),
+        np.bincount(group, real, len(first)),
+        np.bincount(group, imag, len(first)),
     )
 
 

@@ -8,6 +8,7 @@ significant index bit, so basis_state("01") puts amplitude 1 at index 0b01.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -64,26 +65,40 @@ def basis_state(bits: str) -> StateVector:
     return StateVector(n, amps)
 
 
-def _index_mask(mask: int, n: int) -> int:
-    """Map a qubit-indexed mask (bit q = qubit q) onto amplitude-index bits
-    (qubit q = bit n-1-q): the n-bit reversal of the mask."""
-    return int(format(mask, f"0{n}b")[::-1], 2)
+@cache
+def _index_tables(n: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray]:
+    """Tables for n-qubit amplitude indices b = 0..2**n-1: the indices
+    themselves; the n-bit reversal of every mask, which maps a qubit-indexed
+    mask (bit q = qubit q) onto amplitude-index bits (qubit q = bit n-1-q);
+    and the Walsh parity popcount(b) & 1 of every index, as a flag and as
+    the sign (-1)**popcount(b)."""
+    index = np.arange(1 << n)
+    reversal = np.zeros_like(index)
+    for q in range(n):
+        reversal |= (index >> q & 1) << (n - 1 - q)
+    parity = (np.bitwise_count(index) & 1).astype(bool)
+    sign = np.where(parity, -1.0, 1.0)
+    for table in (index, parity, sign):
+        table.setflags(write=False)
+    return index, tuple(reversal.tolist()), parity, sign
 
 
-def _pauli_image(p: PauliString, s: StateVector) -> np.ndarray:
-    """Amplitudes of p|s>: an index permutation with unit phase factors."""
+def _check_sizes(p: PauliString, s: StateVector) -> None:
     if p.n_qubits != s.n_qubits:
         raise DimensionMismatchError(
             f"string acts on {p.n_qubits} qubits, state on {s.n_qubits}"
         )
-    n = s.n_qubits
-    x_idx = _index_mask(p.x_mask, n)
-    z_idx = _index_mask(p.z_mask, n)
-    src = np.arange(1 << n) ^ x_idx
+
+
+def _pauli_image(p: PauliString, s: StateVector) -> np.ndarray:
+    """Amplitudes of p|s>: an index permutation with unit phase factors."""
+    _check_sizes(p, s)
+    index, reversal, parity, _ = _index_tables(s.n_qubits)
+    src = index ^ reversal[p.x_mask]
     # P(x,z)|b> = i^(x&z) (-1)^(z&b) |b^x>, accumulated over qubits
     global_phase = 1j ** ((p.phase_exponent + (p.x_mask & p.z_mask).bit_count()) % 4)
-    parity = (np.bitwise_count(src & z_idx) & 1).astype(bool)
-    return np.where(parity, -global_phase, global_phase) * s.amplitudes[src]
+    flip = parity[src & reversal[p.z_mask]]
+    return np.where(flip, -global_phase, global_phase) * s.amplitudes[src]
 
 
 def apply_pauli(p: PauliString, s: StateVector) -> StateVector:
@@ -102,10 +117,25 @@ def apply_pauli_sum(h: PauliSum, s: StateVector) -> StateVector:
 
 
 def pauli_expectation(p: PauliString, s: StateVector) -> float:
-    """<s|P|s> for a phaseless (Hermitian) string; always real in [-1, 1]."""
+    """<s|P|s> for a phaseless (Hermitian) string; always real in [-1, 1].
+
+    One vdot of the amplitudes against a gathered copy of them: P's bit flip
+    permutes the indices and its Z part flips the sign of odd-parity ones.
+    The phase i**(number of Y sites) then picks the part of the vdot that is
+    the real expectation.  Moment assembly calls this once per distinct
+    string, so its call count is the number of Hadamard-test circuits.
+    """
     if not p.is_phaseless:
         raise ContractViolationError("expectation of a phased string is not real")
-    return float(complex(np.vdot(s.amplitudes, _pauli_image(p, s))).real)
+    _check_sizes(p, s)
+    index, reversal, _, sign = _index_tables(s.n_qubits)
+    amps = s.amplitudes
+    src = index ^ reversal[p.x_mask]
+    value = np.vdot(amps, amps[src] * sign[src & reversal[p.z_mask]])
+    y_sites = (p.x_mask & p.z_mask).bit_count()
+    part = (value.real, -value.imag, -value.real, value.imag)[y_sites % 4]
+    # + 0.0 turns a negated zero back into the 0.0 the phased vdot gives
+    return float(part) + 0.0
 
 
 def expectation(h: PauliSum, s: StateVector) -> float:
@@ -148,15 +178,11 @@ def dense_matrix(h: PauliSum | PauliString, limit: int = DENSE_QUBIT_LIMIT) -> n
     n = h.n_qubits
     if n > limit:
         raise CapacityError(f"{n} qubits exceeds the dense limit of {limit}")
-    dim = 1 << n
-    cols = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
+    cols, reversal, _, sign = _index_tables(n)
+    out = np.zeros((len(cols), len(cols)), dtype=complex)
     for p, c in h.items():
-        x_idx = _index_mask(p.x_mask, n)
-        z_idx = _index_mask(p.z_mask, n)
         phase = c * 1j ** ((p.phase_exponent + (p.x_mask & p.z_mask).bit_count()) % 4)
-        signs = 1.0 - 2.0 * (np.bitwise_count(cols & z_idx) & 1)
-        out[cols ^ x_idx, cols] += phase * signs
+        out[cols ^ reversal[p.x_mask], cols] += phase * sign[cols & reversal[p.z_mask]]
     return out
 
 

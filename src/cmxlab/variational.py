@@ -1,9 +1,17 @@
 """Estimator energy as a function of a single-generator trial rotation:
 grid scan plus derivative-free refinement of the best point.
 
-The rotated trial is exp(i*theta*G)|base> for a phaseless generator G; the
-Pauli expansion of each Hamiltonian power is computed once and reused across
-the whole grid, so only the expectations change per angle.
+The rotated trial is exp(i*theta*G)|base> = cos(theta)|base> +
+i sin(theta) G|base> for a phaseless generator G and any base state.  Every
+raw moment is then exactly
+
+    K_l(theta) = cos^2(theta) alpha_l + sin^2(theta) beta_l
+                 + sin(theta) cos(theta) gamma_l,
+
+with alpha the moments of |base>, beta those of G|base> and
+gamma_l = -2 Im <base|H^l G|base>.  So a scan measures three states once,
+with the Pauli expansion of each power computed once and shared, and every
+angle after that costs only the estimator's solve.
 """
 
 from __future__ import annotations
@@ -23,10 +31,13 @@ from .moments import (
     raw_moments_pauli,
 )
 from .pauli import PauliString, PauliSum
-from .statevector import StateVector, apply_generator_rotation
+from .statevector import StateVector, apply_generator_rotation, apply_pauli
 
 GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_GRID_POINTS = 81
+# the third measured angle; sin * cos is largest there, so gamma is best
+# conditioned
+ANCHOR_THETA = math.pi / 4.0
 
 
 def default_theta_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -93,6 +104,12 @@ def energy_vs_theta(
 ) -> ScanResult:
     """Scan the estimator over rotation angles and refine the best point.
 
+    The raw moments are measured on three states only: |base>, G|base> and
+    the rotation by ANCHOR_THETA.  Every grid point, refinement probe and
+    `moments_at_opt` then comes from K_l(theta) = c^2 alpha_l + s^2 beta_l
+    + s c gamma_l (see the module docstring), which holds for any base and a
+    phaseless G.  At theta = 0 it gives the base's moments bit for bit.
+
     Singular grid points are recorded with their flag and excluded from the
     minimum; if every point is singular the full diagnostic sweep is raised.
     """
@@ -103,10 +120,23 @@ def energy_vs_theta(
     max_order = max(spec.required_max_order, 3)
     powers = hamiltonian_powers(h, max_order)
 
-    def table_at(theta: float) -> MomentTable:
-        state = apply_generator_rotation(theta, generator, base)
+    def measured(state: StateVector) -> np.ndarray:
         table, _ = raw_moments_pauli(h, state, max_order, powers=powers)
-        return connected_moments(table)
+        return np.array(table.raw)
+
+    # rotate first: it rejects a phased generator before anything is measured
+    anchor = apply_generator_rotation(ANCHOR_THETA, generator, base)
+    alpha = measured(base)
+    beta = measured(apply_pauli(generator, base))
+    # the cos and sin the rotation itself used
+    c_a, s_a = np.cos(ANCHOR_THETA), np.sin(ANCHOR_THETA)
+    gamma = (measured(anchor) - c_a * c_a * alpha - s_a * s_a * beta) / (s_a * c_a)
+
+    def table_at(theta: float) -> MomentTable:
+        c, s = np.cos(theta), np.sin(theta)
+        raw = c * c * alpha + s * s * beta + s * c * gamma
+        raw[0] = 1.0
+        return connected_moments(MomentTable(tuple(raw.tolist())))
 
     def value_at(theta: float) -> tuple[float, MomentTable, bool]:
         table = table_at(theta)

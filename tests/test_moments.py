@@ -1,13 +1,17 @@
 """Moment engine: Pauli route vs dense route, connected recursion, series."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmxlab import moments
 from cmxlab.errors import ContractViolationError, InsufficientMomentsError
 from cmxlab.moments import (
     MomentTable,
+    assemble_moments,
     connected_moments,
     hamiltonian_powers,
     hw_energy_series,
@@ -91,6 +95,92 @@ class TestRawMomentsPauli:
         h = PauliSum.from_label_terms([(1.0j, "X")])
         with pytest.raises(ContractViolationError):
             raw_moments_pauli(h, basis_state("0"), 2)
+
+
+def sequential_assembly(powers, value):
+    """Reference assembly: a per-term loop from 0j with a memoising dict
+    cache.  Returns the complex sums, the cache and its hit count."""
+    cache, hits, totals = {}, 0, []
+    for power in powers:
+        acc = 0.0 + 0.0j
+        for p, c in power.items():
+            key = (p.x_mask, p.z_mask)
+            if p.is_identity:
+                acc += c
+                continue
+            if key in cache:
+                hits += 1
+            else:
+                cache[key] = value(*key)
+            acc += c * cache[key]
+        totals.append(acc)
+    return totals, cache, hits
+
+
+def assembly_inputs():
+    """1-4 sums on 1-3 qubits over a few keys, so identity terms and strings
+    repeated within and across sums are common, with complex coefficients
+    and per-string values that include signed zeros."""
+    floats = st.floats(-4.0, 4.0, allow_subnormal=False)
+    term = st.tuples(st.integers(0, 3), st.integers(0, 3), floats, floats)
+
+    def build(n, raw_sums, values):
+        m = (1 << n) - 1
+        sums = [
+            PauliSum(n, [(PauliString(n, x & m, z & m), complex(re, im)) for x, z, re, im in raw])
+            for raw in raw_sums
+        ]
+        return sums, values
+
+    return st.builds(
+        build,
+        st.integers(1, 3),
+        st.lists(st.lists(term, max_size=12), min_size=1, max_size=4),
+        st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+    )
+
+
+class TestAssembleMoments:
+    @given(assembly_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sequential_loop_bit_for_bit(self, inputs):
+        powers, table = inputs
+        calls = []
+
+        def value(x, z):
+            calls.append((x, z))
+            return table[4 * x + z]
+
+        want, cache, hits = sequential_assembly(powers, value)
+        calls.clear()
+        totals = []
+
+        def capture(total, order):
+            totals.append(total)
+            return total.real
+
+        with mock.patch.object(moments, "_real_moment", side_effect=capture):
+            got, terms = assemble_moments(powers, len(powers), value)
+        # one call per distinct string, in the order the loop first met them
+        assert calls == list(cache)
+        assert terms - len(calls) == hits
+        assert [(v.real.hex(), v.imag.hex()) for v in totals] == [
+            (v.real.hex(), v.imag.hex()) for v in want
+        ]
+        assert got.raw == (1.0, *(v.real for v in want))
+
+    def test_raw_moments_counts_match_a_dict_cache(self, rng):
+        h = random_hermitian_sum(rng, 4, 12)
+        state = random_state(rng, 4)
+        powers = hamiltonian_powers(h, 4)
+        want, cache, hits = sequential_assembly(
+            powers, lambda x, z: moments.masked_expectation(x, z, state)
+        )
+        table, got = raw_moments_pauli(h, state, 4, powers=powers)
+        assert got.values == cache
+        assert list(got.values) == list(cache)
+        assert (got.hits, got.misses, len(got)) == (hits, len(cache), len(cache))
+        assert [k.hex() for k in table.raw[1:]] == [v.real.hex() for v in want]
 
 
 class TestOracleEquivalence:

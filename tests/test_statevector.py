@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cmxlab.errors import CapacityError, ContractViolationError, DimensionMismatchError
 from cmxlab.pauli import PauliString, PauliSum
 from cmxlab.statevector import (
+    StateVector,
     apply_generator_rotation,
     apply_pauli,
     apply_pauli_sum,
@@ -108,6 +109,26 @@ class TestExpectation:
             s = StateVector(3, amps)
             reference = float(np.real(amps.conj() @ dense_of_sum(h) @ amps))
             assert expectation(h, s) == pytest.approx(reference, abs=1e-10)
+
+    @given(st.integers(1, 6), st.integers(0, 63), st.integers(0, 63), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_string_expectation_is_the_phased_vdot(self, n, x, z, seed):
+        # the sign-flipped copy, with the Y phase applied to the vdot, gives
+        # bit for bit the real part of <s|P s> over the full phased image,
+        # exact zeros included
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        amps[rng.random(1 << n) < 0.4] = 0.0
+        amps[0] += 1.0
+        s = StateVector(n, amps / np.linalg.norm(amps))
+        p = PauliString(n, x % (1 << n), z % (1 << n))
+        want = float(np.vdot(s.amplitudes, apply_pauli(p, s).amplitudes).real)
+        assert pauli_expectation(p, s).hex() == want.hex()
+        assert pauli_expectation(p, basis_state(format(seed % (1 << n), f"0{n}b"))) in (-1.0, 0.0, 1.0)
+
+    def test_string_expectation_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            pauli_expectation(PauliString.from_label("XX"), basis_state("0"))
 
     def test_non_hermitian_rejected(self):
         h = PauliSum.from_label_terms([(1.0j, "X")])

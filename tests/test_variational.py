@@ -4,16 +4,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cmxlab import variational
 from cmxlab.errors import SingularScanError
 from cmxlab.models import SiamParams, siam_fci_energy, siam_hamiltonian
+from cmxlab.moments import raw_moments_dense
 from cmxlab.pauli import PauliString, PauliSum
-from cmxlab.statevector import basis_state, exact_diagonalize, fidelity
+from cmxlab.statevector import (
+    StateVector,
+    apply_generator_rotation,
+    basis_state,
+    exact_diagonalize,
+    fidelity,
+)
 from cmxlab.variational import (
     default_theta_grid,
     deviation_report,
     energy_vs_theta,
 )
+
+from conftest import random_hermitian_sum
 
 GENERATOR = PauliString.from_label("YXXX")
 PDS2_V1 = -2.0 - math.sqrt(6.0)
@@ -87,6 +99,64 @@ class TestPds2Scan:
         base = basis_state("0110")
         rotated = apply_generator_rotation(scan.theta_opt, GENERATOR, base)
         assert fidelity(rotated, ground) > fidelity(base, ground)
+
+
+@st.composite
+def scan_inputs(draw):
+    """A Hermitian sum on 1-5 qubits, a complex normalised base, a
+    phaseless generator and an angle, all at random."""
+    n = draw(st.integers(1, 5))
+    mask = st.integers(0, (1 << n) - 1)
+    coeff = st.floats(-1.0, 1.0, allow_subnormal=False)
+    terms = draw(st.lists(st.tuples(mask, mask, coeff), min_size=1, max_size=8))
+    h = PauliSum(n, [(PauliString(n, x, z), c) for x, z, c in terms])
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 << n, max_size=2 << n))
+    amps = np.array(parts[: 1 << n]) + 1j * np.array(parts[1 << n:])
+    assume(np.linalg.norm(amps) > 1e-3)
+    base = StateVector(n, amps / np.linalg.norm(amps))
+    generator = PauliString(n, draw(mask), draw(mask))
+    theta = draw(st.floats(-math.pi, math.pi))
+    return h, base, generator, theta
+
+
+class TestThreeStateIdentity:
+    @given(scan_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_moments_match_the_rotated_state(self, inputs):
+        h, base, generator, theta = inputs
+        scan = energy_vs_theta(
+            h, base, generator, "hw-series:4:0.5", theta_grid=[theta], refine=False
+        )
+        rotated = apply_generator_rotation(theta, generator, base)
+        want = raw_moments_dense(h, rotated, 5).raw
+        norm = h.coefficient_norm()
+        got = scan.moments_at_opt.raw
+        assert got[0] == 1.0 and len(got) == len(want)
+        for order, (a, b) in enumerate(zip(got, want)):
+            assert abs(a - b) <= 1e-10 * max(1.0, abs(b), norm**order)
+
+    def test_scan_measures_three_states(self, monkeypatch):
+        calls = []
+        measure = variational.raw_moments_pauli
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(variational, "raw_moments_pauli", counted)
+        scan = energy_vs_theta(siam(1.0), basis_state("0110"), GENERATOR, "pds:2")
+        assert len(scan.theta_grid) == 81
+        assert len(calls) == 3
+
+    def test_theta_zero_gives_the_base_moments_exactly(self, rng):
+        h = random_hermitian_sum(rng, 4, 10)
+        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+        base = StateVector(4, amps / np.linalg.norm(amps))
+        scan = energy_vs_theta(
+            h, base, GENERATOR, "hw-series:4:0.5", theta_grid=[0.0], refine=False
+        )
+        want, _ = variational.raw_moments_pauli(h, base, 5)
+        assert scan.moments_at_opt.raw == want.raw
 
 
 class TestAlternativeGenerators:
