@@ -50,7 +50,7 @@ from .pauli import (
     reduce_product,
     serialize_pauli_sum,
 )
-from .pds import PdsResult, build_pds_system, pds_excited_bounds, solve_pds
+from .pds import PdsResult, build_pds_system, solve_pds
 from .statevector import (
     SpectrumResult,
     StateVector,

@@ -1,95 +1,71 @@
-"""Small symmetric solves in extended precision.
+"""Small symmetric solves on unit-free moments.
 
-Moment matrices are tiny (order <= ~8) but can be brutally ill-conditioned:
-a Hankel Gram matrix of a saturated Krylov chain is rank-deficient by
-construction.  LAPACK has no longdouble path, so a cyclic Jacobi
-eigendecomposition is rolled by hand; on x86-64 this buys roughly three
-extra decimal digits, which the tightest root tolerances need.
+Moment matrices are tiny (order <= ~8), but in the units of H their entries
+span many decades.  Every solver therefore shifts its moments by the mean
+energy and divides the k-th centred moment by r^k (see `unit_free`), so each
+value it feeds a matrix has magnitude at most 1.  Plain float64 LAPACK is then
+enough, one cutoff relative to that unit scale decides which eigenvalues are
+numerically zero, and results depend neither on the units of H nor on the
+platform's extended precision.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+SINGULARITY_TOLERANCE = 1e-10
 
-def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi rotations.
 
-    Works for any real float dtype, longdouble included.  Returns
-    (eigenvalues, eigenvectors) with columns as eigenvectors, unsorted.
+def unit_free(mean: float, centred: Sequence[float]) -> tuple[float, np.ndarray] | None:
+    """Scale r and the unit-free moments m_k / r^k of centred moments m_0, m_1, ...
+
+    r = max over k >= 2 of |m_k|^(1/k), so every unit-free value has
+    magnitude at most 1, and an energy e found on them maps back to
+    mean + r * e.  Returns None when the trial is an eigenstate, i.e. when
+    |m_2| <= SINGULARITY_TOLERANCE * mean^2: the spread is then rounding,
+    and there is nothing to solve.
     """
-    a = np.array(matrix, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    dtype = a.dtype
-    eps = np.finfo(dtype).eps
-    vectors = np.eye(n, dtype=dtype)
-    one = dtype.type(1.0)
-    for _ in range(max_sweeps):
-        off = max(
-            (abs(a[p, q]) for p in range(n - 1) for q in range(p + 1, n)),
-            default=dtype.type(0.0),
-        )
-        scale = max((abs(a[i, i]) for i in range(n)), default=one)
-        if off <= eps * max(scale, one):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = one
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + one))
-                c = one / np.sqrt(t * t + one)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * vectors[:, p] - s * vectors[:, q]
-                rot_q = s * vectors[:, p] + c * vectors[:, q]
-                vectors[:, p], vectors[:, q] = rot_p, rot_q
-    return np.diagonal(a).copy(), vectors
+    m = np.asarray(centred, dtype=float)
+    if abs(m[2]) <= SINGULARITY_TOLERANCE * mean**2:
+        return None
+    k = np.arange(m.size)
+    scale = float(np.max(np.abs(m[2:]) ** (1.0 / k[2:])))
+    return scale, m / scale**k
 
 
 def symmetric_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Longdouble Jacobi spectrum of a real symmetric matrix."""
-    return jacobi_eigh(np.array(matrix, dtype=np.longdouble))
+    """Eigenvalues (ascending) and column eigenvectors of a real symmetric matrix."""
+    return np.linalg.eigh(np.asarray(matrix, dtype=float))
 
 
 def spectral_condition(eigenvalues: np.ndarray) -> float:
     """max|lambda| / min|lambda|; inf for a singular (or empty) spectrum."""
-    magnitudes = np.abs(np.asarray(eigenvalues, dtype=np.longdouble))
-    if magnitudes.size == 0 or float(magnitudes.min()) == 0.0:
+    magnitudes = np.abs(eigenvalues)
+    if magnitudes.size == 0 or magnitudes.min() == 0.0:
         return float("inf")
     return float(magnitudes.max() / magnitudes.min())
+
+
+def kept_eigenvalues(eigenvalues: np.ndarray, cutoff: float) -> np.ndarray:
+    """Mask of the eigenvalues with |lambda| > cutoff * max(1, max|lambda|).
+
+    On a unit-free matrix the 1 is the moment scale, so a matrix whose every
+    eigenvalue is tiny is numerically zero even at a perfect condition number.
+    """
+    magnitudes = np.abs(eigenvalues)
+    return magnitudes > cutoff * max(1.0, float(magnitudes.max(initial=0.0)))
 
 
 def spectral_solve(
     eigenvalues: np.ndarray,
     eigenvectors: np.ndarray,
     rhs: np.ndarray,
-    rcond: float = 0.0,
-    absolute_cutoff: float = 0.0,
+    cutoff: float = 0.0,
 ) -> np.ndarray:
-    """Apply the (pseudo)inverse from a Jacobi spectrum to a vector.
-
-    Eigenvalues with |lambda| <= max(rcond * max|lambda|, absolute_cutoff)
-    are dropped; the spectral condition number alone cannot flag a matrix
-    whose every eigenvalue is tiny, hence the absolute knob.  Returns a
-    longdouble vector.
-    """
-    w = np.asarray(eigenvalues, dtype=np.longdouble)
-    v = np.asarray(eigenvectors, dtype=np.longdouble)
-    b = np.asarray(rhs, dtype=np.longdouble)
-    magnitudes = np.abs(w)
-    wmax = magnitudes.max() if w.size else np.longdouble(0.0)
-    keep = magnitudes > max(rcond * wmax, np.longdouble(absolute_cutoff))
-    inverse = np.where(keep, np.longdouble(1.0), np.longdouble(0.0)) / np.where(keep, w, np.longdouble(1.0))
-    return v @ (inverse * (v.T @ b))
+    """Apply the (pseudo)inverse of a spectrum to a vector, dropping the
+    eigenvalues that `kept_eigenvalues` rejects."""
+    keep = kept_eigenvalues(eigenvalues, cutoff)
+    inverse = np.divide(1.0, eigenvalues, out=np.zeros_like(eigenvalues), where=keep)
+    return eigenvectors @ (inverse * (eigenvectors.T @ rhs))

@@ -9,9 +9,7 @@ significant digits so fixed-seed runs are byte-stable.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,7 +52,6 @@ MOMENTS_HEADER = "order,K,I"
 NOISE_HEADER = "label,true_expectation,raw_estimate,mitigated_estimate,standard_error,shots"
 
 _DEFAULT_SIAM_SWEEP = "0.1,0.5,1,2,3,6,10"
-_THREADS_ENV = "CMXLAB_THREADS"
 
 
 def _fmt(x: float) -> str:
@@ -93,7 +90,6 @@ class RunConfig:
     depth_proxy: tuple[int, int] = (0, 1)
     output: str | None = None
     plot_output: str | None = None
-    threads: int = 1
     max_order: int = 7
 
     def __post_init__(self):
@@ -107,8 +103,6 @@ class RunConfig:
             raise UsageError("h2 model needs --g or --h2-file")
         if self.model == "file" and self.hamiltonian_file is None:
             raise UsageError("file model needs --hamiltonian-file")
-        if self.threads < 1:
-            raise UsageError("threads must be >= 1")
 
 
 def siam_params(cfg: RunConfig, v: float) -> SiamParams:
@@ -213,10 +207,10 @@ def sweep_rows(cfg: RunConfig) -> list[str]:
     points = sweep_points(cfg)
     max_order = max(spec.required_max_order for spec in cfg.methods)
 
-    def evaluate(point: SweepPoint) -> list[str]:
+    rows = []
+    for point in points:
         state = trial_state(cfg, point.hamiltonian.n_qubits)
         table = moment_table(cfg, point.hamiltonian, state, max_order)
-        rows = []
         for spec in cfg.methods:
             value = evaluate_method(spec, table)
             deviation = value.energy - point.reference
@@ -235,14 +229,7 @@ def sweep_rows(cfg: RunConfig) -> list[str]:
                     ]
                 )
             )
-        return rows
-
-    if cfg.threads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            chunks = list(pool.map(evaluate, points))
-    else:
-        chunks = [evaluate(point) for point in points]
-    return [row for chunk in chunks for row in chunk]
+    return rows
 
 
 def run_sweep(cfg: RunConfig) -> str:
@@ -393,11 +380,6 @@ def _add_noise_options(p: argparse.ArgumentParser) -> None:
 def _add_output_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", type=str, default=None, help="CSV output path")
     p.add_argument("--emit-plot", type=str, default=None, help="also write a gnuplot script")
-    p.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get(_THREADS_ENV, "1")),
-        help=f"worker threads for sweep points (env {_THREADS_ENV})",
-    )
     p.add_argument("--config", type=str, default=None, help="key = value config file")
 
 
@@ -543,7 +525,6 @@ def _config_from_args(args: argparse.Namespace, methods=()) -> RunConfig:
         depth_proxy=depth_proxy,
         output=args.output,
         plot_output=getattr(args, "emit_plot", None),
-        threads=args.threads,
         max_order=getattr(args, "max_order", 7),
     )
 

@@ -1,9 +1,11 @@
 """Connected-moments expansion solvers.
 
 Two resummations of the Horn-Weinstein series are provided: the Cioslowski
-nested form, computed through its S-table recursion, and the Knowles
-generalized Pade form, computed as a moment linear system.  Both return I_1
-at first order and agree at second order whenever I_3 is usable.
+nested form, computed from Hankel determinants of the connected moments, and
+the Knowles generalized Pade form, computed as a moment linear system.  They
+are equal at every order whose denominators are usable.  Both solve on
+unit-free moments, so scaling H by c and shifting it by d maps every energy
+to c E + d with the same flags.
 """
 
 from __future__ import annotations
@@ -13,12 +15,17 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import spectral_condition, spectral_solve, symmetric_spectrum
+from ._linalg import (
+    SINGULARITY_TOLERANCE,
+    kept_eigenvalues,
+    spectral_condition,
+    spectral_solve,
+    symmetric_spectrum,
+    unit_free,
+)
 from .errors import InsufficientMomentsError
 from .moments import MomentTable
 
-SINGULARITY_TOLERANCE = 1e-10
-KNOWLES_CONDITION_THRESHOLD = 1e8
 KNOWLES_PINV_CUTOFF = 1e-10
 
 
@@ -56,20 +63,34 @@ def _require(values: list[float], count: int, order: int) -> None:
         )
 
 
-def _singular_scale(values: list[float]) -> float:
-    return max(1.0, max(abs(v) for v in values))
+def _unit_free(ivals: list[float], order: int) -> tuple[float, list[float]] | None:
+    """Scale r and the unit-free I_1..I_(2K-1) (I_1 -> 0, I_k -> I_k / r^k)
+    that order K reads; None for an eigenstate or at first order."""
+    if order == 1:
+        return None
+    found = unit_free(ivals[0], [1.0, 0.0, *ivals[1 : 2 * order - 1]])
+    if found is None:
+        return None
+    scale, values = found
+    return scale, [float(v) for v in values[1:]]
 
 
-def _s_table(ivals: list[float], order: int) -> dict[tuple[int, int], float]:
-    """S[k,1] = I_k; S[k,i+1] = S[k,1] S[k+2,i] - S[k+1,i]^2."""
-    kmax = 2 * order - 1
-    table: dict[tuple[int, int], float] = {
-        (k, 1): ivals[k - 1] for k in range(2, kmax + 1)
-    }
-    for i in range(1, order - 1):
-        for k in range(2, kmax - 2 * i + 1):
-            table[(k, i + 1)] = table[(k, 1)] * table[(k + 2, i)] - table[(k + 1, i)] ** 2
-    return table
+def _hankel_dets(ivals: list[float], k: int, count: int) -> list[float]:
+    """S[k,m] = det[I_(k+i+j)] over i, j = 0..m-1, for m = 1..count."""
+    return [
+        float(np.linalg.det([[ivals[k + i + j - 1] for j in range(m)] for i in range(m)]))
+        for m in range(1, count + 1)
+    ]
+
+
+def _s_dets(ivals: list[float], order: int) -> tuple[float, list[float], list[float]]:
+    """Scale r and the unit-free S[2,m], S[3,m] for m = 1..K-1; for an
+    eigenstate r = 1 and every determinant is 0."""
+    found = _unit_free(ivals, order)
+    if found is None:
+        return 1.0, [0.0] * (order - 1), [0.0] * (order - 1)
+    scale, unit = found
+    return scale, _hankel_dets(unit, 2, order - 1), _hankel_dets(unit, 3, order - 1)
 
 
 def cmx_cioslowski(
@@ -77,34 +98,37 @@ def cmx_cioslowski(
     order: int,
     singular_tol: float = SINGULARITY_TOLERANCE,
 ) -> CmxResult:
-    """Cioslowski CMX(K) through the S-table recursion.
+    """Cioslowski CMX(K) from the Hankel determinants S[k,m] = det[I_(k+i+j)].
 
     The nested expansion telescopes to
 
-        E(K) = I_1 - sum_{m=1}^{K-1} S[2,m]^2 / (S[3,1] ... S[3,m])
+        E(K) = I_1 - sum_{m=1}^{K-1} S[2,m]^2 / (S[3,m-1] S[3,m]),  S[3,0] = 1,
 
-    so the denominators that can poison the expansion are exactly the S[3,m].
+    which equals Knowles' I_1 - b^T A^-1 b, so the denominators that can
+    poison the expansion are exactly the S[3,m] = det(A[m]).  They are taken
+    on the unit-free moments (see `_linalg.unit_free`), where the
+    singularity tolerance is dimensionless; an eigenstate trial is singular
+    at every order >= 2 and all S[3,m] are reported as 0.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     ivals = _connected_values(moments)
     _require(ivals, 2 * order - 1, order)
-    table = _s_table(ivals, order)
+    scale, s2, s3 = _s_dets(ivals, order)
+    s3 = [1.0, *s3]
 
-    scale = _singular_scale(ivals)
     energies = [ivals[0]]
     denominators: list[tuple[str, float]] = []
     singular = False
-    denominator_product = 1.0
+    correction = 0.0
     for m in range(1, order):
-        s3m = table[(3, m)]
-        denominators.append((f"S[3,{m}]", s3m))
-        if singular or abs(s3m) < singular_tol * scale:
+        denominators.append((f"S[3,{m}]", s3[m]))
+        if singular or abs(s3[m]) < singular_tol:
             singular = True
             energies.append(energies[-1])
             continue
-        denominator_product *= s3m
-        energies.append(energies[-1] - table[(2, m)] ** 2 / denominator_product)
+        correction -= s2[m - 1] ** 2 / (s3[m - 1] * s3[m])
+        energies.append(ivals[0] + scale * correction)
     return CmxResult(
         method="cioslowski",
         order=order,
@@ -136,55 +160,51 @@ def cmx_closed_form(moments: MomentTable | Sequence[float], order: int) -> float
 def cmx_knowles(
     moments: MomentTable | Sequence[float],
     order: int,
-    cond_threshold: float = KNOWLES_CONDITION_THRESHOLD,
     pinv_cutoff: float = KNOWLES_PINV_CUTOFF,
 ) -> CmxResult:
     """Knowles generalized-Pade CMX(K): E = I_1 - b^T A^-1 b with
     b_i = I_(i+1) and A_ij = I_(i+j+1) for i,j = 1..K-1.
 
-    The solve runs on the extended-precision symmetric spectrum.  Eigenvalues
-    below pinv_cutoff relative to max(1, max|I|) are truncated and flag the
-    result singular; the moment scale matters because a uniformly tiny A has
-    a perfect condition number yet still poisons the quadratic form.
+    The solve runs in float64 on the unit-free moments (see
+    `_linalg.unit_free`), so the reported condition number and det(A) are
+    those of the unit-free A.  Eigenvalues at or below pinv_cutoff times
+    max(1, max|lambda|) are truncated and flag the result singular; the 1 is
+    the moment scale, because a uniformly tiny A has a perfect condition
+    number yet still poisons the quadratic form.  An eigenstate trial is
+    singular at every order >= 2, with E = I_1 and det(A) reported as 0.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     ivals = _connected_values(moments)
     _require(ivals, 2 * order - 1, order)
-    cutoff = pinv_cutoff * _singular_scale(ivals)
+    found = _unit_free(ivals, order)
+    if found is None:
+        singular = order >= 2
+        return CmxResult(
+            method="knowles",
+            order=order,
+            energy=ivals[0],
+            energies=(ivals[0],) * order,
+            denominators=((f"det(A[{order - 1}])", 0.0),) if singular else (),
+            singular_flag=singular,
+            condition_number=float("inf") if singular else None,
+        )
+    scale, unit = found
 
     energies: list[float] = [ivals[0]]
-    singular = False
-    condition = None
-    det = None
     for k in range(2, order + 1):
-        size = k - 1
-        b = np.array([ivals[i] for i in range(1, size + 1)], dtype=float)
-        a = np.array(
-            [[ivals[i + j] for j in range(1, size + 1)] for i in range(1, size + 1)],
-            dtype=float,
-        )
+        b = np.array(unit[1:k])
+        a = np.array([[unit[i + j + 2] for j in range(k - 1)] for i in range(k - 1)])
         w, v = symmetric_spectrum(a)
-        cond = spectral_condition(w)
-        rcond = pinv_cutoff if (not np.isfinite(cond) or cond > cond_threshold) else 0.0
-        solution = spectral_solve(w, v, b, rcond, absolute_cutoff=cutoff)
-        energies.append(float(ivals[0] - np.dot(b, np.asarray(solution, dtype=float))))
-        if k == order:
-            condition = cond
-            det = float(np.prod(np.asarray(w, dtype=float))) if w.size else 1.0
-            magnitudes = np.abs(np.asarray(w, dtype=float))
-            singular = bool(
-                magnitudes.min() <= max(cutoff, pinv_cutoff * magnitudes.max())
-            )
-    denominators = () if det is None else ((f"det(A[{order - 1}])", det),)
+        energies.append(ivals[0] - scale * float(b @ spectral_solve(w, v, b, pinv_cutoff)))
     return CmxResult(
         method="knowles",
         order=order,
         energy=energies[-1],
         energies=tuple(energies),
-        denominators=denominators,
-        singular_flag=singular,
-        condition_number=condition,
+        denominators=((f"det(A[{order - 1}])", float(np.prod(w))),),
+        singular_flag=not kept_eigenvalues(w, pinv_cutoff).all(),
+        condition_number=spectral_condition(w),
     )
 
 
@@ -197,35 +217,24 @@ class SingularityFinding:
 
 def singularity_report(
     moments: MomentTable | Sequence[float],
-    tolerance: float | None = None,
+    tolerance: float = SINGULARITY_TOLERANCE,
 ) -> tuple[SingularityFinding, ...]:
-    """Near-zero denominators and the method/order each would poison.
+    """Near-zero denominators and the methods/orders each would poison.
 
-    Feeds the CLI hint for choosing an expansion that avoids small
-    denominators; automatic selection stays off.
+    The denominators are the Cioslowski S[3,m] on the unit-free moments,
+    which are also Knowles' det(A[m]) (S[3,1] = I_3 for the closed forms),
+    so the tolerance is dimensionless.  Feeds the CLI hint for choosing an
+    expansion that avoids small denominators; automatic selection stays off.
     """
     ivals = _connected_values(moments)
-    if tolerance is None:
-        tolerance = SINGULARITY_TOLERANCE * _singular_scale(ivals)
-    findings: list[SingularityFinding] = []
     max_order = (len(ivals) + 1) // 2
-    if max_order >= 2:
-        table = _s_table(ivals, max_order)
-        for m in range(1, max_order):
-            value = table[(3, m)]
-            if abs(value) < tolerance:
-                findings.append(
-                    SingularityFinding(f"S[3,{m}]", value, f"cmx-cioslowski({m + 1})")
-                )
-    if len(ivals) >= 3 and abs(ivals[2]) < tolerance:
-        findings.append(SingularityFinding("I_3", ivals[2], "cmx closed forms (2, 3)"))
-    for k in range(2, max_order + 1):
-        size = k - 1
-        a = np.array(
-            [[ivals[i + j] for j in range(1, size + 1)] for i in range(1, size + 1)],
-            dtype=float,
-        )
-        det = float(np.linalg.det(a))
-        if abs(det) < tolerance:
-            findings.append(SingularityFinding(f"det(A[{size}])", det, f"cmx-knowles({k})"))
+    if max_order < 2:
+        return ()
+    findings = []
+    for m, value in enumerate(_s_dets(ivals, max_order)[2], start=1):
+        if abs(value) < tolerance:
+            affected = f"cmx-cioslowski({m + 1}), cmx-knowles({m + 1})"
+            if m == 1:
+                affected += ", cmx closed forms (2, 3)"
+            findings.append(SingularityFinding(f"S[3,{m}]", value, affected))
     return tuple(findings)

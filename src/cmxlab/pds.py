@@ -8,24 +8,32 @@ M_ij = K_(2n-(i+j)) and b_i = K_(2n-i); the roots of
 
 are upper bounds to the lowest n eigenvalues reachable from the trial state.
 M is a Gram matrix of Krylov vectors, so once the Krylov chain saturates it
-is rank-deficient by construction; the solve must survive that.
+is rank-deficient by construction; the solve must survive that.  It runs on
+the unit-free central moments of `_linalg.unit_free`, whose roots map back
+to the units of H.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._linalg import spectral_condition, spectral_solve, symmetric_spectrum
+from ._linalg import (
+    kept_eigenvalues,
+    spectral_condition,
+    spectral_solve,
+    symmetric_spectrum,
+    unit_free,
+)
 from .errors import DegenerateRootsError, InsufficientMomentsError
 from .moments import MomentTable
 
 CONDITION_THRESHOLD = 1e10
 PINV_CUTOFF = 1e-10
 IMAG_ROOT_TOLERANCE = 1e-8
-_NEWTON_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -55,45 +63,26 @@ def _raw_values(moments: MomentTable | Sequence[float]) -> list[float]:
     return values
 
 
-def build_pds_system(
-    moments: MomentTable | Sequence[float], order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The Hankel matrix M_ij = K_(2n-(i+j)) and vector b_i = K_(2n-i)."""
+def _require(raw: list[float], order: int) -> None:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    raw = _raw_values(moments)
     if len(raw) < 2 * order:
         raise InsufficientMomentsError(
             f"PDS({order}) needs K_0..K_{2 * order - 1}, have K_0..K_{len(raw) - 1}"
         )
+
+
+def build_pds_system(
+    moments: MomentTable | Sequence[float], order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Hankel matrix M_ij = K_(2n-(i+j)) and vector b_i = K_(2n-i)."""
+    raw = _raw_values(moments)
+    _require(raw, order)
     m = np.array(
         [[raw[2 * order - (i + j)] for j in range(1, order + 1)] for i in range(1, order + 1)]
     )
     b = np.array([raw[2 * order - i] for i in range(1, order + 1)])
     return m, b
-
-
-def _horner(coefficients: np.ndarray, x: complex) -> complex:
-    value = x * 0.0
-    for c in coefficients:
-        value = value * x + complex(c)
-    return value
-
-
-def _polish_roots(coefficients: np.ndarray, roots: np.ndarray) -> list[complex]:
-    """A few Newton steps per companion-matrix root, in extended precision."""
-    degree = len(coefficients) - 1
-    derivative = coefficients[:-1] * np.arange(degree, 0, -1, dtype=np.longdouble)
-    polished = []
-    for root in roots:
-        x = np.clongdouble(root)
-        for _ in range(_NEWTON_STEPS):
-            slope = _horner(derivative, x)
-            if abs(slope) < 1e-300:
-                break
-            x = x - _horner(coefficients, x) / slope
-        polished.append(complex(x))
-    return polished
 
 
 def solve_pds(
@@ -105,64 +94,52 @@ def solve_pds(
 ) -> PdsResult:
     """Solve M a = -b, root the polynomial, and apply the complex-root policy.
 
-    The symmetric solve uses the extended-precision Jacobi spectrum.  A
+    The system is built from the unit-free central moments (see
+    `_linalg.unit_free`) and solved in float64; its roots x map back to
+    K_1 + r x, and `coefficients` are those of the mapped roots, in the units
+    of H.  The reported condition number is that of the unit-free M.  A
     condition number beyond the threshold means the Krylov chain saturated
     below the requested order; the system is then reduced to its numerical
     rank, whose roots are the genuine nodes, and the polynomial is padded
     with roots at the mean energy K_1.  The padding is deterministic,
     shift-covariant, and always inside the node hull, unlike the arbitrary
-    extra root a raw minimal-norm solve would add.
+    extra root a raw minimal-norm solve would add.  An eigenstate trial has
+    every root at K_1 (padded, with an infinite condition number, from
+    order 2 on).
     """
     raw = _raw_values(moments)
-    return _solve(raw, order, cond_threshold, pinv_cutoff, imag_tol)
-
-
-def _solve(
-    raw: list[float],
-    order: int,
-    cond_threshold: float,
-    pinv_cutoff: float,
-    imag_tol: float,
-) -> PdsResult:
-    m, b = build_pds_system(raw, order)
-    w, v = symmetric_spectrum(m)
-    condition = spectral_condition(w)
-    used_pinv = not np.isfinite(condition) or condition > cond_threshold
-
-    if used_pinv:
-        magnitudes = np.abs(np.asarray(w, dtype=float))
-        rank = int(np.sum(magnitudes > pinv_cutoff * magnitudes.max()))
-        if rank < 1:
-            raise DegenerateRootsError(
-                f"PDS({order}) moment matrix is numerically zero",
-                diagnostics={"condition_number": condition, "used_pseudo_inverse": True},
-            )
-        if rank < order:
-            inner = _solve(raw, rank, cond_threshold, pinv_cutoff, imag_tol)
-            return _pad_to_order(inner, raw, order, condition, imag_tol)
-        solution = spectral_solve(w, v, -b, pinv_cutoff)
+    _require(raw, order)
+    mean = raw[1]
+    central = [
+        sum(math.comb(n, j) * raw[j] * (-mean) ** (n - j) for j in range(n + 1))
+        for n in range(2 * order)
+    ]
+    found = unit_free(mean, central) if order > 1 else None
+    if found is None:
+        nodes, condition, used_pinv = [mean], 1.0, False
+        if order > 1:
+            condition, used_pinv = float("inf"), True
     else:
-        solution = spectral_solve(w, v, -b)
-    coefficients = np.concatenate([np.ones(1, dtype=np.longdouble), solution])
-
-    companion_roots = np.roots(coefficients.astype(np.float64))
-    roots = _polish_roots(coefficients, companion_roots)
-    retained = sorted(
-        r.real for r in roots if abs(r.imag) <= imag_tol * (1.0 + abs(r.real))
-    )
-    if not retained:
+        scale, unit = found
+        unit_nodes, condition, used_pinv = _unit_nodes(unit, order, cond_threshold, pinv_cutoff)
+        nodes = [complex(mean + scale * x) for x in unit_nodes]
+    real_nodes = [r.real for r in nodes if abs(r.imag) <= imag_tol * (1.0 + abs(r.real))]
+    if not real_nodes:
         raise DegenerateRootsError(
-            f"PDS({order}) produced no real roots within the policy tolerance",
+            f"PDS({len(nodes)}) produced no real roots within the policy tolerance",
             diagnostics={
-                "roots": tuple(roots),
+                "roots": tuple(nodes),
                 "condition_number": condition,
                 "used_pseudo_inverse": used_pinv,
             },
         )
+    padding = order - len(nodes)
+    roots = tuple(complex(r) for r in nodes) + (complex(mean),) * padding
+    retained = sorted(real_nodes + [mean] * padding)
     return PdsResult(
         order=order,
-        coefficients=tuple(float(c) for c in coefficients),
-        roots=tuple(roots),
+        coefficients=tuple(float(c) for c in np.poly(roots).real),
+        roots=roots,
         real_roots_sorted=tuple(retained),
         ground_energy=retained[0],
         condition_number=condition,
@@ -170,38 +147,16 @@ def _solve(
     )
 
 
-def _pad_to_order(
-    inner: PdsResult,
-    raw: list[float],
-    order: int,
-    condition: float,
-    imag_tol: float,
-) -> PdsResult:
-    """Lift a saturated rank-r result to the requested order by appending
-    roots at the mean energy."""
-    mean = raw[1]
-    extra = order - inner.order
-    coefficients = np.asarray(inner.coefficients, dtype=np.longdouble)
-    for _ in range(extra):
-        coefficients = np.convolve(
-            coefficients, np.array([1.0, -mean], dtype=np.longdouble)
-        )
-    roots = tuple(inner.roots) + (complex(mean),) * extra
-    retained = sorted(
-        r.real for r in roots if abs(r.imag) <= imag_tol * (1.0 + abs(r.real))
-    )
-    return PdsResult(
-        order=order,
-        coefficients=tuple(float(c) for c in coefficients),
-        roots=roots,
-        real_roots_sorted=tuple(retained),
-        ground_energy=retained[0],
-        condition_number=condition,
-        used_pseudo_inverse=True,
-    )
-
-
-def pds_excited_bounds(result: PdsResult) -> tuple[float, ...]:
-    """Retained real roots ascending; root k bounds the k-th reachable level
-    from above while the order stays within the Krylov dimension."""
-    return result.real_roots_sorted
+def _unit_nodes(
+    unit: np.ndarray, order: int, cond_threshold: float, pinv_cutoff: float
+) -> tuple[np.ndarray, float, bool]:
+    """Roots of PDS at the numerical rank (at most order) on unit-free
+    moments, with the order-`order` condition number and pseudo-inverse flag."""
+    m, b = build_pds_system(unit, order)
+    w, v = symmetric_spectrum(m)
+    condition = spectral_condition(w)
+    used_pinv = not condition <= cond_threshold
+    rank = int(kept_eigenvalues(w, pinv_cutoff).sum()) if used_pinv else order
+    if rank < order:
+        return _unit_nodes(unit, rank, cond_threshold, pinv_cutoff)[0], condition, True
+    return np.roots(np.concatenate([[1.0], spectral_solve(w, v, -b)])), condition, used_pinv

@@ -103,16 +103,6 @@ class TestSweep:
         )
         assert run_cli(*args) == run_cli(*args)
 
-    def test_threads_do_not_change_rows(self):
-        base = run_cli(
-            "sweep", "--methods", "pds:2,cmx:2", "--sweep-values", "0.5,1,2,4"
-        )
-        threaded = run_cli(
-            "sweep", "--methods", "pds:2,cmx:2", "--sweep-values", "0.5,1,2,4",
-            "--threads", "3",
-        )
-        assert base == threaded
-
     def test_singular_points_are_rows_not_crashes(self):
         # the trial |01> is an eigenstate of a diagonal two-qubit model, so
         # the second-order expansion is singular at every sweep point

@@ -74,6 +74,16 @@ class TestCioslowski:
         assert result.energies[2] == pytest.approx(cmx_closed_form(ivals, 3), rel=1e-12)
         assert len(result.energies) == 4
 
+    def test_equals_knowles_at_orders_four_and_five(self, rng):
+        for _ in range(100):
+            ivals = random_connected(rng, 9)
+            for order in (4, 5):
+                cioslowski = cmx_cioslowski(ivals, order)
+                knowles = cmx_knowles(ivals, order)
+                if cioslowski.singular_flag or knowles.singular_flag:
+                    continue
+                assert cioslowski.energy == pytest.approx(knowles.energy, rel=1e-10, abs=1e-10)
+
     def test_eigenstate_singular_flag(self):
         # point-mass moments: I_2 = I_3 = 0, the 0/0 guard must trip
         result = cmx_cioslowski([(-1.7), 0.0, 0.0], 2)
@@ -135,6 +145,14 @@ class TestKnowles:
         # the plain second-order expansion wanders tens of units off at V=10
         assert worst_cioslowski > 10.0
 
+    def test_eigenstate_is_singular_above_first_order(self):
+        ivals = [0.6, -1.1e-16, 7.8e-17, -7.5e-17, 1.1e-16]
+        assert not cmx_knowles(ivals, 1).singular_flag
+        for order in (2, 3):
+            result = cmx_knowles(ivals, order)
+            assert result.singular_flag
+            assert result.energy == 0.6
+
     def test_condition_number_recorded(self):
         table = connected_moments(
             raw_moments_dense(siam_sum(1.0), basis_state("0110"), 5)
@@ -145,22 +163,29 @@ class TestKnowles:
 
 
 class TestShiftCovariance:
-    def test_energy_shifts_with_identity_offset(self, rng):
+    def test_energy_shifts_with_identity_offset(self):
+        # the offset scales with H, as a change of units moves both
         h = siam_sum(1.0)
-        shifted = h + PauliSum.from_label_terms([(1.5, "IIII")])
         state = basis_state("0110")
-        base = connected_moments(raw_moments_pauli(h, state, 5)[0])
-        moved = connected_moments(raw_moments_pauli(shifted, state, 5)[0])
-        assert moved.connected[0] == pytest.approx(base.connected[0] + 1.5, abs=1e-10)
-        for k in range(1, 5):
-            assert moved.connected[k] == pytest.approx(base.connected[k], abs=1e-9)
-        for order in (1, 2, 3):
-            a = cmx_cioslowski(base, order).energy
-            b = cmx_cioslowski(moved, order).energy
-            assert b - a == pytest.approx(1.5, abs=1e-9)
-            a = cmx_knowles(base, order).energy
-            b = cmx_knowles(moved, order).energy
-            assert b - a == pytest.approx(1.5, abs=1e-9)
+        base = connected_moments(raw_moments_dense(h, state, 5))
+        for scale in (1.0, 1e-3, 250.0):
+            moved_h = h.scaled(scale) + PauliSum.from_label_terms([(1.5 * scale, "IIII")])
+            moved = connected_moments(raw_moments_dense(moved_h, state, 5))
+            assert moved.connected[0] == pytest.approx(
+                scale * (base.connected[0] + 1.5), abs=1e-10
+            )
+            for k in range(1, 5):
+                assert moved.connected[k] == pytest.approx(
+                    scale ** (k + 1) * base.connected[k], rel=1e-9, abs=1e-9
+                )
+            for order in (1, 2, 3):
+                for solver in (cmx_cioslowski, cmx_knowles):
+                    a = solver(base, order)
+                    b = solver(moved, order)
+                    assert b.energy == pytest.approx(
+                        scale * (a.energy + 1.5), abs=1e-9 * scale * max(1.0, abs(a.energy))
+                    )
+                    assert b.singular_flag == a.singular_flag
 
 
 class TestSingularityReport:
@@ -174,6 +199,22 @@ class TestSingularityReport:
         ivals = random_connected(rng, 5)
         report = singularity_report(ivals, tolerance=1e-12)
         assert report == ()
+
+    def test_report_is_unit_free(self):
+        ivals = [1.0, 0.5, 1e-15, 0.2, 0.3]
+        scale = 1e3
+        scaled = [scale * ivals[0] + 2.0] + [v * scale ** (k + 1) for k, v in enumerate(ivals) if k]
+        base = singularity_report(ivals)
+        moved = singularity_report(scaled)
+        assert [(f.label, f.affected) for f in moved] == [(f.label, f.affected) for f in base]
+        for a, b in zip(base, moved):
+            assert b.value == pytest.approx(a.value, rel=1e-9, abs=1e-20)
+
+    def test_report_reads_the_cioslowski_denominators(self, rng):
+        ivals = random_connected(rng, 7)
+        report = singularity_report(ivals, tolerance=np.inf)
+        denominators = cmx_cioslowski(ivals, 4).denominators
+        assert [(f.label, f.value) for f in report] == list(denominators)
 
     def test_stretched_two_qubit_model_shrinks_i3(self):
         # shrinking the diagonal gap of the {|01>,|10>} block mixes the trial

@@ -7,7 +7,7 @@ from cmxlab.errors import DegenerateRootsError, InsufficientMomentsError
 from cmxlab.models import H2Coefficients, h2_bk_hamiltonian
 from cmxlab.moments import raw_moments_dense, raw_moments_pauli
 from cmxlab.pauli import PauliSum
-from cmxlab.pds import build_pds_system, pds_excited_bounds, solve_pds
+from cmxlab.pds import build_pds_system, solve_pds
 from cmxlab.statevector import StateVector, basis_state
 
 from conftest import (
@@ -94,6 +94,21 @@ class TestSolve:
             assert result.ground_energy == pytest.approx(-4.0, abs=1e-8)
             assert any(abs(r - (-4.0)) < 1e-8 for r in result.real_roots_sorted)
 
+    def test_basis_eigenstate_pads_at_mean(self):
+        # |01> is an eigenstate of the diagonal model; rounding leaves
+        # I_2 = -1.1e-16, which must not be solved as a spread
+        h = h2_bk_hamiltonian(H2Coefficients(0.1, 0.4, -0.3, 0.2, 0.0, 0.0))
+        table = raw_moments_pauli(h, basis_state("01"), 5)[0]
+        mean = table.raw[1]
+        first = solve_pds(table, 1)
+        assert first.real_roots_sorted == (mean,)
+        assert not first.used_pseudo_inverse
+        for order in (2, 3):
+            result = solve_pds(table, order)
+            assert result.real_roots_sorted == (mean,) * order
+            assert result.used_pseudo_inverse
+            assert result.condition_number == np.inf
+
     def test_degenerate_all_complex(self):
         # a synthetic non-Gram sequence whose polynomial is x^2 + 1
         with pytest.raises(DegenerateRootsError) as err:
@@ -126,7 +141,7 @@ class TestBounds:
         h = siam_sum(1.0)
         result = solve_pds(siam_table(1.0), 3)
         reachable = dense_reachable_spectrum(dense_of_sum(h), basis_vector("0110"))
-        bounds = pds_excited_bounds(result)
+        bounds = result.real_roots_sorted
         assert len(bounds) == 3
         for bound, exact in zip(bounds, reachable):
             assert bound >= exact - 1e-9
@@ -173,15 +188,21 @@ class TestSaturation:
         assert result.ground_energy == pytest.approx(FCI_V1, abs=1e-8)
 
     def test_shift_covariance(self):
+        # the offset scales with H, as a change of units moves both
         h = siam_sum(1.0)
-        shifted = h + PauliSum.from_label_terms([(1.5, "IIII")])
         base_table = raw_moments_dense(h, basis_state("0110"), 7)
-        shift_table = raw_moments_dense(shifted, basis_state("0110"), 7)
-        for order in (1, 2, 3):
-            base = solve_pds(base_table, order)
-            moved = solve_pds(shift_table, order)
-            for rb, rm in zip(base.real_roots_sorted, moved.real_roots_sorted):
-                assert rm - rb == pytest.approx(1.5, abs=1e-9)
+        for scale in (1.0, 1e-3, 250.0):
+            moved_h = h.scaled(scale) + PauliSum.from_label_terms([(1.5 * scale, "IIII")])
+            moved_table = raw_moments_dense(moved_h, basis_state("0110"), 7)
+            for order in (1, 2, 3, 4):
+                base = solve_pds(base_table, order)
+                moved = solve_pds(moved_table, order)
+                assert moved.used_pseudo_inverse == base.used_pseudo_inverse
+                assert len(moved.real_roots_sorted) == len(base.real_roots_sorted)
+                for rb, rm in zip(base.real_roots_sorted, moved.real_roots_sorted):
+                    assert rm == pytest.approx(
+                        scale * (rb + 1.5), abs=1e-9 * scale * max(1.0, abs(rb))
+                    )
 
     def test_pds2_deviation_documented(self):
         # the trial Krylov space is three-dimensional, so second order is
