@@ -24,8 +24,10 @@ def unit_free(mean: float, centred: Sequence[float]) -> tuple[float, np.ndarray]
     r = max over k >= 2 of |m_k|^(1/k), so every unit-free value has
     magnitude at most 1, and an energy e found on them maps back to
     mean + r * e.  Returns None when the trial is an eigenstate, i.e. when
-    |m_2| <= SINGULARITY_TOLERANCE * mean^2: the spread is then rounding,
-    and there is nothing to solve.
+    |m_2| <= SINGULARITY_TOLERANCE * mean^2: m_2 = K_2 - mean^2 is formed by
+    cancellation, so below that floor the spread is rounding and there is
+    nothing to solve.  The floor moves with the mean, so a large offset
+    turns a small real spread into an eigenstate.
     """
     m = np.asarray(centred, dtype=float)
     if abs(m[2]) <= SINGULARITY_TOLERANCE * mean**2:

@@ -5,7 +5,8 @@ nested form, computed from Hankel determinants of the connected moments, and
 the Knowles generalized Pade form, computed as a moment linear system.  They
 are equal at every order whose denominators are usable.  Both solve on
 unit-free moments, so scaling H by c and shifting it by d maps every energy
-to c E + d with the same flags.
+to c E + d with the same flags, as long as the shift leaves the spread above
+the eigenstate floor of `_linalg.unit_free`.
 """
 
 from __future__ import annotations
@@ -63,14 +64,13 @@ def _require(values: list[float], count: int, order: int) -> None:
         )
 
 
-def _unit_free(ivals: list[float], order: int) -> tuple[float, list[float]] | None:
+def _unit_free(ivals: list[float], order: int) -> tuple[float, list[float]]:
     """Scale r and the unit-free I_1..I_(2K-1) (I_1 -> 0, I_k -> I_k / r^k)
-    that order K reads; None for an eigenstate or at first order."""
-    if order == 1:
-        return None
-    found = unit_free(ivals[0], [1.0, 0.0, *ivals[1 : 2 * order - 1]])
+    that order K reads; for an eigenstate, or at first order, r = 1 and every
+    unit-free moment is 0."""
+    found = unit_free(ivals[0], [1.0, 0.0, *ivals[1 : 2 * order - 1]]) if order > 1 else None
     if found is None:
-        return None
+        return 1.0, [0.0] * (2 * order - 1)
     scale, values = found
     return scale, [float(v) for v in values[1:]]
 
@@ -85,11 +85,8 @@ def _hankel_dets(ivals: list[float], k: int, count: int) -> list[float]:
 
 def _s_dets(ivals: list[float], order: int) -> tuple[float, list[float], list[float]]:
     """Scale r and the unit-free S[2,m], S[3,m] for m = 1..K-1; for an
-    eigenstate r = 1 and every determinant is 0."""
-    found = _unit_free(ivals, order)
-    if found is None:
-        return 1.0, [0.0] * (order - 1), [0.0] * (order - 1)
-    scale, unit = found
+    eigenstate every determinant is 0."""
+    scale, unit = _unit_free(ivals, order)
     return scale, _hankel_dets(unit, 2, order - 1), _hankel_dets(unit, 3, order - 1)
 
 
@@ -177,19 +174,9 @@ def cmx_knowles(
         raise ValueError(f"order must be >= 1, got {order}")
     ivals = _connected_values(moments)
     _require(ivals, 2 * order - 1, order)
-    found = _unit_free(ivals, order)
-    if found is None:
-        singular = order >= 2
-        return CmxResult(
-            method="knowles",
-            order=order,
-            energy=ivals[0],
-            energies=(ivals[0],) * order,
-            denominators=((f"det(A[{order - 1}])", 0.0),) if singular else (),
-            singular_flag=singular,
-            condition_number=float("inf") if singular else None,
-        )
-    scale, unit = found
+    if order == 1:
+        return CmxResult("knowles", 1, ivals[0], (ivals[0],), (), False)
+    scale, unit = _unit_free(ivals, order)
 
     energies: list[float] = [ivals[0]]
     for k in range(2, order + 1):

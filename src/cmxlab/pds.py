@@ -41,8 +41,8 @@ class PdsResult:
     """Polynomial coefficients, roots, and solve diagnostics for PDS(n).
 
     Roots whose imaginary part exceeds the policy tolerance (they appear
-    under noisy moments) are kept in `roots` but excluded from
-    `real_roots_sorted` and from the energy bounds.
+    under noisy moments) are kept in `roots` and listed in `complex_roots`,
+    but excluded from `real_roots_sorted` and from the energy bounds.
     """
 
     order: int
@@ -52,6 +52,7 @@ class PdsResult:
     ground_energy: float
     condition_number: float
     used_pseudo_inverse: bool
+    complex_roots: tuple[complex, ...] = ()
 
 
 def _raw_values(moments: MomentTable | Sequence[float]) -> list[float]:
@@ -106,6 +107,10 @@ def solve_pds(
     extra root a raw minimal-norm solve would add.  An eigenstate trial has
     every root at K_1 (padded, with an infinite condition number, from
     order 2 on).
+
+    A root counts as real when its unit-free node x has
+    |Im x| <= imag_tol * (1 + |Re x|), so the policy, like the rest of the
+    solve, does not depend on the units of H.
     """
     raw = _raw_values(moments)
     _require(raw, order)
@@ -116,14 +121,15 @@ def solve_pds(
     ]
     found = unit_free(mean, central) if order > 1 else None
     if found is None:
-        nodes, condition, used_pinv = [mean], 1.0, False
+        scale, unit_nodes, condition, used_pinv = 1.0, np.zeros(1), 1.0, False
         if order > 1:
             condition, used_pinv = float("inf"), True
     else:
         scale, unit = found
         unit_nodes, condition, used_pinv = _unit_nodes(unit, order, cond_threshold, pinv_cutoff)
-        nodes = [complex(mean + scale * x) for x in unit_nodes]
-    real_nodes = [r.real for r in nodes if abs(r.imag) <= imag_tol * (1.0 + abs(r.real))]
+    nodes = [complex(mean + scale * x) for x in unit_nodes]
+    is_real = [abs(x.imag) <= imag_tol * (1.0 + abs(x.real)) for x in unit_nodes]
+    real_nodes = [r.real for r, real in zip(nodes, is_real) if real]
     if not real_nodes:
         raise DegenerateRootsError(
             f"PDS({len(nodes)}) produced no real roots within the policy tolerance",
@@ -134,7 +140,7 @@ def solve_pds(
             },
         )
     padding = order - len(nodes)
-    roots = tuple(complex(r) for r in nodes) + (complex(mean),) * padding
+    roots = tuple(nodes) + (complex(mean),) * padding
     retained = sorted(real_nodes + [mean] * padding)
     return PdsResult(
         order=order,
@@ -144,6 +150,7 @@ def solve_pds(
         ground_energy=retained[0],
         condition_number=condition,
         used_pseudo_inverse=used_pinv,
+        complex_roots=tuple(r for r, real in zip(nodes, is_real) if not real),
     )
 
 

@@ -164,26 +164,33 @@ class TestKnowles:
 
 class TestShiftCovariance:
     def test_energy_shifts_with_identity_offset(self):
-        # the offset scales with H, as a change of units moves both
+        # H -> scale * (H + 1.5); every bound is the scale-1 bound in the
+        # units of the scaled H.  Below unit scale the Pauli route's absolute
+        # product prune zeroes the high moments (see CHANGES.md on
+        # pauli.DEFAULT_PRUNE_THRESHOLD), so those scales use the dense route.
         h = siam_sum(1.0)
         state = basis_state("0110")
-        base = connected_moments(raw_moments_dense(h, state, 5))
-        for scale in (1.0, 1e-3, 250.0):
-            moved_h = h.scaled(scale) + PauliSum.from_label_terms([(1.5 * scale, "IIII")])
-            moved = connected_moments(raw_moments_dense(moved_h, state, 5))
+        base = connected_moments(raw_moments_pauli(h, state, 5)[0])
+        for scale in (1.0, 250.0, 1e-3):
+            shifted = h.scaled(scale) + PauliSum.from_label_terms([(1.5 * scale, "IIII")])
+            if scale >= 1.0:
+                raw = raw_moments_pauli(shifted, state, 5)[0]
+            else:
+                raw = raw_moments_dense(shifted, state, 5)
+            moved = connected_moments(raw)
             assert moved.connected[0] == pytest.approx(
-                scale * (base.connected[0] + 1.5), abs=1e-10
+                scale * (base.connected[0] + 1.5), abs=1e-10 * scale
             )
             for k in range(1, 5):
                 assert moved.connected[k] == pytest.approx(
-                    scale ** (k + 1) * base.connected[k], rel=1e-9, abs=1e-9
+                    scale ** (k + 1) * base.connected[k], abs=1e-9 * scale ** (k + 1)
                 )
             for order in (1, 2, 3):
                 for solver in (cmx_cioslowski, cmx_knowles):
                     a = solver(base, order)
                     b = solver(moved, order)
-                    assert b.energy == pytest.approx(
-                        scale * (a.energy + 1.5), abs=1e-9 * scale * max(1.0, abs(a.energy))
+                    assert b.energy - scale * a.energy == pytest.approx(
+                        1.5 * scale, abs=1e-9 * scale
                     )
                     assert b.singular_flag == a.singular_flag
 

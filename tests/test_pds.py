@@ -188,21 +188,20 @@ class TestSaturation:
         assert result.ground_energy == pytest.approx(FCI_V1, abs=1e-8)
 
     def test_shift_covariance(self):
-        # the offset scales with H, as a change of units moves both
+        # H -> scale * (H + 1.5); every bound is the scale-1 bound in the
+        # units of the scaled H
         h = siam_sum(1.0)
         base_table = raw_moments_dense(h, basis_state("0110"), 7)
-        for scale in (1.0, 1e-3, 250.0):
-            moved_h = h.scaled(scale) + PauliSum.from_label_terms([(1.5 * scale, "IIII")])
-            moved_table = raw_moments_dense(moved_h, basis_state("0110"), 7)
+        for scale in (1.0, 250.0, 1e-3):
+            shifted = h.scaled(scale) + PauliSum.from_label_terms([(1.5 * scale, "IIII")])
+            shift_table = raw_moments_dense(shifted, basis_state("0110"), 7)
             for order in (1, 2, 3, 4):
                 base = solve_pds(base_table, order)
-                moved = solve_pds(moved_table, order)
+                moved = solve_pds(shift_table, order)
                 assert moved.used_pseudo_inverse == base.used_pseudo_inverse
                 assert len(moved.real_roots_sorted) == len(base.real_roots_sorted)
                 for rb, rm in zip(base.real_roots_sorted, moved.real_roots_sorted):
-                    assert rm == pytest.approx(
-                        scale * (rb + 1.5), abs=1e-9 * scale * max(1.0, abs(rb))
-                    )
+                    assert rm - scale * rb == pytest.approx(1.5 * scale, abs=1e-9 * scale)
 
     def test_pds2_deviation_documented(self):
         # the trial Krylov space is three-dimensional, so second order is

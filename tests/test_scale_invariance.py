@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cmxlab.cmx import cmx_cioslowski, cmx_knowles
 from cmxlab.methods import MethodSpec, evaluate_method
 from cmxlab.models import siam_fci_energy
-from cmxlab.moments import connected_moments, raw_moments_dense
+from cmxlab.moments import MomentTable, connected_moments, raw_moments_dense
 from cmxlab.pauli import PauliSum
 from cmxlab.pds import solve_pds
 from cmxlab.statevector import basis_state
@@ -97,3 +97,52 @@ class TestCioslowskiEqualsKnowles:
         assert np.isfinite(cioslowski.energy)
         assert not knowles.singular_flag
         assert np.isfinite(knowles.energy)
+
+
+class TestComplexRootPolicy:
+    def test_near_real_pair_is_dropped_at_every_scale(self):
+        # nodes -1 and 0.3 +- 8e-5 i with complex-conjugate weights give real
+        # moments whose PDS(3) roots are those nodes; at c = 1e-4 the pair's
+        # imaginary part is 8e-9 in the units of H, below the tolerance
+        nodes = np.array([-1.0, 0.3 + 8e-5j, 0.3 - 8e-5j])
+        weights = np.array([0.5, 0.25 + 0.1j, 0.25 - 0.1j])
+        for scale in (1e-4, 1.0, 1e4):
+            for shift in (0.0, 0.5 * scale):
+                mapped = scale * nodes + shift
+                raw = [1.0] + [float((weights * mapped**k).sum().real) for k in range(1, 6)]
+                result = solve_pds(raw, 3)
+                assert result.real_roots_sorted == pytest.approx(
+                    [shift - scale], abs=1e-12 * scale
+                )
+                assert len(result.complex_roots) == 2
+                for root in result.complex_roots:
+                    assert abs(root.imag) == pytest.approx(8e-5 * scale, rel=1e-3)
+
+
+class TestEigenstateFloor:
+    """|I_2| <= 1e-10 K_1^2 is an eigenstate: K_2 - K_1^2 cancels, so the
+    floor is relative to K_1, and a large enough offset turns a small real
+    spread into an eigenstate."""
+
+    @staticmethod
+    def two_node_table(shift: float) -> MomentTable:
+        # nodes shift - 0.3 and shift + 0.4, weights 0.6 and 0.4: I_2 = 0.294
+        raw = [0.6 * (shift - 0.3) ** k + 0.4 * (shift + 0.4) ** k for k in range(1, 4)]
+        return MomentTable((1.0, *raw))
+
+    def test_offset_of_one_is_solved(self):
+        table = self.two_node_table(1.0)
+        for name in ("cmx-cioslowski", "cmx-knowles", "pds"):
+            value = evaluate_method(MethodSpec(name, 2), table)
+            assert not value.singular_flag and not value.used_pseudo_inverse, name
+        assert evaluate_method(MethodSpec("pds", 2), table).energy == pytest.approx(0.7)
+
+    def test_offset_of_a_million_is_an_eigenstate(self):
+        table = self.two_node_table(1e6)
+        mean = table.raw[1]
+        for name in ("cmx-cioslowski", "cmx-knowles", "pds"):
+            value = evaluate_method(MethodSpec(name, 2), table)
+            assert value.energy == mean, name
+        assert evaluate_method(MethodSpec("cmx-cioslowski", 2), table).singular_flag
+        assert evaluate_method(MethodSpec("cmx-knowles", 2), table).singular_flag
+        assert evaluate_method(MethodSpec("pds", 2), table).used_pseudo_inverse
