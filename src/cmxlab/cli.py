@@ -1,5 +1,14 @@
-"""Command-line front end: model construction, method sweeps, variational
-scans, noise studies, and plot-script emission.
+"""Command-line front end: seven subcommands over one pipeline.
+
+Every subcommand runs the same pipeline, model point -> trial state ->
+moments K_n -> CMX/PDS energy, noisy or exact, through `_prepare`, and
+differs only in what it reports.  `COMMANDS` gives each subcommand its help
+text, the option groups it reads, its own options and its handler; a
+subcommand registers only the options it reads, so argparse rejects any
+other with exit status 2.  A handler is a generator: it first yields its CSV
+lines (None when it has no table), which `main` writes to --output or
+stdout and, with --emit-plot, turns into a gnuplot script; then it yields
+summary lines, which always go to stdout.
 
 Every flag can also be given in a key = value config file (--config);
 command-line flags override file values.  CSV floats are written with 17
@@ -12,10 +21,11 @@ import argparse
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .cmx import cmx_cioslowski, cmx_knowles, singularity_report
 from .errors import CmxlabError, UsageError
-from .methods import MethodSpec, evaluate_method, parse_method_list
+from .methods import evaluate_method, parse_method_list
 from .models import (
     H2Coefficients,
     SiamParams,
@@ -24,13 +34,8 @@ from .models import (
     siam_fci_energy,
     siam_hamiltonian,
 )
-from .moments import (
-    MomentTable,
-    connected_moments,
-    krylov_rank,
-    raw_moments_pauli,
-)
-from .noise import NoiseModel, noisy_moments
+from .moments import MomentTable, connected_moments, krylov_rank, raw_moments_pauli
+from .noise import NoiseModel, ShotEstimate, noisy_moments
 from .pauli import PauliString, PauliSum, parse_pauli_sum
 from .pds import solve_pds
 from .statevector import (
@@ -41,7 +46,7 @@ from .statevector import (
     fidelity,
     pauli_expectation,
 )
-from .variational import ScanResult, default_theta_grid, deviation_report, energy_vs_theta
+from .variational import default_theta_grid, deviation_report, energy_vs_theta
 
 SWEEP_HEADER = (
     "sweep_value,method,order,energy,reference,deviation,"
@@ -52,6 +57,7 @@ MOMENTS_HEADER = "order,K,I"
 NOISE_HEADER = "label,true_expectation,raw_estimate,mitigated_estimate,standard_error,shots"
 
 _DEFAULT_SIAM_SWEEP = "0.1,0.5,1,2,3,6,10"
+_DEFAULT_TRIALS = {"siam": "0110", "h2": "01"}
 
 
 def _fmt(x: float) -> str:
@@ -62,14 +68,18 @@ def _fmt_flag(flag: bool) -> str:
     return "1" if flag else "0"
 
 
+def _row(*fields) -> str:
+    """One CSV row: strings as they are, numbers through `_fmt`."""
+    return ",".join(f if isinstance(f, str) else _fmt(f) for f in fields)
+
+
 # ---------------------------------------------------------------------------
 # run configuration
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated description of one run (model, trial, methods, sweep,
-    noise, output)."""
+    """Validated description of one run's model, trial state and noise."""
 
     model: str
     siam_U: float = 8.0
@@ -83,14 +93,9 @@ class RunConfig:
     trial: str | None = None
     generator: str | None = None
     theta: float = 0.0
-    methods: tuple[MethodSpec, ...] = ()
     sweep_values: tuple[float, ...] = ()
     noise: NoiseModel | None = None
     mitigated: bool = True
-    depth_proxy: tuple[int, int] = (0, 1)
-    output: str | None = None
-    plot_output: str | None = None
-    max_order: int = 7
 
     def __post_init__(self):
         if self.model not in ("siam", "h2", "file"):
@@ -103,6 +108,45 @@ class RunConfig:
             raise UsageError("h2 model needs --g or --h2-file")
         if self.model == "file" and self.hamiltonian_file is None:
             raise UsageError("file model needs --hamiltonian-file")
+
+    @classmethod
+    def from_args(cls, args: argparse.Namespace) -> RunConfig:
+        """The run a parsed command line describes; an option group the
+        subcommand does not register reads as its defaults."""
+        coeffs = None
+        if args.g:
+            pieces = [p for p in args.g.split(",") if p.strip()]
+            if len(pieces) != 6:
+                raise UsageError(f"--g needs six comma-separated values, got {len(pieces)}")
+            coeffs = H2Coefficients(*(float(p) for p in pieces))
+        noise = None
+        if getattr(args, "noise", False):
+            noise = NoiseModel(
+                p00=args.p00, p11=args.p11, p1=args.p1, p2=args.p2,
+                shots=args.shots, seed=args.seed,
+            )
+        sweep = ()
+        if getattr(args, "sweep_values", None):
+            sweep = tuple(float(v) for v in args.sweep_values.split(",") if v.strip())
+            if not sweep:
+                raise UsageError("--sweep-values must contain at least one value")
+        return cls(
+            model=args.model,
+            siam_U=args.U,
+            siam_V=args.V,
+            siam_mu=args.mu,
+            siam_eps0=args.eps0,
+            siam_eps1=args.eps1,
+            h2_coefficients=coeffs,
+            h2_file=args.h2_file,
+            hamiltonian_file=args.hamiltonian_file,
+            trial=args.trial,
+            generator=args.generator,
+            theta=getattr(args, "theta", 0.0),
+            sweep_values=sweep,
+            noise=noise,
+            mitigated=not getattr(args, "no_mitigation", False),
+        )
 
 
 def siam_params(cfg: RunConfig, v: float) -> SiamParams:
@@ -160,128 +204,182 @@ def sweep_points(cfg: RunConfig) -> list[SweepPoint]:
     return points
 
 
-def trial_bits(cfg: RunConfig, n_qubits: int) -> str:
-    bits = cfg.trial
-    if bits is None:
-        bits = {"siam": "0110", "h2": "01"}.get(cfg.model)
-        if bits is None:
-            raise UsageError("the file model needs an explicit --trial bitstring")
-    if len(bits) != n_qubits:
-        raise UsageError(
-            f"trial {bits!r} has {len(bits)} bits, model has {n_qubits} qubits"
-        )
-    return bits
-
-
-def trial_state(cfg: RunConfig, n_qubits: int) -> StateVector:
-    state = basis_state(trial_bits(cfg, n_qubits))
-    if cfg.generator is not None and cfg.theta != 0.0:
-        generator = PauliString.from_label(cfg.generator)
-        state = apply_generator_rotation(cfg.theta, generator, state)
-    return state
-
-
-def moment_table(cfg: RunConfig, h: PauliSum, state: StateVector, max_order: int) -> MomentTable:
-    if cfg.noise is not None:
-        table, _ = noisy_moments(
-            h, state, max_order, cfg.noise,
-            depth_proxy=cfg.depth_proxy, mitigated=cfg.mitigated,
-        )
-    else:
-        table, _ = raw_moments_pauli(h, state, max_order)
-    return connected_moments(table)
-
-
 # ---------------------------------------------------------------------------
-# sweep
+# the pipeline
 
 
-def sweep_rows(cfg: RunConfig) -> list[str]:
+@dataclass(frozen=True)
+class Prepared:
+    """One model point with its trial state, its connected moment table and,
+    on the noisy route, the shot estimate of every measured string."""
+
+    point: SweepPoint
+    state: StateVector
+    table: MomentTable | None
+    estimates: dict[PauliString, ShotEstimate]
+
+
+def _prepare(cfg: RunConfig, max_order: int | None, sweep: bool = False) -> list[Prepared]:
+    """Point -> trial state -> K_0..K_max_order with connected moments, for
+    every model point; max_order None stops at the state.
+
+    The moments are shot estimates when cfg.noise is set and exact Pauli
+    route values otherwise.  Unless `sweep`, the run must have exactly one
+    model point.
+    """
+    points = sweep_points(cfg)
+    if not sweep and len(points) != 1:
+        raise UsageError("this subcommand works on a single model point")
+    bits = cfg.trial or _DEFAULT_TRIALS.get(cfg.model)
+    if bits is None:
+        raise UsageError("the file model needs an explicit --trial bitstring")
+    prepared = []
+    for point in points:
+        h = point.hamiltonian
+        if len(bits) != h.n_qubits:
+            raise UsageError(
+                f"trial {bits!r} has {len(bits)} bits, model has {h.n_qubits} qubits"
+            )
+        state = basis_state(bits)
+        if cfg.generator is not None and cfg.theta != 0.0:
+            generator = PauliString.from_label(cfg.generator)
+            state = apply_generator_rotation(cfg.theta, generator, state)
+        table, estimates = None, {}
+        if max_order is not None:
+            if cfg.noise is not None:
+                # gate equivalents: the trial's preparation flips, one controlled op
+                table, estimates = noisy_moments(
+                    h, state, max_order, cfg.noise,
+                    depth_proxy=(bits.count("1"), 1), mitigated=cfg.mitigated,
+                )
+            else:
+                table, _ = raw_moments_pauli(h, state, max_order)
+            table = connected_moments(table)
+        prepared.append(Prepared(point, state, table, estimates))
+    return prepared
+
+
+# a handler's yields: its CSV lines (or None), then its summary lines
+Report = Iterator[list[str] | str | None]
+
+
+def _moments(cfg: RunConfig, args: argparse.Namespace) -> Report:
+    [prep] = _prepare(cfg, args.max_order)
+    lines = [MOMENTS_HEADER]
+    for order in range(args.max_order + 1):
+        i_val = prep.table.connected[order - 1] if order >= 1 else ""
+        lines.append(_row(order, prep.table.raw[order], i_val))
+    yield lines
+
+
+def _cmx(cfg: RunConfig, args: argparse.Namespace) -> Report:
+    [prep] = _prepare(cfg, 2 * args.order - 1)
+    variants = ("cioslowski", "knowles") if args.variant == "both" else (args.variant,)
+    yield None
+    yield (f"model point: sweep_value={_fmt(prep.point.sweep_value)} "
+           f"reference={_fmt(prep.point.reference)}")
+    for variant in variants:
+        fn = cmx_cioslowski if variant == "cioslowski" else cmx_knowles
+        result = fn(prep.table, args.order)
+        orders = " ".join(_fmt(e) for e in result.energies)
+        yield (f"cmx-{variant}({args.order}): energy={_fmt(result.energy)} "
+               f"singular={_fmt_flag(result.singular_flag)} E(1..K)=[{orders}]")
+        for label, value in result.denominators:
+            yield f"  denominator {label} = {_fmt(value)}"
+    findings = singularity_report(prep.table)
+    for finding in findings:
+        yield (f"warning: {finding.label} = {_fmt(finding.value)} "
+               f"would poison {finding.affected}")
+    if findings:
+        yield "hint: prefer an expansion that avoids the flagged denominators"
+
+
+def _pds(cfg: RunConfig, args: argparse.Namespace) -> Report:
+    [prep] = _prepare(cfg, 2 * args.order - 1)
+    result = solve_pds(prep.table, args.order)
+    yield None
+    yield (f"model point: sweep_value={_fmt(prep.point.sweep_value)} "
+           f"reference={_fmt(prep.point.reference)}")
+    yield (f"pds({args.order}): ground={_fmt(result.ground_energy)} "
+           f"condition={_fmt(result.condition_number)} "
+           f"pinv={_fmt_flag(result.used_pseudo_inverse)}")
+    yield "real roots: " + " ".join(_fmt(r) for r in result.real_roots_sorted)
+    if result.complex_roots:
+        yield ("complex roots dropped from bounds: "
+               + " ".join(f"{r.real:.6g}{r.imag:+.6g}j" for r in result.complex_roots))
+
+
+def _sweep(cfg: RunConfig, args: argparse.Namespace) -> Report:
     """CSV rows for every (sweep point, method) pair, ordered by sweep value.
 
     Singular method evaluations become flagged rows, never crashes, so
     divergent expansion branches stay plottable.
     """
-    if not cfg.methods:
-        raise UsageError("at least one method is required")
-    points = sweep_points(cfg)
-    max_order = max(spec.required_max_order for spec in cfg.methods)
-
-    rows = []
-    for point in points:
-        state = trial_state(cfg, point.hamiltonian.n_qubits)
-        table = moment_table(cfg, point.hamiltonian, state, max_order)
-        for spec in cfg.methods:
-            value = evaluate_method(spec, table)
-            deviation = value.energy - point.reference
-            rows.append(
-                ",".join(
-                    [
-                        _fmt(point.sweep_value),
-                        spec.name,
-                        str(spec.order),
-                        _fmt(value.energy),
-                        _fmt(point.reference),
-                        _fmt(deviation),
-                        _fmt_flag(value.singular_flag),
-                        _fmt(value.condition_number),
-                        _fmt_flag(value.used_pseudo_inverse),
-                    ]
-                )
-            )
-    return rows
+    methods = parse_method_list(args.methods)
+    max_order = max(spec.required_max_order for spec in methods)
+    rows = [SWEEP_HEADER]
+    for prep in _prepare(cfg, max_order, sweep=True):
+        reference = prep.point.reference
+        for spec in methods:
+            value = evaluate_method(spec, prep.table)
+            rows.append(_row(
+                prep.point.sweep_value, spec.name, spec.order,
+                value.energy, reference, value.energy - reference,
+                _fmt_flag(value.singular_flag), value.condition_number,
+                _fmt_flag(value.used_pseudo_inverse),
+            ))
+    yield rows
+    if args.output:
+        yield f"wrote {args.output}"
 
 
-def run_sweep(cfg: RunConfig) -> str:
-    """Execute the sweep and return the CSV text (also written to
-    cfg.output when set)."""
-    text = SWEEP_HEADER + "\n" + "\n".join(sweep_rows(cfg)) + "\n"
-    if cfg.output:
-        Path(cfg.output).write_text(text)
-        if cfg.plot_output:
-            emit_plot_script(cfg.output, cfg.plot_output)
-    return text
-
-
-# ---------------------------------------------------------------------------
-# variational
-
-
-def run_variational(cfg: RunConfig, theta_grid=None) -> tuple[str, ScanResult, float]:
-    if len(cfg.methods) != 1:
+def _variational(cfg: RunConfig, args: argparse.Namespace) -> Report:
+    grid = default_theta_grid(args.grid_points)
+    methods = parse_method_list(args.method)
+    if len(methods) != 1:
         raise UsageError("variational runs take exactly one method")
     if cfg.generator is None:
         raise UsageError("variational runs need --generator")
-    points = sweep_points(cfg)
-    if len(points) != 1:
-        raise UsageError("variational runs take a single model point, not a sweep")
-    point = points[0]
-    # the scan rotates the base itself; any --theta preset is ignored here
-    base = basis_state(trial_bits(cfg, point.hamiltonian.n_qubits))
+    [prep] = _prepare(cfg, None)
     generator = PauliString.from_label(cfg.generator)
-    scan = energy_vs_theta(
-        point.hamiltonian, base, generator, cfg.methods[0], theta_grid=theta_grid
-    )
+    scan = energy_vs_theta(prep.point.hamiltonian, prep.state, generator, methods[0],
+                           theta_grid=grid)
     lines = [VARIATIONAL_HEADER]
     for i, theta in enumerate(scan.theta_grid):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(theta),
-                    _fmt(scan.energies[i]),
-                    _fmt(scan.i1[i]),
-                    _fmt(scan.i2[i]),
-                    _fmt(scan.i3[i]),
-                    _fmt_flag(scan.singular_flags[i]),
-                ]
-            )
-        )
-    text = "\n".join(lines) + "\n"
-    if cfg.output:
-        Path(cfg.output).write_text(text)
-        if cfg.plot_output:
-            emit_plot_script(cfg.output, cfg.plot_output)
-    return text, scan, point.reference
+        lines.append(_row(theta, scan.energies[i], scan.i1[i], scan.i2[i], scan.i3[i],
+                          _fmt_flag(scan.singular_flags[i])))
+    yield lines
+    report = deviation_report(scan, prep.point.reference)
+    yield (f"theta_opt={_fmt(scan.theta_opt)} energy_opt={_fmt(scan.energy_opt)} "
+           f"reference={_fmt(prep.point.reference)}")
+    factor = "inf" if report.infinite_improvement else _fmt(report.improvement_factor)
+    yield (f"deviation at theta=0: {_fmt(report.dev_at_zero)}; at optimum: "
+           f"{_fmt(report.dev_at_opt)}; improvement factor: {factor}")
+
+
+def _noise(cfg: RunConfig, args: argparse.Namespace) -> Report:
+    methods = parse_method_list(args.methods)
+    [prep] = _prepare(cfg, args.max_order)
+    lines = [NOISE_HEADER]
+    for p in sorted(prep.estimates, key=lambda q: q.label):
+        est = prep.estimates[p]
+        lines.append(_row(p.label, pauli_expectation(p, prep.state), est.raw_estimate,
+                          est.mitigated_estimate, est.standard_error, est.shots_used))
+    yield lines
+    for spec in methods:
+        value = evaluate_method(spec, prep.table)
+        yield f"{spec}: energy={_fmt(value.energy)} singular={_fmt_flag(value.singular_flag)}"
+
+
+def _diag(cfg: RunConfig, args: argparse.Namespace) -> Report:
+    [prep] = _prepare(cfg, None)
+    spectrum = exact_diagonalize(prep.point.hamiltonian)
+    yield ["index,eigenvalue"] + [_row(i, v) for i, v in enumerate(spectrum.eigenvalues)]
+    overlap = fidelity(prep.state, spectrum.ground_vector)
+    rank = krylov_rank(prep.point.hamiltonian, prep.state, max_dim=8)
+    yield f"ground_energy={_fmt(spectrum.ground_energy)}"
+    yield f"trial_fidelity_with_ground={_fmt(overlap)}"
+    yield f"krylov_rank={rank}"
 
 
 # ---------------------------------------------------------------------------
@@ -350,37 +448,63 @@ def emit_plot_script(csv_path: str | Path, out_path: str | Path | None = None) -
 # ---------------------------------------------------------------------------
 # argument parsing
 
+OPTION_GROUPS = {
+    "model": {
+        "--model": dict(choices=("siam", "h2", "file"), default="siam"),
+        "--U": dict(type=float, default=8.0, help="impurity repulsion"),
+        "--V": dict(type=float, default=1.0, help="hybridization strength"),
+        "--mu": dict(type=float, help="chemical potential (default U/2)"),
+        "--eps0": dict(type=float, help="impurity site energy (default 0)"),
+        "--eps1": dict(type=float, help="bath site energy (default mu)"),
+        "--g": dict(help="six comma-separated h2 coefficients"),
+        "--h2-file": dict(help="PES CSV with columns R,g0..g5"),
+        "--hamiltonian-file": dict(help="Hamiltonian text file"),
+        "--trial": dict(help="trial bitstring (qubit 0 first)"),
+        "--generator": dict(help="rotation generator label"),
+    },
+    "theta": {"--theta": dict(type=float, default=0.0, help="rotation angle (rad)")},
+    "noise": {
+        "--noise": dict(action="store_true", help="enable shot-noise emulation"),
+        "--p00": dict(type=float, default=1.0),
+        "--p11": dict(type=float, default=1.0),
+        "--p1": dict(type=float, default=0.0),
+        "--p2": dict(type=float, default=0.0),
+        "--shots": dict(type=int, default=8192),
+        "--seed": dict(type=int, default=0),
+        "--no-mitigation": dict(action="store_true"),
+    },
+    "output": {"--output": dict(help="CSV output path")},
+    "plot": {"--emit-plot": dict(help="also write a gnuplot script (needs --output)")},
+}
 
-def _add_model_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=("siam", "h2", "file"), default="siam")
-    p.add_argument("--U", type=float, default=8.0, help="impurity repulsion")
-    p.add_argument("--V", type=float, default=1.0, help="hybridization strength")
-    p.add_argument("--mu", type=float, default=None, help="chemical potential (default U/2)")
-    p.add_argument("--eps0", type=float, default=None, help="impurity site energy (default 0)")
-    p.add_argument("--eps1", type=float, default=None, help="bath site energy (default mu)")
-    p.add_argument("--g", type=str, default=None, help="six comma-separated h2 coefficients")
-    p.add_argument("--h2-file", type=str, default=None, help="PES CSV with columns R,g0..g5")
-    p.add_argument("--hamiltonian-file", type=str, default=None, help="Hamiltonian text file")
-    p.add_argument("--trial", type=str, default=None, help="trial bitstring (qubit 0 first)")
-    p.add_argument("--generator", type=str, default=None, help="rotation generator label")
-    p.add_argument("--theta", type=float, default=0.0, help="rotation angle (rad)")
-
-
-def _add_noise_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--noise", action="store_true", help="enable shot-noise emulation")
-    p.add_argument("--p00", type=float, default=1.0)
-    p.add_argument("--p11", type=float, default=1.0)
-    p.add_argument("--p1", type=float, default=0.0)
-    p.add_argument("--p2", type=float, default=0.0)
-    p.add_argument("--shots", type=int, default=8192)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-mitigation", action="store_true")
-
-
-def _add_output_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", type=str, default=None, help="CSV output path")
-    p.add_argument("--emit-plot", type=str, default=None, help="also write a gnuplot script")
-    p.add_argument("--config", type=str, default=None, help="key = value config file")
+# name -> (help, option groups it reads, its own options, handler); an own
+# option replaces a group's option of the same flag
+COMMANDS = {
+    "moments": ("raw and connected moment table", ("model", "theta", "noise", "output"),
+                {"--max-order": dict(type=int, default=7)}, _moments),
+    "cmx": ("CMX energies at one model point", ("model", "theta", "noise"),
+            {"--order": dict(type=int, default=2),
+             "--variant": dict(choices=("cioslowski", "knowles", "both"), default="both")},
+            _cmx),
+    "pds": ("PDS roots at one model point", ("model", "theta", "noise"),
+            {"--order": dict(type=int, default=2)}, _pds),
+    "sweep": ("methods across a parameter sweep, CSV out",
+              ("model", "theta", "noise", "output", "plot"),
+              {"--methods": dict(required=True,
+                                 help="comma list, e.g. cmx-cioslowski:2,cmx-knowles:3,pds:3"),
+               "--sweep-values": dict(default=_DEFAULT_SIAM_SWEEP,
+                                      help="comma list of hybridization values (siam model)")},
+              _sweep),
+    "variational": ("estimator vs rotation angle", ("model", "output", "plot"),
+                    {"--method": dict(default="pds:2"),
+                     "--grid-points": dict(type=int, default=81)}, _variational),
+    # the subcommand implies emulation; its --noise flag stays for config files
+    "noise": ("noisy shot estimates and method energies", ("model", "theta", "noise", "output"),
+              {"--noise": dict(action="store_true", default=True, help="implied"),
+               "--methods": dict(default="cmx-cioslowski:2,pds:2"),
+               "--max-order": dict(type=int, default=3)}, _noise),
+    "diag": ("exact spectrum, fidelity, Krylov rank", ("model", "theta", "output"), {}, _diag),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,53 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Connected-moments (CMX/PDS) energy estimation for qubit Hamiltonians.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("moments", help="raw and connected moment table")
-    _add_model_options(p)
-    _add_noise_options(p)
-    _add_output_options(p)
-    p.add_argument("--max-order", type=int, default=7)
-
-    p = sub.add_parser("cmx", help="CMX energies at one model point")
-    _add_model_options(p)
-    _add_noise_options(p)
-    _add_output_options(p)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--variant", choices=("cioslowski", "knowles", "both"), default="both")
-
-    p = sub.add_parser("pds", help="PDS roots at one model point")
-    _add_model_options(p)
-    _add_noise_options(p)
-    _add_output_options(p)
-    p.add_argument("--order", type=int, default=2)
-
-    p = sub.add_parser("sweep", help="methods across a parameter sweep, CSV out")
-    _add_model_options(p)
-    _add_noise_options(p)
-    _add_output_options(p)
-    p.add_argument("--methods", type=str, required=True,
-                   help="comma list, e.g. cmx-cioslowski:2,cmx-knowles:3,pds:3")
-    p.add_argument("--sweep-values", type=str, default=_DEFAULT_SIAM_SWEEP,
-                   help="comma list of hybridization values (siam model)")
-
-    p = sub.add_parser("variational", help="estimator vs rotation angle")
-    _add_model_options(p)
-    _add_noise_options(p)
-    _add_output_options(p)
-    p.add_argument("--method", type=str, default="pds:2")
-    p.add_argument("--grid-points", type=int, default=81)
-
-    p = sub.add_parser("noise", help="noisy shot estimates and method energies")
-    _add_model_options(p)
-    _add_noise_options(p)
-    _add_output_options(p)
-    p.add_argument("--methods", type=str, default="cmx-cioslowski:2,pds:2")
-    p.add_argument("--max-order", type=int, default=3)
-
-    p = sub.add_parser("diag", help="exact spectrum, fidelity, Krylov rank")
-    _add_model_options(p)
-    _add_output_options(p)
-
+    for name, (help_text, groups, own, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        options = {flag: kw for group in groups for flag, kw in OPTION_GROUPS[group].items()}
+        for flag, kwargs in (options | own).items():
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--config", help="key = value config file")
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -479,220 +563,28 @@ def _inject_config(argv: list[str]) -> list[str]:
     return argv[:1] + tokens + argv[1:]
 
 
-# ---------------------------------------------------------------------------
-# subcommand implementations
-
-
-def _config_from_args(args: argparse.Namespace, methods=()) -> RunConfig:
-    coeffs = None
-    if getattr(args, "g", None):
-        pieces = [p for p in args.g.split(",") if p.strip()]
-        if len(pieces) != 6:
-            raise UsageError(f"--g needs six comma-separated values, got {len(pieces)}")
-        coeffs = H2Coefficients(*(float(p) for p in pieces))
-    noise = None
-    if getattr(args, "noise", False):
-        trial_bits = args.trial or {"siam": "0110", "h2": "01"}.get(args.model, "")
-        noise = NoiseModel(
-            p00=args.p00, p11=args.p11, p1=args.p1, p2=args.p2,
-            shots=args.shots, seed=args.seed,
-        )
-        depth_proxy = (trial_bits.count("1"), 1)
-    else:
-        depth_proxy = (0, 1)
-    sweep = ()
-    if getattr(args, "sweep_values", None):
-        sweep = tuple(float(v) for v in args.sweep_values.split(",") if v.strip())
-        if not sweep:
-            raise UsageError("--sweep-values must contain at least one value")
-    return RunConfig(
-        model=args.model,
-        siam_U=args.U,
-        siam_V=args.V,
-        siam_mu=args.mu,
-        siam_eps0=args.eps0,
-        siam_eps1=args.eps1,
-        h2_coefficients=coeffs,
-        h2_file=args.h2_file,
-        hamiltonian_file=args.hamiltonian_file,
-        trial=args.trial,
-        generator=args.generator,
-        theta=args.theta,
-        methods=tuple(methods),
-        sweep_values=sweep,
-        noise=noise,
-        mitigated=not getattr(args, "no_mitigation", False),
-        depth_proxy=depth_proxy,
-        output=args.output,
-        plot_output=getattr(args, "emit_plot", None),
-        max_order=getattr(args, "max_order", 7),
-    )
-
-
-def _single_point(cfg: RunConfig) -> SweepPoint:
-    points = sweep_points(cfg)
-    if len(points) != 1:
-        raise UsageError("this subcommand works on a single model point")
-    return points[0]
-
-
-def _write_or_print(text: str, output: str | None, out) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
-        out.write(text)
-
-
-def _cmd_moments(args: argparse.Namespace, out) -> int:
-    cfg = _config_from_args(args)
-    point = _single_point(cfg)
-    state = trial_state(cfg, point.hamiltonian.n_qubits)
-    table = moment_table(cfg, point.hamiltonian, state, cfg.max_order)
-    lines = [MOMENTS_HEADER]
-    for order in range(cfg.max_order + 1):
-        i_val = _fmt(table.connected[order - 1]) if order >= 1 else ""
-        lines.append(f"{order},{_fmt(table.raw[order])},{i_val}")
-    _write_or_print("\n".join(lines) + "\n", cfg.output, out)
-    return 0
-
-
-def _cmd_cmx(args: argparse.Namespace, out) -> int:
-    cfg = _config_from_args(args)
-    point = _single_point(cfg)
-    state = trial_state(cfg, point.hamiltonian.n_qubits)
-    table = moment_table(cfg, point.hamiltonian, state, 2 * args.order - 1)
-    variants = ("cioslowski", "knowles") if args.variant == "both" else (args.variant,)
-    out.write(f"model point: sweep_value={_fmt(point.sweep_value)} "
-              f"reference={_fmt(point.reference)}\n")
-    for variant in variants:
-        fn = cmx_cioslowski if variant == "cioslowski" else cmx_knowles
-        result = fn(table, args.order)
-        orders = " ".join(_fmt(e) for e in result.energies)
-        out.write(f"cmx-{variant}({args.order}): energy={_fmt(result.energy)} "
-                  f"singular={_fmt_flag(result.singular_flag)} E(1..K)=[{orders}]\n")
-        for label, value in result.denominators:
-            out.write(f"  denominator {label} = {_fmt(value)}\n")
-    findings = singularity_report(table)
-    for finding in findings:
-        out.write(f"warning: {finding.label} = {_fmt(finding.value)} "
-                  f"would poison {finding.affected}\n")
-    if findings:
-        out.write("hint: prefer an expansion that avoids the flagged denominators\n")
-    return 0
-
-
-def _cmd_pds(args: argparse.Namespace, out) -> int:
-    cfg = _config_from_args(args)
-    point = _single_point(cfg)
-    state = trial_state(cfg, point.hamiltonian.n_qubits)
-    table = moment_table(cfg, point.hamiltonian, state, 2 * args.order - 1)
-    result = solve_pds(table, args.order)
-    out.write(f"model point: sweep_value={_fmt(point.sweep_value)} "
-              f"reference={_fmt(point.reference)}\n")
-    out.write(f"pds({args.order}): ground={_fmt(result.ground_energy)} "
-              f"condition={_fmt(result.condition_number)} "
-              f"pinv={_fmt_flag(result.used_pseudo_inverse)}\n")
-    out.write("real roots: " + " ".join(_fmt(r) for r in result.real_roots_sorted) + "\n")
-    if result.complex_roots:
-        out.write("complex roots dropped from bounds: "
-                  + " ".join(f"{r.real:.6g}{r.imag:+.6g}j" for r in result.complex_roots)
-                  + "\n")
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace, out) -> int:
-    methods = parse_method_list(args.methods)
-    cfg = _config_from_args(args, methods=methods)
-    text = run_sweep(cfg)
-    if not cfg.output:
-        out.write(text)
-    else:
-        out.write(f"wrote {cfg.output}\n")
-    return 0
-
-
-def _cmd_variational(args: argparse.Namespace, out) -> int:
-    methods = parse_method_list(args.method)
-    cfg = _config_from_args(args, methods=methods)
-    grid = default_theta_grid(args.grid_points)
-    text, scan, reference = run_variational(cfg, theta_grid=grid)
-    if not cfg.output:
-        out.write(text)
-    report = deviation_report(scan, reference)
-    out.write(f"theta_opt={_fmt(scan.theta_opt)} energy_opt={_fmt(scan.energy_opt)} "
-              f"reference={_fmt(reference)}\n")
-    factor = "inf" if report.infinite_improvement else _fmt(report.improvement_factor)
-    out.write(f"deviation at theta=0: {_fmt(report.dev_at_zero)}; at optimum: "
-              f"{_fmt(report.dev_at_opt)}; improvement factor: {factor}\n")
-    return 0
-
-
-def _cmd_noise(args: argparse.Namespace, out) -> int:
-    if not args.noise:
-        args.noise = True  # the subcommand implies emulation
-    methods = parse_method_list(args.methods)
-    cfg = _config_from_args(args, methods=methods)
-    point = _single_point(cfg)
-    state = trial_state(cfg, point.hamiltonian.n_qubits)
-    table, estimates = noisy_moments(
-        point.hamiltonian, state, cfg.max_order, cfg.noise,
-        depth_proxy=cfg.depth_proxy, mitigated=cfg.mitigated,
-    )
-    table = connected_moments(table)
-    lines = [NOISE_HEADER]
-    for p in sorted(estimates, key=lambda q: q.label):
-        est = estimates[p]
-        lines.append(",".join([
-            p.label,
-            _fmt(pauli_expectation(p, state)),
-            _fmt(est.raw_estimate),
-            _fmt(est.mitigated_estimate),
-            _fmt(est.standard_error),
-            str(est.shots_used),
-        ]))
-    _write_or_print("\n".join(lines) + "\n", cfg.output, out)
-    for spec in cfg.methods:
-        value = evaluate_method(spec, table)
-        out.write(f"{spec}: energy={_fmt(value.energy)} "
-                  f"singular={_fmt_flag(value.singular_flag)}\n")
-    return 0
-
-
-def _cmd_diag(args: argparse.Namespace, out) -> int:
-    cfg = _config_from_args(args)
-    point = _single_point(cfg)
-    spectrum = exact_diagonalize(point.hamiltonian)
-    state = trial_state(cfg, point.hamiltonian.n_qubits)
-    lines = ["index,eigenvalue"]
-    for i, value in enumerate(spectrum.eigenvalues):
-        lines.append(f"{i},{_fmt(value)}")
-    _write_or_print("\n".join(lines) + "\n", cfg.output, out)
-    overlap = fidelity(state, spectrum.ground_vector)
-    rank = krylov_rank(point.hamiltonian, state, max_dim=8)
-    out.write(f"ground_energy={_fmt(spectrum.ground_energy)}\n")
-    out.write(f"trial_fidelity_with_ground={_fmt(overlap)}\n")
-    out.write(f"krylov_rank={rank}\n")
-    return 0
-
-
-_COMMANDS = {
-    "moments": _cmd_moments,
-    "cmx": _cmd_cmx,
-    "pds": _cmd_pds,
-    "sweep": _cmd_sweep,
-    "variational": _cmd_variational,
-    "noise": _cmd_noise,
-    "diag": _cmd_diag,
-}
-
-
 def main(argv: list[str] | None = None, out=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     out = out if out is not None else sys.stdout
     try:
         argv = _inject_config(argv)
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args, out)
+        output, plot = getattr(args, "output", None), getattr(args, "emit_plot", None)
+        if plot and not output:
+            raise UsageError("--emit-plot needs --output")
+        report = args.handler(RunConfig.from_args(args), args)
+        csv = next(report)
+        if csv is not None:
+            text = "\n".join(csv) + "\n"
+            if output:
+                Path(output).write_text(text)
+                if plot:
+                    emit_plot_script(output, plot)
+            else:
+                out.write(text)
+        for line in report:
+            out.write(line + "\n")
+        return 0
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -178,7 +178,8 @@ def raw_moments_dense(
     max_order: int,
     limit: int = DENSE_QUBIT_LIMIT,
 ) -> MomentTable:
-    """Raw moments via |v_n> = H|v_(n-1)>; the independent oracle route."""
+    """Raw moments K_n = <Phi|v_n> on the Krylov chain |v_n> = H^n|Phi>;
+    the independent oracle route."""
     if not h.is_hermitian():
         raise ContractViolationError("moments require a Hermitian sum")
     if max_order < 1:
@@ -186,11 +187,8 @@ def raw_moments_dense(
     if h.n_qubits > limit:
         raise CapacityError(f"{h.n_qubits} qubits exceeds the dense limit of {limit}")
     raw = [1.0]
-    v = state
-    for order in range(1, max_order + 1):
-        v = apply_pauli_sum(h, v)
-        val = complex(np.vdot(state.amplitudes, v.amplitudes))
-        raw.append(_real_moment(val, order))
+    for order, v in enumerate(krylov_vectors(h, state, max_order + 1)[1:], start=1):
+        raw.append(_real_moment(complex(np.vdot(state.amplitudes, v)), order))
     return MomentTable(tuple(raw))
 
 

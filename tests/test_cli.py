@@ -20,6 +20,32 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
+def exit_code(*argv):
+    try:
+        return main(list(argv), out=io.StringIO())
+    except SystemExit as exc:  # argparse rejects an option the subcommand lacks
+        return exc.code
+
+
+# (subcommand, option) pairs that the subcommand does not read
+UNREAD_OPTIONS = [
+    ("variational", option) for option in (
+        ("--noise",), ("--p00", "0.6"), ("--p11", "0.6"), ("--p1", "0.01"),
+        ("--p2", "0.01"), ("--shots", "10"), ("--seed", "3"), ("--no-mitigation",),
+        ("--theta", "0.2"),
+    )
+] + [
+    (command, option)
+    for command in ("cmx", "pds")
+    for option in (("--output", "out.csv"), ("--emit-plot", "out.gp"))
+] + [(command, ("--emit-plot", "out.gp")) for command in ("moments", "noise", "diag")]
+
+BASE_ARGV = {
+    "variational": ("--generator", "YXXX", "--grid-points", "5"),
+    "noise": ("--shots", "64"),
+}
+
+
 class TestMethodSpecs:
     def test_parse_round_trip(self):
         spec = parse_method("pds:3")
@@ -114,6 +140,12 @@ class TestSweep:
         row = text.splitlines()[1].split(",")
         assert row[6] == "1"  # singular_flag
         assert math.isfinite(float(row[3]))
+
+    def test_default_sweep_values(self):
+        code, text = run_cli("sweep", "--methods", "expectation")
+        assert code == 0
+        values = [float(row.split(",")[0]) for row in text.splitlines()[1:]]
+        assert values == [0.1, 0.5, 1.0, 2.0, 3.0, 6.0, 10.0]
 
     def test_unknown_method_usage_error(self):
         code, _ = run_cli("sweep", "--methods", "wat:2")
@@ -303,6 +335,33 @@ class TestPlotScripts:
         )
         assert code == 0
         assert gp.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--methods", "pds:2", "--sweep-values", "1"),
+        ("variational", "--generator", "YXXX", "--grid-points", "5"),
+    ], ids=["sweep", "variational"])
+    def test_emit_plot_needs_output(self, tmp_path, argv):
+        gp = tmp_path / "plot.gp"
+        code, text = run_cli(*argv, "--emit-plot", str(gp))
+        assert (code, text) == (2, "")
+        assert not gp.exists()
+
+
+class TestOptionsPerSubcommand:
+    @pytest.mark.parametrize(
+        ("command", "option"), UNREAD_OPTIONS,
+        ids=[f"{command}{option[0]}" for command, option in UNREAD_OPTIONS],
+    )
+    def test_unread_option_is_rejected(self, tmp_path, monkeypatch, command, option):
+        monkeypatch.chdir(tmp_path)
+        argv = (command, *BASE_ARGV.get(command, ()))
+        assert exit_code(*argv) == 0
+        assert exit_code(*argv, *option) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_noise_subcommand_keeps_its_implied_flag(self):
+        argv = ("noise", "--shots", "64", "--seed", "2")
+        assert run_cli(*argv, "--noise") == run_cli(*argv)
 
 
 class TestRunConfigValidation:

@@ -22,7 +22,7 @@ from cmxlab.moments import (
     truncate_hamiltonian,
 )
 from cmxlab.pauli import PauliString, PauliSum
-from cmxlab.statevector import StateVector, basis_state
+from cmxlab.statevector import StateVector, apply_pauli_sum, basis_state
 
 from conftest import (
     basis_vector,
@@ -200,6 +200,19 @@ class TestOracleEquivalence:
         table = raw_moments_dense(h, state, 6)
         oracle = dense_moments(dense_of_sum(h), state.amplitudes, 6)
         assert np.allclose(table.raw, oracle, atol=1e-10)
+
+    def test_dense_route_matches_sequential_loop_bit_for_bit(self, rng):
+        # reference: apply H once per order and read <Phi|v_n> as it goes
+        for _ in range(40):
+            n, order = int(rng.integers(1, 7)), int(rng.integers(1, 12))
+            h = random_hermitian_sum(rng, n, int(rng.integers(1, 10)))
+            state = random_state(rng, n)
+            want, v = [1.0], state
+            for _k in range(order):
+                v = apply_pauli_sum(h, v)
+                want.append(complex(np.vdot(state.amplitudes, v.amplitudes)).real)
+            got = raw_moments_dense(h, state, order)
+            assert [k.hex() for k in got.raw] == [k.hex() for k in want]
 
     def test_variance_nonnegative(self, rng):
         for _ in range(20):
