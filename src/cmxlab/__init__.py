@@ -36,6 +36,7 @@ from .moments import (
     hamiltonian_powers,
     hw_energy_series,
     krylov_rank,
+    lanczos,
     raw_moments_dense,
     raw_moments_pauli,
     reachable_spectrum,

@@ -4,9 +4,9 @@ Moment matrices are tiny (order <= ~8), but in the units of H their entries
 span many decades.  Every solver therefore shifts its moments by the mean
 energy and divides the k-th centred moment by r^k (see `unit_free`), so each
 value it feeds a matrix has magnitude at most 1.  Plain float64 LAPACK is then
-enough, one cutoff relative to that unit scale decides which eigenvalues are
-numerically zero, and results depend neither on the units of H nor on the
-platform's extended precision.
+enough, one cutoff relative to that unit scale (PINV_CUTOFF) decides which
+eigenvalues are numerically zero, and results depend neither on the units of
+H nor on the platform's extended precision.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 SINGULARITY_TOLERANCE = 1e-10
+PINV_CUTOFF = 1e-10
 
 
 def unit_free(mean: float, centred: Sequence[float]) -> tuple[float, np.ndarray] | None:
@@ -50,24 +51,21 @@ def spectral_condition(eigenvalues: np.ndarray) -> float:
     return float(magnitudes.max() / magnitudes.min())
 
 
-def kept_eigenvalues(eigenvalues: np.ndarray, cutoff: float) -> np.ndarray:
-    """Mask of the eigenvalues with |lambda| > cutoff * max(1, max|lambda|).
+def kept_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues with |lambda| > PINV_CUTOFF * max(1, max|lambda|).
 
     On a unit-free matrix the 1 is the moment scale, so a matrix whose every
     eigenvalue is tiny is numerically zero even at a perfect condition number.
     """
     magnitudes = np.abs(eigenvalues)
-    return magnitudes > cutoff * max(1.0, float(magnitudes.max(initial=0.0)))
+    return magnitudes > PINV_CUTOFF * max(1.0, float(magnitudes.max(initial=0.0)))
 
 
 def spectral_solve(
-    eigenvalues: np.ndarray,
-    eigenvectors: np.ndarray,
-    rhs: np.ndarray,
-    cutoff: float = 0.0,
+    eigenvalues: np.ndarray, eigenvectors: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
     """Apply the (pseudo)inverse of a spectrum to a vector, dropping the
     eigenvalues that `kept_eigenvalues` rejects."""
-    keep = kept_eigenvalues(eigenvalues, cutoff)
+    keep = kept_eigenvalues(eigenvalues)
     inverse = np.divide(1.0, eigenvalues, out=np.zeros_like(eigenvalues), where=keep)
     return eigenvectors @ (inverse * (eigenvectors.T @ rhs))

@@ -448,6 +448,23 @@ def emit_plot_script(csv_path: str | Path, out_path: str | Path | None = None) -
 # ---------------------------------------------------------------------------
 # argument parsing
 
+
+def _bounded(kind: type, low: float, high: float):
+    """An argparse type: `kind(text)` in [low, high], else a usage error."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must lie in [{low}, {high}], got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in parse errors
+    return parse
+
+
+_POSITIVE = _bounded(int, 1, float("inf"))
+_PROBABILITY = _bounded(float, 0.0, 1.0)
+
 OPTION_GROUPS = {
     "model": {
         "--model": dict(choices=("siam", "h2", "file"), default="siam"),
@@ -465,12 +482,12 @@ OPTION_GROUPS = {
     "theta": {"--theta": dict(type=float, default=0.0, help="rotation angle (rad)")},
     "noise": {
         "--noise": dict(action="store_true", help="enable shot-noise emulation"),
-        "--p00": dict(type=float, default=1.0),
-        "--p11": dict(type=float, default=1.0),
-        "--p1": dict(type=float, default=0.0),
-        "--p2": dict(type=float, default=0.0),
-        "--shots": dict(type=int, default=8192),
-        "--seed": dict(type=int, default=0),
+        "--p00": dict(type=_PROBABILITY, default=1.0),
+        "--p11": dict(type=_PROBABILITY, default=1.0),
+        "--p1": dict(type=_PROBABILITY, default=0.0),
+        "--p2": dict(type=_PROBABILITY, default=0.0),
+        "--shots": dict(type=_POSITIVE, default=8192),
+        "--seed": dict(type=_bounded(int, 0, float("inf")), default=0),
         "--no-mitigation": dict(action="store_true"),
     },
     "output": {"--output": dict(help="CSV output path")},
@@ -481,13 +498,13 @@ OPTION_GROUPS = {
 # option replaces a group's option of the same flag
 COMMANDS = {
     "moments": ("raw and connected moment table", ("model", "theta", "noise", "output"),
-                {"--max-order": dict(type=int, default=7)}, _moments),
+                {"--max-order": dict(type=_POSITIVE, default=7)}, _moments),
     "cmx": ("CMX energies at one model point", ("model", "theta", "noise"),
-            {"--order": dict(type=int, default=2),
+            {"--order": dict(type=_POSITIVE, default=2),
              "--variant": dict(choices=("cioslowski", "knowles", "both"), default="both")},
             _cmx),
     "pds": ("PDS roots at one model point", ("model", "theta", "noise"),
-            {"--order": dict(type=int, default=2)}, _pds),
+            {"--order": dict(type=_POSITIVE, default=2)}, _pds),
     "sweep": ("methods across a parameter sweep, CSV out",
               ("model", "theta", "noise", "output", "plot"),
               {"--methods": dict(required=True,
@@ -497,12 +514,12 @@ COMMANDS = {
               _sweep),
     "variational": ("estimator vs rotation angle", ("model", "output", "plot"),
                     {"--method": dict(default="pds:2"),
-                     "--grid-points": dict(type=int, default=81)}, _variational),
+                     "--grid-points": dict(type=_POSITIVE, default=81)}, _variational),
     # the subcommand implies emulation; its --noise flag stays for config files
     "noise": ("noisy shot estimates and method energies", ("model", "theta", "noise", "output"),
               {"--noise": dict(action="store_true", default=True, help="implied"),
                "--methods": dict(default="cmx-cioslowski:2,pds:2"),
-               "--max-order": dict(type=int, default=3)}, _noise),
+               "--max-order": dict(type=_POSITIVE, default=3)}, _noise),
     "diag": ("exact spectrum, fidelity, Krylov rank", ("model", "theta", "output"), {}, _diag),
 }
 
@@ -524,7 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_tokens(path: str) -> list[str]:
-    """Turn key = value lines into CLI tokens (booleans add bare flags)."""
+    """Turn key = value lines into --key=value tokens (booleans add bare
+    flags); the joined form keeps a value that starts with a minus sign,
+    such as a negative --g coefficient, from reading as a flag."""
     tokens: list[str] = []
     text = Path(path).read_text()
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -542,7 +561,7 @@ def _load_config_tokens(path: str) -> list[str]:
         elif value.lower() in ("false", "no", "off"):
             continue
         else:
-            tokens.extend([flag, value])
+            tokens.append(f"{flag}={value}")
     return tokens
 
 

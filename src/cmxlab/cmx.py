@@ -27,8 +27,6 @@ from ._linalg import (
 from .errors import InsufficientMomentsError
 from .moments import MomentTable
 
-KNOWLES_PINV_CUTOFF = 1e-10
-
 
 @dataclass(frozen=True)
 class CmxResult:
@@ -90,11 +88,7 @@ def _s_dets(ivals: list[float], order: int) -> tuple[float, list[float], list[fl
     return scale, _hankel_dets(unit, 2, order - 1), _hankel_dets(unit, 3, order - 1)
 
 
-def cmx_cioslowski(
-    moments: MomentTable | Sequence[float],
-    order: int,
-    singular_tol: float = SINGULARITY_TOLERANCE,
-) -> CmxResult:
+def cmx_cioslowski(moments: MomentTable | Sequence[float], order: int) -> CmxResult:
     """Cioslowski CMX(K) from the Hankel determinants S[k,m] = det[I_(k+i+j)].
 
     The nested expansion telescopes to
@@ -103,8 +97,8 @@ def cmx_cioslowski(
 
     which equals Knowles' I_1 - b^T A^-1 b, so the denominators that can
     poison the expansion are exactly the S[3,m] = det(A[m]).  They are taken
-    on the unit-free moments (see `_linalg.unit_free`), where the
-    singularity tolerance is dimensionless; an eigenstate trial is singular
+    on the unit-free moments (see `_linalg.unit_free`), where
+    SINGULARITY_TOLERANCE is dimensionless; an eigenstate trial is singular
     at every order >= 2 and all S[3,m] are reported as 0.
     """
     if order < 1:
@@ -120,7 +114,7 @@ def cmx_cioslowski(
     correction = 0.0
     for m in range(1, order):
         denominators.append((f"S[3,{m}]", s3[m]))
-        if singular or abs(s3[m]) < singular_tol:
+        if singular or abs(s3[m]) < SINGULARITY_TOLERANCE:
             singular = True
             energies.append(energies[-1])
             continue
@@ -154,19 +148,15 @@ def cmx_closed_form(moments: MomentTable | Sequence[float], order: int) -> float
     raise ValueError(f"closed forms exist for orders 2 and 3 only, got {order}")
 
 
-def cmx_knowles(
-    moments: MomentTable | Sequence[float],
-    order: int,
-    pinv_cutoff: float = KNOWLES_PINV_CUTOFF,
-) -> CmxResult:
+def cmx_knowles(moments: MomentTable | Sequence[float], order: int) -> CmxResult:
     """Knowles generalized-Pade CMX(K): E = I_1 - b^T A^-1 b with
     b_i = I_(i+1) and A_ij = I_(i+j+1) for i,j = 1..K-1.
 
     The solve runs in float64 on the unit-free moments (see
     `_linalg.unit_free`), so the reported condition number and det(A) are
-    those of the unit-free A.  Eigenvalues at or below pinv_cutoff times
-    max(1, max|lambda|) are truncated and flag the result singular; the 1 is
-    the moment scale, because a uniformly tiny A has a perfect condition
+    those of the unit-free A.  Eigenvalues at or below `_linalg.PINV_CUTOFF`
+    times max(1, max|lambda|) are truncated and flag the result singular; the
+    1 is the moment scale, because a uniformly tiny A has a perfect condition
     number yet still poisons the quadratic form.  An eigenstate trial is
     singular at every order >= 2, with E = I_1 and det(A) reported as 0.
     """
@@ -183,14 +173,14 @@ def cmx_knowles(
         b = np.array(unit[1:k])
         a = np.array([[unit[i + j + 2] for j in range(k - 1)] for i in range(k - 1)])
         w, v = symmetric_spectrum(a)
-        energies.append(ivals[0] - scale * float(b @ spectral_solve(w, v, b, pinv_cutoff)))
+        energies.append(ivals[0] - scale * float(b @ spectral_solve(w, v, b)))
     return CmxResult(
         method="knowles",
         order=order,
         energy=energies[-1],
         energies=tuple(energies),
         denominators=((f"det(A[{order - 1}])", float(np.prod(w))),),
-        singular_flag=not kept_eigenvalues(w, pinv_cutoff).all(),
+        singular_flag=not kept_eigenvalues(w).all(),
         condition_number=spectral_condition(w),
     )
 

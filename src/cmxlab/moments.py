@@ -29,6 +29,7 @@ from .statevector import (
 )
 
 _IMAG_TOL = 1e-10
+SATURATION_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -172,23 +173,22 @@ def raw_moments_pauli(
     return table, PauliExpectationCache(values, terms - len(values))
 
 
-def raw_moments_dense(
-    h: PauliSum,
-    state: StateVector,
-    max_order: int,
-    limit: int = DENSE_QUBIT_LIMIT,
-) -> MomentTable:
+def raw_moments_dense(h: PauliSum, state: StateVector, max_order: int) -> MomentTable:
     """Raw moments K_n = <Phi|v_n> on the Krylov chain |v_n> = H^n|Phi>;
     the independent oracle route."""
     if not h.is_hermitian():
         raise ContractViolationError("moments require a Hermitian sum")
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
-    if h.n_qubits > limit:
-        raise CapacityError(f"{h.n_qubits} qubits exceeds the dense limit of {limit}")
+    if h.n_qubits > DENSE_QUBIT_LIMIT:
+        raise CapacityError(
+            f"{h.n_qubits} qubits exceeds the dense limit of {DENSE_QUBIT_LIMIT}"
+        )
     raw = [1.0]
-    for order, v in enumerate(krylov_vectors(h, state, max_order + 1)[1:], start=1):
-        raw.append(_real_moment(complex(np.vdot(state.amplitudes, v)), order))
+    v = state
+    for order in range(1, max_order + 1):
+        v = apply_pauli_sum(h, v)
+        raw.append(_real_moment(complex(np.vdot(state.amplitudes, v.amplitudes)), order))
     return MomentTable(tuple(raw))
 
 
@@ -251,59 +251,45 @@ def truncate_hamiltonian(
     return PauliSum(h.n_qubits, kept, h.prune_threshold)
 
 
-def krylov_vectors(h: PauliSum, state: StateVector, count: int) -> np.ndarray:
-    """Rows H^0|Phi>, ..., H^(count-1)|Phi> as a dense array."""
-    vectors = [state.amplitudes]
-    v = state
-    for _ in range(count - 1):
-        v = apply_pauli_sum(h, v)
-        vectors.append(v.amplitudes)
-    return np.array(vectors)
+def lanczos(
+    h: PauliSum, state: StateVector, max_steps: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal alpha and off-diagonal beta of the Lanczos tridiagonal of H
+    on the Krylov space of |Phi>, whose eigenvalues are the Ritz values.
 
-
-def krylov_rank(
-    h: PauliSum,
-    state: StateVector,
-    max_dim: int | None = None,
-    tol: float = 1e-8,
-) -> int:
-    """Dimension of span{H^k|Phi>} via the Gram-matrix spectrum."""
-    dim = 1 << h.n_qubits
-    count = dim if max_dim is None else min(max_dim, dim)
-    vecs = krylov_vectors(h, state, count)
-    norms = np.linalg.norm(vecs, axis=1)
-    norms[norms == 0.0] = 1.0
-    gram = (vecs / norms[:, None]).conj() @ (vecs / norms[:, None]).T
-    eigenvalues = np.linalg.eigvalsh(gram)
-    return int(np.sum(eigenvalues > tol * max(eigenvalues.max(), 1.0)))
-
-
-def reachable_spectrum(
-    h: PauliSum,
-    state: StateVector,
-    tol: float = 1e-8,
-) -> np.ndarray:
-    """Eigenvalues of H restricted to the Krylov space of |Phi>, ascending.
-
-    Modified Gram-Schmidt on the Krylov chain; directions with residual norm
-    below tol are treated as saturated.
+    Each direction is orthogonalised twice against the whole basis.  The
+    chain stops after max_steps steps (default 2**n) or when a residual is
+    below SATURATION_TOLERANCE * max(1, |v|) for the vector v it came from
+    (H q, or |Phi> at the first step), so len(alpha) is the Krylov
+    dimension capped at max_steps.
     """
-    basis: list[np.ndarray] = []
+    dim = 1 << h.n_qubits
+    steps = dim if max_steps is None else min(max_steps, dim)
+    basis = np.empty((0, dim), dtype=complex)
+    alpha: list[float] = []
+    norms: list[float] = []
     v = state.amplitudes
-    for _ in range(1 << h.n_qubits):
-        w = v.copy()
-        for _pass in range(2):  # two MGS passes keep the basis orthonormal
-            for b in basis:
-                w = w - np.vdot(b, w) * b
-        norm = np.linalg.norm(w)
-        if norm < tol * max(1.0, float(np.linalg.norm(v))):
+    while len(basis) < steps:
+        w = v
+        for _pass in range(2):
+            w = w - basis.T @ (basis.conj() @ w)
+        norm = float(np.linalg.norm(w))
+        if norm < SATURATION_TOLERANCE * max(1.0, float(np.linalg.norm(v))):
             break
-        basis.append(w / norm)
+        norms.append(norm)
+        basis = np.vstack([basis, w / norm])
         v = apply_pauli_sum(h, StateVector(h.n_qubits, basis[-1])).amplitudes
-    if not basis:
-        return np.array([])
-    bmat = np.array(basis)
-    columns = [apply_pauli_sum(h, StateVector(h.n_qubits, b)).amplitudes for b in basis]
-    projected = bmat.conj() @ np.array(columns).T
-    projected = (projected + projected.conj().T) / 2.0
-    return np.linalg.eigvalsh(projected)
+        alpha.append(float(np.vdot(basis[-1], v).real))
+    return np.array(alpha), np.array(norms[1:])
+
+
+def krylov_rank(h: PauliSum, state: StateVector, max_dim: int | None = None) -> int:
+    """Dimension of span{H^k|Phi>}, capped at max_dim: the Lanczos step count."""
+    return len(lanczos(h, state, max_dim)[0])
+
+
+def reachable_spectrum(h: PauliSum, state: StateVector) -> np.ndarray:
+    """Eigenvalues of H restricted to the Krylov space of |Phi>, ascending:
+    the Ritz values of the saturated Lanczos tridiagonal."""
+    alpha, beta = lanczos(h, state)
+    return np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))

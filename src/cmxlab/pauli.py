@@ -35,6 +35,7 @@ _PHASE_PREFIX = {0: "", 1: "i*", 2: "-", 3: "-i*"}
 
 DEFAULT_PRUNE_THRESHOLD = 1e-12
 MAX_SUM_QUBITS = 64
+HERMITIAN_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True, slots=True)
@@ -417,13 +418,13 @@ class PauliSum:
             start = rows.stop
         return self._derived(x, z, real, imag)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        """True when every canonical coefficient is real within tol
-        (relative to the largest coefficient magnitude)."""
+    def is_hermitian(self) -> bool:
+        """True when every canonical coefficient is real within
+        HERMITIAN_TOLERANCE (relative to max(1, largest |coefficient|))."""
         if not len(self):
             return True
         scale = float(np.hypot(self.coeff.real, self.coeff.imag).max())
-        return bool(np.all(np.abs(self.coeff.imag) <= tol * max(1.0, scale)))
+        return bool(np.all(np.abs(self.coeff.imag) <= HERMITIAN_TOLERANCE * max(1.0, scale)))
 
     def coefficient_norm(self) -> float:
         """Sum of |h_j|; an upper bound on the operator norm."""

@@ -32,7 +32,6 @@ from .errors import DegenerateRootsError, InsufficientMomentsError
 from .moments import MomentTable
 
 CONDITION_THRESHOLD = 1e10
-PINV_CUTOFF = 1e-10
 IMAG_ROOT_TOLERANCE = 1e-8
 
 
@@ -86,31 +85,26 @@ def build_pds_system(
     return m, b
 
 
-def solve_pds(
-    moments: MomentTable | Sequence[float],
-    order: int,
-    cond_threshold: float = CONDITION_THRESHOLD,
-    pinv_cutoff: float = PINV_CUTOFF,
-    imag_tol: float = IMAG_ROOT_TOLERANCE,
-) -> PdsResult:
+def solve_pds(moments: MomentTable | Sequence[float], order: int) -> PdsResult:
     """Solve M a = -b, root the polynomial, and apply the complex-root policy.
 
     The system is built from the unit-free central moments (see
     `_linalg.unit_free`) and solved in float64; its roots x map back to
     K_1 + r x, and `coefficients` are those of the mapped roots, in the units
     of H.  The reported condition number is that of the unit-free M.  A
-    condition number beyond the threshold means the Krylov chain saturated
-    below the requested order; the system is then reduced to its numerical
-    rank, whose roots are the genuine nodes, and the polynomial is padded
-    with roots at the mean energy K_1.  The padding is deterministic,
+    condition number beyond CONDITION_THRESHOLD means the Krylov chain
+    saturated below the requested order; the system is then reduced to its
+    numerical rank (the eigenvalues `_linalg.kept_eigenvalues` keeps), whose
+    roots are the genuine nodes, and the polynomial is padded with roots at
+    the mean energy K_1.  The padding is deterministic,
     shift-covariant, and always inside the node hull, unlike the arbitrary
     extra root a raw minimal-norm solve would add.  An eigenstate trial has
     every root at K_1 (padded, with an infinite condition number, from
     order 2 on).
 
     A root counts as real when its unit-free node x has
-    |Im x| <= imag_tol * (1 + |Re x|), so the policy, like the rest of the
-    solve, does not depend on the units of H.
+    |Im x| <= IMAG_ROOT_TOLERANCE * (1 + |Re x|), so the policy, like the
+    rest of the solve, does not depend on the units of H.
     """
     raw = _raw_values(moments)
     _require(raw, order)
@@ -126,9 +120,9 @@ def solve_pds(
             condition, used_pinv = float("inf"), True
     else:
         scale, unit = found
-        unit_nodes, condition, used_pinv = _unit_nodes(unit, order, cond_threshold, pinv_cutoff)
+        unit_nodes, condition, used_pinv = _unit_nodes(unit, order)
     nodes = [complex(mean + scale * x) for x in unit_nodes]
-    is_real = [abs(x.imag) <= imag_tol * (1.0 + abs(x.real)) for x in unit_nodes]
+    is_real = [abs(x.imag) <= IMAG_ROOT_TOLERANCE * (1.0 + abs(x.real)) for x in unit_nodes]
     real_nodes = [r.real for r, real in zip(nodes, is_real) if real]
     if not real_nodes:
         raise DegenerateRootsError(
@@ -154,16 +148,16 @@ def solve_pds(
     )
 
 
-def _unit_nodes(
-    unit: np.ndarray, order: int, cond_threshold: float, pinv_cutoff: float
-) -> tuple[np.ndarray, float, bool]:
+def _unit_nodes(unit: np.ndarray, order: int) -> tuple[np.ndarray, float, bool]:
     """Roots of PDS at the numerical rank (at most order) on unit-free
-    moments, with the order-`order` condition number and pseudo-inverse flag."""
+    moments, with the order-`order` condition number and pseudo-inverse flag.
+    M's corner is the unit-free K_0 = 1, so max|lambda| >= 1 and, below
+    CONDITION_THRESHOLD, `spectral_solve` keeps every eigenvalue."""
     m, b = build_pds_system(unit, order)
     w, v = symmetric_spectrum(m)
     condition = spectral_condition(w)
-    used_pinv = not condition <= cond_threshold
-    rank = int(kept_eigenvalues(w, pinv_cutoff).sum()) if used_pinv else order
+    used_pinv = not condition <= CONDITION_THRESHOLD
+    rank = int(kept_eigenvalues(w).sum()) if used_pinv else order
     if rank < order:
-        return _unit_nodes(unit, rank, cond_threshold, pinv_cutoff)[0], condition, True
+        return _unit_nodes(unit, rank)[0], condition, True
     return np.roots(np.concatenate([[1.0], spectral_solve(w, v, -b)])), condition, used_pinv

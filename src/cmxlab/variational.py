@@ -38,6 +38,7 @@ DEFAULT_GRID_POINTS = 81
 # the third measured angle; sin * cos is largest there, so gamma is best
 # conditioned
 ANCHOR_THETA = math.pi / 4.0
+REFINE_TOLERANCE = 1e-6
 
 
 def default_theta_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -72,8 +73,8 @@ class DeviationReport:
     infinite_improvement: bool
 
 
-def _golden_section(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of fn on [lo, hi] to width tol.
+def _golden_section(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section minimum of fn on [lo, hi] to width REFINE_TOLERANCE.
 
     Derivative-free on purpose: estimator curves can have kinks where the
     root ordering changes.
@@ -81,7 +82,7 @@ def _golden_section(fn, lo: float, hi: float, tol: float) -> tuple[float, float]
     x1 = hi - GOLDEN_RATIO * (hi - lo)
     x2 = lo + GOLDEN_RATIO * (hi - lo)
     f1, f2 = fn(x1), fn(x2)
-    while hi - lo > tol:
+    while hi - lo > REFINE_TOLERANCE:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - GOLDEN_RATIO * (hi - lo)
@@ -100,7 +101,6 @@ def energy_vs_theta(
     method: MethodSpec | str,
     theta_grid: Sequence[float] | None = None,
     refine: bool = True,
-    refine_tol: float = 1e-6,
 ) -> ScanResult:
     """Scan the estimator over rotation angles and refine the best point.
 
@@ -170,7 +170,7 @@ def energy_vs_theta(
             energy, _, bad = value_at(theta)
             return math.inf if bad else energy
 
-        theta_ref, energy_ref = _golden_section(objective, lo, hi, refine_tol)
+        theta_ref, energy_ref = _golden_section(objective, lo, hi)
         if energy_ref <= energy_opt:
             theta_opt, energy_opt = theta_ref, energy_ref
 

@@ -8,8 +8,10 @@ amplitude index bit, matching the package convention.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cmxlab.pauli import PauliString, PauliSum
+from cmxlab.statevector import StateVector
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -95,6 +97,30 @@ def random_hermitian_sum(rng: np.random.Generator, n: int, n_terms: int) -> Paul
         for _ in range(n_terms)
     ]
     return PauliSum.from_label_terms(terms, n_qubits=n)
+
+
+def sum_and_trial(max_qubits: int):
+    """Strategy for a random 1..max_qubits-qubit sum of 1-10 terms and a
+    normalised trial state, a basis state or a random one, both drawn from
+    one seed."""
+
+    def build(n, n_terms, seed, basis):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian_sum(rng, n, n_terms)
+        if basis:
+            amps = basis_vector("".join(rng.choice(["0", "1"], size=n)))
+        else:
+            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            amps /= np.linalg.norm(amps)
+        return h, StateVector(n, amps)
+
+    return st.builds(
+        build,
+        st.integers(1, max_qubits),
+        st.integers(1, 10),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
 
 
 def siam_caption_terms(U: float, mu: float, eps0: float, eps1: float, V: float):

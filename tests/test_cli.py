@@ -45,6 +45,17 @@ BASE_ARGV = {
     "noise": ("--shots", "64"),
 }
 
+# (subcommand, option) pairs whose value lies outside the option's range
+OUT_OF_RANGE = [
+    ("moments", ("--max-order", "0")),
+    ("cmx", ("--order", "0")),
+    ("pds", ("--order", "0")),
+    ("variational", ("--grid-points", "0")),
+    ("noise", ("--shots", "0")),
+    ("noise", ("--seed", "-1")),
+] + [("noise", (flag, value)) for flag in ("--p00", "--p11", "--p1", "--p2")
+     for value in ("1.5", "-0.1")]
+
 
 class TestMethodSpecs:
     def test_parse_round_trip(self):
@@ -209,6 +220,11 @@ class TestSinglePointCommands:
         fid = float(text.split("trial_fidelity_with_ground=")[1].splitlines()[0])
         assert 0.0 < fid < 1.0
 
+    def test_diag_rank_of_rotated_trial(self):
+        code, text = run_cli("diag", "--V", "0.5", "--generator", "YIII", "--theta", "0.3")
+        assert code == 0
+        assert "krylov_rank=5" in text.splitlines()
+
     def test_noise_subcommand_schema(self):
         code, text = run_cli(
             "noise", "--p00", "0.97", "--p11", "0.97", "--shots", "2048", "--seed", "3"
@@ -288,6 +304,13 @@ class TestConfigFile:
         code, _ = run_cli("sweep", "--methods", "pds:2", "--config", str(cfg))
         assert code == 2
 
+    def test_negative_leading_value(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("g = -0.3,0.35,-0.35,0.18,0.12,0.12\n")
+        direct = run_cli("pds", "--model", "h2", "--g=-0.3,0.35,-0.35,0.18,0.12,0.12")
+        assert direct[0] == 0
+        assert run_cli("pds", "--model", "h2", "--config", str(cfg)) == direct
+
 
 class TestPlotScripts:
     def test_sweep_script_mentions_every_method(self, tmp_path):
@@ -358,6 +381,17 @@ class TestOptionsPerSubcommand:
         assert exit_code(*argv) == 0
         assert exit_code(*argv, *option) == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        ("command", "option"), OUT_OF_RANGE,
+        ids=[f"{command}{option[0]}={option[1]}" for command, option in OUT_OF_RANGE],
+    )
+    def test_out_of_range_value_is_usage_error(self, capsys, command, option):
+        argv = (command, *BASE_ARGV.get(command, ()))
+        assert exit_code(*argv) == 0
+        capsys.readouterr()
+        assert exit_code(*argv, *option) == 2
+        assert f"error: argument {option[0]}: must lie in" in capsys.readouterr().err
 
     def test_noise_subcommand_keeps_its_implied_flag(self):
         argv = ("noise", "--shots", "64", "--seed", "2")

@@ -53,7 +53,7 @@ class TestSiam:
 
     def test_krylov_dimension_three(self):
         h = siam_hamiltonian(SiamParams.half_filling(8.0, 1.0))
-        assert krylov_rank(h, basis_state("0110"), max_dim=8, tol=1e-8) == 3
+        assert krylov_rank(h, basis_state("0110"), max_dim=8) == 3
 
     def test_serialized_model_reparses_equal(self):
         from cmxlab.pauli import parse_pauli_sum, serialize_pauli_sum

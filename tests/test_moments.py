@@ -31,6 +31,7 @@ from conftest import (
     dense_reachable_spectrum,
     random_hermitian_sum,
     siam_caption_terms,
+    sum_and_trial,
 )
 
 
@@ -342,6 +343,16 @@ class TestKrylov:
         assert np.allclose(
             ours, [-2 - 2 * np.sqrt(2), -4.0, -2 + 2 * np.sqrt(2)], atol=1e-8
         )
+
+    @given(sum_and_trial(4))
+    @settings(max_examples=300, deadline=None)
+    def test_rank_and_spectrum_match_dense_oracle(self, inputs):
+        h, state = inputs
+        ours = reachable_spectrum(h, state)
+        oracle = dense_reachable_spectrum(dense_of_sum(h), state.amplitudes)
+        assert krylov_rank(h, state) == len(ours) == len(oracle)
+        assert krylov_rank(h, state, max_dim=8) == min(8, len(oracle))
+        assert np.abs(ours - oracle).max() <= 1e-10
 
 
 class TestMomentTableValidation:

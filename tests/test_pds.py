@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmxlab.errors import DegenerateRootsError, InsufficientMomentsError
 from cmxlab.models import H2Coefficients, h2_bk_hamiltonian
-from cmxlab.moments import raw_moments_dense, raw_moments_pauli
+from cmxlab.moments import lanczos, raw_moments_dense, raw_moments_pauli
 from cmxlab.pauli import PauliSum
 from cmxlab.pds import build_pds_system, solve_pds
 from cmxlab.statevector import StateVector, basis_state
@@ -17,6 +19,7 @@ from conftest import (
     h2_block_eigenvalues,
     random_hermitian_sum,
     siam_caption_terms,
+    sum_and_trial,
 )
 
 FCI_V1 = -2.0 - 2.0 * np.sqrt(2.0)
@@ -210,3 +213,19 @@ class TestSaturation:
         dev3 = abs(solve_pds(siam_table(1.0), 3).ground_energy - FCI_V1)
         assert dev2 == pytest.approx(0.37893738196301197, abs=1e-9)
         assert dev3 < 1e-8
+
+
+class TestLanczosIdentity:
+    @given(sum_and_trial(5), st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_roots_are_ritz_values(self, inputs, order):
+        # PDS(n) roots are the Ritz values of H in the n-dimensional Krylov
+        # space; a chain that saturates below n has fewer Ritz values
+        h, state = inputs
+        alpha, beta = lanczos(h, state, order)
+        assume(len(alpha) == order)
+        result = solve_pds(raw_moments_dense(h, state, 2 * order - 1), order)
+        assume(not result.used_pseudo_inverse and not result.complex_roots)
+        ritz = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        roots = np.sort([r.real for r in result.roots])
+        assert np.abs(roots - ritz).max() <= 1e-6 * max(1.0, h.coefficient_norm())
