@@ -18,7 +18,6 @@ from cmxlab import (
     SiamParams,
     basis_state,
     cmx_cioslowski,
-    connected_moments,
     h2_bk_hamiltonian,
     noisy_moments,
     raw_moments_pauli,
@@ -47,10 +46,8 @@ def main() -> int:
     for v in (float(x) for x in args.values.split(",")):
         h = siam_hamiltonian(SiamParams.half_filling(8.0, v))
         state = basis_state("0110")
-        ideal = connected_moments(raw_moments_pauli(h, state, 3)[0])
-        noisy = connected_moments(
-            noisy_moments(h, state, 3, nm, depth_proxy=(2, 1))[0]
-        )
+        ideal = raw_moments_pauli(h, state, 3)[0]
+        noisy = noisy_moments(h, state, 3, nm, depth_proxy=(2, 1))[0]
         print(
             f"{v:g},{siam_fci_energy(8.0, v):.8f},"
             f"{cmx_cioslowski(ideal, 2).energy:.8f},"
@@ -65,10 +62,8 @@ def main() -> int:
     c = H2Coefficients(0.0, 0.3, 0.3, -0.1, 0.25, 0.25)
     h2 = h2_bk_hamiltonian(c)
     state = basis_state("01")
-    clean = cmx_cioslowski(connected_moments(raw_moments_pauli(h2, state, 3)[0]), 2)
-    noisy = cmx_cioslowski(
-        connected_moments(noisy_moments(h2, state, 3, nm, depth_proxy=(1, 1))[0]), 2
-    )
+    clean = cmx_cioslowski(raw_moments_pauli(h2, state, 3)[0], 2)
+    noisy = cmx_cioslowski(noisy_moments(h2, state, 3, nm, depth_proxy=(1, 1))[0], 2)
     print(f"noiseless: energy={clean.energy:.8f} singular={clean.singular_flag}")
     print(f"noisy:     energy={noisy.energy:.8f} singular={noisy.singular_flag}")
     return 0

@@ -32,7 +32,6 @@ from .models import (
 from .moments import (
     MomentTable,
     PauliExpectationCache,
-    connected_moments,
     hamiltonian_powers,
     hw_energy_series,
     krylov_rank,

@@ -19,20 +19,21 @@ SINGULARITY_TOLERANCE = 1e-10
 PINV_CUTOFF = 1e-10
 
 
-def unit_free(mean: float, centred: Sequence[float]) -> tuple[float, np.ndarray] | None:
+def unit_free(mean: float, centred: Sequence[float]) -> tuple[float, np.ndarray]:
     """Scale r and the unit-free moments m_k / r^k of centred moments m_0, m_1, ...
 
     r = max over k >= 2 of |m_k|^(1/k), so every unit-free value has
     magnitude at most 1, and an energy e found on them maps back to
-    mean + r * e.  Returns None when the trial is an eigenstate, i.e. when
-    |m_2| <= SINGULARITY_TOLERANCE * mean^2: m_2 = K_2 - mean^2 is formed by
-    cancellation, so below that floor the spread is rounding and there is
-    nothing to solve.  The floor moves with the mean, so a large offset
+    mean + r * e.  With no moment of order 2 or more, or when the trial is an
+    eigenstate, i.e. |m_2| <= SINGULARITY_TOLERANCE * mean^2, the result is
+    r = 1 and the unit-free moments (1, 0, 0, ...) of a sharp energy at the
+    mean: m_2 = K_2 - mean^2 is formed by cancellation, so below that floor
+    the spread is rounding.  The floor moves with the mean, so a large offset
     turns a small real spread into an eigenstate.
     """
     m = np.asarray(centred, dtype=float)
-    if abs(m[2]) <= SINGULARITY_TOLERANCE * mean**2:
-        return None
+    if m.size < 3 or abs(m[2]) <= SINGULARITY_TOLERANCE * mean**2:
+        return 1.0, np.eye(1, m.size)[0]
     k = np.arange(m.size)
     scale = float(np.max(np.abs(m[2:]) ** (1.0 / k[2:])))
     return scale, m / scale**k

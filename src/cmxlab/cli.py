@@ -18,6 +18,7 @@ significant digits so fixed-seed runs are byte-stable.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +35,7 @@ from .models import (
     siam_fci_energy,
     siam_hamiltonian,
 )
-from .moments import MomentTable, connected_moments, krylov_rank, raw_moments_pauli
+from .moments import MomentTable, krylov_rank, raw_moments_pauli
 from .noise import NoiseModel, ShotEstimate, noisy_moments
 from .pauli import PauliString, PauliSum, parse_pauli_sum
 from .pds import solve_pds
@@ -227,6 +228,8 @@ def _prepare(cfg: RunConfig, max_order: int | None, sweep: bool = False) -> list
     route values otherwise.  Unless `sweep`, the run must have exactly one
     model point.
     """
+    if cfg.theta != 0.0 and cfg.generator is None:
+        raise UsageError("--theta needs --generator")
     points = sweep_points(cfg)
     if not sweep and len(points) != 1:
         raise UsageError("this subcommand works on a single model point")
@@ -241,7 +244,7 @@ def _prepare(cfg: RunConfig, max_order: int | None, sweep: bool = False) -> list
                 f"trial {bits!r} has {len(bits)} bits, model has {h.n_qubits} qubits"
             )
         state = basis_state(bits)
-        if cfg.generator is not None and cfg.theta != 0.0:
+        if cfg.theta != 0.0:
             generator = PauliString.from_label(cfg.generator)
             state = apply_generator_rotation(cfg.theta, generator, state)
         table, estimates = None, {}
@@ -254,7 +257,6 @@ def _prepare(cfg: RunConfig, max_order: int | None, sweep: bool = False) -> list
                 )
             else:
                 table, _ = raw_moments_pauli(h, state, max_order)
-            table = connected_moments(table)
         prepared.append(Prepared(point, state, table, estimates))
     return prepared
 
@@ -387,8 +389,9 @@ def _diag(cfg: RunConfig, args: argparse.Namespace) -> Report:
 
 
 def emit_plot_script(csv_path: str | Path, out_path: str | Path | None = None) -> Path:
-    """Write a self-contained gnuplot script next to the CSV.
+    """Write a self-contained gnuplot script, by default next to the CSV.
 
+    The script names the CSV by its path relative to the script's directory.
     Sweep CSVs get one curve per method plus the reference line; variational
     CSVs get the theta landscape.
     """
@@ -403,6 +406,7 @@ def emit_plot_script(csv_path: str | Path, out_path: str | Path | None = None) -
     if not data:
         raise UsageError(f"CSV {csv_path} has no data rows")
     out_path = Path(out_path) if out_path else csv_path.with_suffix(".gp")
+    data_file = Path(os.path.relpath(csv_path, out_path.parent)).as_posix()
 
     script = [
         "# gnuplot script generated by cmxlab",
@@ -414,7 +418,7 @@ def emit_plot_script(csv_path: str | Path, out_path: str | Path | None = None) -
         script += [
             'set xlabel "theta (rad)"',
             'set ylabel "energy"',
-            f'plot "{csv_path.name}" using 1:2 with linespoints title "energy(theta)"',
+            f'plot "{data_file}" using 1:2 with linespoints title "energy(theta)"',
         ]
     elif header == SWEEP_HEADER.split(","):
         methods = []
@@ -424,12 +428,12 @@ def emit_plot_script(csv_path: str | Path, out_path: str | Path | None = None) -
             if key not in methods:
                 methods.append(key)
         plot_terms = [
-            f'"{csv_path.name}" using 1:(strcol(2) eq "{name}" && column(3) == {order} ? '
+            f'"{data_file}" using 1:(strcol(2) eq "{name}" && column(3) == {order} ? '
             f'column(4) : NaN) with linespoints title "{name}:{order}"'
             for name, order in methods
         ]
         plot_terms.append(
-            f'"{csv_path.name}" using 1:5 with lines lc rgb "black" title "reference"'
+            f'"{data_file}" using 1:5 with lines lc rgb "black" title "reference"'
         )
         script += [
             'set xlabel "sweep value"',

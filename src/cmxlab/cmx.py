@@ -48,10 +48,7 @@ class CmxResult:
 
 def _connected_values(moments: MomentTable | Sequence[float]) -> list[float]:
     if isinstance(moments, MomentTable):
-        values = list(moments.connected)
-        if not values:
-            raise InsufficientMomentsError("moment table has no connected moments")
-        return values
+        return list(moments.connected)
     return [float(v) for v in moments]
 
 
@@ -64,13 +61,10 @@ def _require(values: list[float], count: int, order: int) -> None:
 
 def _unit_free(ivals: list[float], order: int) -> tuple[float, list[float]]:
     """Scale r and the unit-free I_1..I_(2K-1) (I_1 -> 0, I_k -> I_k / r^k)
-    that order K reads; for an eigenstate, or at first order, r = 1 and every
-    unit-free moment is 0."""
-    found = unit_free(ivals[0], [1.0, 0.0, *ivals[1 : 2 * order - 1]]) if order > 1 else None
-    if found is None:
-        return 1.0, [0.0] * (2 * order - 1)
-    scale, values = found
-    return scale, [float(v) for v in values[1:]]
+    that order K reads, as `_linalg.unit_free` makes them: for an eigenstate,
+    or at first order, r = 1 and every unit-free moment is 0."""
+    scale, values = unit_free(ivals[0], [1.0, 0.0, *ivals[1 : 2 * order - 1]])
+    return scale, values[1:].tolist()
 
 
 def _hankel_dets(ivals: list[float], k: int, count: int) -> list[float]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .cmx import cmx_cioslowski, cmx_knowles
 from .errors import DegenerateRootsError, UsageError
-from .moments import MomentTable, connected_moments, hw_energy_series
+from .moments import MomentTable, hw_energy_series
 from .pds import solve_pds
 
 _CANONICAL_NAMES = {
@@ -103,11 +103,7 @@ class MethodValue:
 
 
 def evaluate_method(spec: MethodSpec, table: MomentTable) -> MethodValue:
-    """Evaluate one estimator on a moment table (connected moments are
-    derived on demand)."""
-    if spec.name in ("cmx-cioslowski", "cmx-knowles", "hw-series", "expectation"):
-        if not table.connected:
-            table = connected_moments(table)
+    """Evaluate one estimator on a moment table."""
     if spec.name == "expectation":
         return MethodValue(energy=table.connected[0])
     if spec.name == "cmx-cioslowski":

@@ -34,21 +34,35 @@ SATURATION_TOLERANCE = 1e-8
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Raw moments K_0..K_max (K_0 = 1) and connected moments I_1..I_max."""
+    """Raw moments K_0..K_max (K_0 = 1) and the connected moments I_1..I_max
+    they determine.
+
+    The connected moments are derived once, when the table is built, by
+
+        I_k = K_k - sum_{i=0}^{k-2} C(k-1, i) I_{i+1} K_{k-i-1},
+
+    computed ascending with exact integer binomials, so every table carries
+    both the K_n that PDS reads and the I_k that CMX reads.
+    """
 
     raw: tuple[float, ...]
-    connected: tuple[float, ...] = ()
-    max_order: int = field(default=-1)
+    connected: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        if len(self.raw) < 2 or self.raw[0] != 1.0:
+        raw = self.raw
+        if len(raw) < 2 or raw[0] != 1.0:
             raise ValueError("raw moments must start with K_0 = 1")
-        if self.max_order == -1:
-            object.__setattr__(self, "max_order", len(self.raw) - 1)
-        elif self.max_order != len(self.raw) - 1:
-            raise ValueError("max_order inconsistent with raw length")
-        if self.connected and len(self.connected) != self.max_order:
-            raise ValueError("connected moments must cover I_1..I_max")
+        connected: list[float] = []
+        for k in range(1, len(raw)):
+            value = raw[k]
+            for i in range(0, k - 1):
+                value -= comb(k - 1, i) * connected[i] * raw[k - i - 1]
+            connected.append(value)
+        object.__setattr__(self, "connected", tuple(connected))
+
+    @property
+    def max_order(self) -> int:
+        return len(self.raw) - 1
 
 
 def masked_expectation(x_mask: int, z_mask: int, state: StateVector) -> float:
@@ -192,28 +206,10 @@ def raw_moments_dense(h: PauliSum, state: StateVector, max_order: int) -> Moment
     return MomentTable(tuple(raw))
 
 
-def connected_moments(table: MomentTable) -> MomentTable:
-    """Fill the connected moments
-
-        I_k = K_k - sum_{i=0}^{k-2} C(k-1, i) I_{i+1} K_{k-i-1}
-
-    computed ascending with exact integer binomials."""
-    raw = table.raw
-    connected: list[float] = []
-    for k in range(1, table.max_order + 1):
-        value = raw[k]
-        for i in range(0, k - 1):
-            value -= comb(k - 1, i) * connected[i] * raw[k - i - 1]
-        connected.append(value)
-    return MomentTable(raw, tuple(connected))
-
-
 def hw_energy_series(table: MomentTable, tau: float, order: int) -> float:
     """Truncated Horn-Weinstein series sum_{k=0}^{order} (-tau)^k/k! I_{k+1}."""
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    if not table.connected:
-        raise InsufficientMomentsError("derive connected moments first")
     if order < 0 or order > len(table.connected) - 1:
         raise InsufficientMomentsError(
             f"order {order} needs I_{order + 1}, have I_1..I_{len(table.connected)}"
@@ -248,7 +244,7 @@ def truncate_hamiltonian(
         if threshold < 0:
             raise ValueError(f"threshold must be >= 0, got {threshold}")
         kept = [(p, c) for p, c in h.items() if abs(c) > threshold]
-    return PauliSum(h.n_qubits, kept, h.prune_threshold)
+    return PauliSum(h.n_qubits, kept)
 
 
 def lanczos(

@@ -236,18 +236,17 @@ class PauliSum:
     The terms live in three aligned read-only arrays: uint64 ``x`` and ``z``
     masks and complex128 ``coeff``.  Phases on input strings are folded into
     the coefficients, repeated keys are merged in first-occurrence order, and
-    coefficients with magnitude below the prune threshold are dropped.
+    coefficients with magnitude below DEFAULT_PRUNE_THRESHOLD are dropped.
     `PauliString` objects are built only at the edges, by `items()` and
     `sorted_items()`.  Instances are immutable; arithmetic returns new sums.
     """
 
-    __slots__ = ("n_qubits", "prune_threshold", "x", "z", "coeff")
+    __slots__ = ("n_qubits", "x", "z", "coeff")
 
     def __init__(
         self,
         n_qubits: int,
         terms: Mapping[PauliString, complex] | Iterable[tuple[PauliString, complex]] = (),
-        prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
     ):
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
@@ -269,16 +268,14 @@ class PauliSum:
         coeff = np.array(cs, dtype=complex)
         self._assign(
             n_qubits,
-            prune_threshold,
             *_collect(np.array(xs, dtype=key), np.array(zs, dtype=key), coeff.real, coeff.imag),
         )
 
-    def _assign(self, n_qubits, prune_threshold, x, z, real, imag) -> None:
-        """Store collected terms, dropping those below the prune threshold."""
+    def _assign(self, n_qubits, x, z, real, imag) -> None:
+        """Store collected terms, dropping those below DEFAULT_PRUNE_THRESHOLD."""
         self.n_qubits = n_qubits
-        self.prune_threshold = prune_threshold
         # np.hypot rounds like Python's abs(complex); np.abs on complex does not
-        keep = np.hypot(real, imag) >= prune_threshold
+        keep = np.hypot(real, imag) >= DEFAULT_PRUNE_THRESHOLD
         self.x = x[keep].astype(np.uint64)
         self.z = z[keep].astype(np.uint64)
         self.coeff = np.empty(len(self.x), dtype=complex)
@@ -287,9 +284,9 @@ class PauliSum:
             array.setflags(write=False)
 
     def _derived(self, x, z, real, imag) -> "PauliSum":
-        """A sum on the same qubits and threshold from collected terms."""
+        """A sum on the same qubits from collected terms."""
         out = PauliSum.__new__(PauliSum)
-        out._assign(self.n_qubits, self.prune_threshold, x, z, real, imag)
+        out._assign(self.n_qubits, x, z, real, imag)
         return out
 
     def _keys(self) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +299,6 @@ class PauliSum:
         cls,
         coeff_labels: Iterable[tuple[complex, str]],
         n_qubits: int | None = None,
-        prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
     ) -> "PauliSum":
         pairs = []
         for c, label in coeff_labels:
@@ -312,7 +308,7 @@ class PauliSum:
             pairs.append((p, c))
         if n_qubits is None:
             raise ValueError("empty term list needs an explicit n_qubits")
-        return cls(n_qubits, pairs, prune_threshold)
+        return cls(n_qubits, pairs)
 
     def items(self) -> Iterator[tuple[PauliString, complex]]:
         """(string, coefficient) pairs in term order, strings built lazily."""
@@ -438,7 +434,7 @@ _HEADER_RE = re.compile(r"^\s*([A-Za-z_][\w.-]*)\s*=\s*(.*?)\s*$")
 _LABEL_RE = re.compile(r"^[IXYZ]+$")
 
 
-def parse_pauli_sum(text: str, prune_threshold: float = DEFAULT_PRUNE_THRESHOLD) -> PauliSum:
+def parse_pauli_sum(text: str) -> PauliSum:
     """Parse the Hamiltonian text format.
 
     Term lines are ``<real> [<imag>] <label>``; ``#`` starts a comment.
@@ -492,7 +488,7 @@ def parse_pauli_sum(text: str, prune_threshold: float = DEFAULT_PRUNE_THRESHOLD)
         pairs.append((PauliString.from_label(label), coeff))
     if n_qubits is None:
         raise HamiltonianParseError("no terms and no n_qubits header")
-    return PauliSum(n_qubits, pairs, prune_threshold)
+    return PauliSum(n_qubits, pairs)
 
 
 def _fmt(x: float) -> str:

@@ -98,9 +98,10 @@ def solve_pds(moments: MomentTable | Sequence[float], order: int) -> PdsResult:
     roots are the genuine nodes, and the polynomial is padded with roots at
     the mean energy K_1.  The padding is deterministic,
     shift-covariant, and always inside the node hull, unlike the arbitrary
-    extra root a raw minimal-norm solve would add.  An eigenstate trial has
-    every root at K_1 (padded, with an infinite condition number, from
-    order 2 on).
+    extra root a raw minimal-norm solve would add.  An eigenstate trial, and
+    every first-order solve, takes the same path: `unit_free` encodes it as a
+    sharp energy at K_1, so M has rank 1, its one root lands at K_1 and the
+    padding fills the rest, with an infinite condition number from order 2 on.
 
     A root counts as real when its unit-free node x has
     |Im x| <= IMAG_ROOT_TOLERANCE * (1 + |Re x|), so the policy, like the
@@ -113,14 +114,8 @@ def solve_pds(moments: MomentTable | Sequence[float], order: int) -> PdsResult:
         sum(math.comb(n, j) * raw[j] * (-mean) ** (n - j) for j in range(n + 1))
         for n in range(2 * order)
     ]
-    found = unit_free(mean, central) if order > 1 else None
-    if found is None:
-        scale, unit_nodes, condition, used_pinv = 1.0, np.zeros(1), 1.0, False
-        if order > 1:
-            condition, used_pinv = float("inf"), True
-    else:
-        scale, unit = found
-        unit_nodes, condition, used_pinv = _unit_nodes(unit, order)
+    scale, unit = unit_free(mean, central)
+    unit_nodes, condition, used_pinv = _unit_nodes(unit, order)
     nodes = [complex(mean + scale * x) for x in unit_nodes]
     is_real = [abs(x.imag) <= IMAG_ROOT_TOLERANCE * (1.0 + abs(x.real)) for x in unit_nodes]
     real_nodes = [r.real for r, real in zip(nodes, is_real) if real]

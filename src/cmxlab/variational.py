@@ -24,12 +24,7 @@ import numpy as np
 
 from .errors import SingularScanError
 from .methods import MethodSpec, evaluate_method, parse_method
-from .moments import (
-    MomentTable,
-    connected_moments,
-    hamiltonian_powers,
-    raw_moments_pauli,
-)
+from .moments import MomentTable, hamiltonian_powers, raw_moments_pauli
 from .pauli import PauliString, PauliSum
 from .statevector import StateVector, apply_generator_rotation, apply_pauli
 
@@ -136,7 +131,7 @@ def energy_vs_theta(
         c, s = np.cos(theta), np.sin(theta)
         raw = c * c * alpha + s * s * beta + s * c * gamma
         raw[0] = 1.0
-        return connected_moments(MomentTable(tuple(raw.tolist())))
+        return MomentTable(tuple(raw.tolist()))
 
     def value_at(theta: float) -> tuple[float, MomentTable, bool]:
         table = table_at(theta)

@@ -20,7 +20,7 @@ from cmxlab.models import (
     siam_fci_energy,
     siam_hamiltonian,
 )
-from cmxlab.moments import connected_moments, raw_moments_dense, raw_moments_pauli
+from cmxlab.moments import raw_moments_dense, raw_moments_pauli
 from cmxlab.noise import NoiseModel, hadamard_test_estimate, noisy_moments
 from cmxlab.pauli import PauliSum
 from cmxlab.pds import solve_pds
@@ -165,8 +165,8 @@ def test_7_shift_covariance():
             shifted = h + PauliSum.from_label_terms([(shift, "I" * n)])
             bits = "".join(str(b) for b in rng.integers(0, 2, size=n))
             state = basis_state(bits)
-            base = connected_moments(raw_moments_pauli(h, state, 7)[0])
-            moved = connected_moments(raw_moments_pauli(shifted, state, 7)[0])
+            base = raw_moments_pauli(h, state, 7)[0]
+            moved = raw_moments_pauli(shifted, state, 7)[0]
             assert moved.connected[0] - base.connected[0] == pytest.approx(
                 shift, abs=1e-9
             )
@@ -229,18 +229,18 @@ def test_8_noise_statistics():
             table, _ = noisy_moments(
                 half_filling(v), basis_state("0110"), 3, nm, depth_proxy=(2, 1)
             )
-            value = evaluate_method(spec, connected_moments(table))
+            value = evaluate_method(spec, table)
             assert math.isfinite(value.energy)
 
         # noise regularizes an exactly singular noiseless expansion
         c = H2Coefficients(0.0, 0.3, 0.3, -0.1, 0.25, 0.25)
         h2 = h2_bk_hamiltonian(c)
         clean = cmx_cioslowski(
-            connected_moments(raw_moments_pauli(h2, basis_state("01"), 3)[0]), 2
+            raw_moments_pauli(h2, basis_state("01"), 3)[0], 2
         )
         assert clean.singular_flag
         noisy_table, _ = noisy_moments(h2, basis_state("01"), 3, nm, depth_proxy=(1, 1))
-        noisy = cmx_cioslowski(connected_moments(noisy_table), 2)
+        noisy = cmx_cioslowski(noisy_table, 2)
         assert math.isfinite(noisy.energy)
 
 

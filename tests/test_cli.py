@@ -225,6 +225,12 @@ class TestSinglePointCommands:
         assert code == 0
         assert "krylov_rank=5" in text.splitlines()
 
+    @pytest.mark.parametrize("command", ["moments", "cmx", "pds", "sweep", "noise", "diag"])
+    def test_theta_needs_generator(self, capsys, command):
+        methods = ("--methods", "pds:2") if command == "sweep" else ()
+        assert run_cli(command, "--theta", "0.3", *methods) == (2, "")
+        assert "--theta needs --generator" in capsys.readouterr().err
+
     def test_noise_subcommand_schema(self):
         code, text = run_cli(
             "noise", "--p00", "0.97", "--p11", "0.97", "--shots", "2048", "--seed", "3"
@@ -358,6 +364,24 @@ class TestPlotScripts:
         )
         assert code == 0
         assert gp.exists()
+
+    @pytest.mark.parametrize("csv, script, named", [
+        ("sub/a.csv", "b.gp", "sub/a.csv"),
+        ("a.csv", "sub/b.gp", "../a.csv"),
+        ("sub/a.csv", "sub/b.gp", "a.csv"),
+    ])
+    def test_script_names_the_csv_from_its_own_directory(
+        self, tmp_path, monkeypatch, csv, script, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        code, _ = run_cli(
+            "sweep", "--methods", "pds:2", "--sweep-values", "1",
+            "--output", csv, "--emit-plot", script,
+        )
+        assert code == 0
+        assert Path(script).read_text().count(f'"{named}" using') == 2
+        assert (Path(script).parent / named).resolve() == Path(csv).resolve()
 
     @pytest.mark.parametrize("argv", [
         ("sweep", "--methods", "pds:2", "--sweep-values", "1"),

@@ -11,7 +11,7 @@ from cmxlab.cmx import (
 )
 from cmxlab.errors import InsufficientMomentsError
 from cmxlab.models import H2Coefficients, h2_bk_hamiltonian
-from cmxlab.moments import connected_moments, raw_moments_dense, raw_moments_pauli
+from cmxlab.moments import raw_moments_dense, raw_moments_pauli
 from cmxlab.pauli import PauliSum
 from cmxlab.statevector import basis_state
 
@@ -60,9 +60,7 @@ class TestCioslowski:
             assert recursion.energy == pytest.approx(closed, rel=1e-12, abs=1e-12)
 
     def test_siam_cmx2(self):
-        table = connected_moments(
-            raw_moments_dense(siam_sum(1.0), basis_state("0110"), 3)
-        )
+        table = raw_moments_dense(siam_sum(1.0), basis_state("0110"), 3)
         result = cmx_cioslowski(table, 2)
         assert result.energy == pytest.approx(-4.5, abs=1e-12)
 
@@ -133,9 +131,7 @@ class TestKnowles:
         # high-order stability contrast on the hybridization sweep
         worst_cioslowski = 0.0
         for v in (0.1, 0.5, 1.0, 2.0, 3.0, 6.0, 10.0):
-            table = connected_moments(
-                raw_moments_dense(siam_sum(v), basis_state("0110"), 7)
-            )
+            table = raw_moments_dense(siam_sum(v), basis_state("0110"), 7)
             for order in (2, 3, 4):
                 result = cmx_knowles(table, order)
                 assert np.isfinite(result.energy)
@@ -154,9 +150,7 @@ class TestKnowles:
             assert result.energy == 0.6
 
     def test_condition_number_recorded(self):
-        table = connected_moments(
-            raw_moments_dense(siam_sum(1.0), basis_state("0110"), 5)
-        )
+        table = raw_moments_dense(siam_sum(1.0), basis_state("0110"), 5)
         result = cmx_knowles(table, 3)
         assert result.condition_number is not None
         assert result.condition_number > 0
@@ -170,14 +164,13 @@ class TestShiftCovariance:
         # pauli.DEFAULT_PRUNE_THRESHOLD), so those scales use the dense route.
         h = siam_sum(1.0)
         state = basis_state("0110")
-        base = connected_moments(raw_moments_pauli(h, state, 5)[0])
+        base = raw_moments_pauli(h, state, 5)[0]
         for scale in (1.0, 250.0, 1e-3):
             shifted = h.scaled(scale) + PauliSum.from_label_terms([(1.5 * scale, "IIII")])
             if scale >= 1.0:
-                raw = raw_moments_pauli(shifted, state, 5)[0]
+                moved = raw_moments_pauli(shifted, state, 5)[0]
             else:
-                raw = raw_moments_dense(shifted, state, 5)
-            moved = connected_moments(raw)
+                moved = raw_moments_dense(shifted, state, 5)
             assert moved.connected[0] == pytest.approx(
                 scale * (base.connected[0] + 1.5), abs=1e-10 * scale
             )
@@ -229,18 +222,14 @@ class TestSingularityReport:
         values = []
         for gap in (2.0, 1.0, 0.5, 0.1):
             c = H2Coefficients(0.0, gap / 2.0, -gap / 2.0, 0.0, 0.1, 0.1)
-            table = connected_moments(
-                raw_moments_dense(h2_bk_hamiltonian(c), basis_state("01"), 3)
-            )
+            table = raw_moments_dense(h2_bk_hamiltonian(c), basis_state("01"), 3)
             values.append(abs(table.connected[2]))
         assert values == sorted(values, reverse=True)
         report = singularity_report(
-            connected_moments(
-                raw_moments_dense(
-                    h2_bk_hamiltonian(H2Coefficients(0.0, 0.0, 0.0, 0.0, 0.1, 0.1)),
-                    basis_state("01"),
-                    3,
-                )
+            raw_moments_dense(
+                h2_bk_hamiltonian(H2Coefficients(0.0, 0.0, 0.0, 0.0, 0.1, 0.1)),
+                basis_state("01"),
+                3,
             )
         )
         assert any("cmx-cioslowski(2)" in f.affected for f in report)

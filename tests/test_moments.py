@@ -1,5 +1,7 @@
 """Moment engine: Pauli route vs dense route, connected recursion, series."""
 
+import math
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -8,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmxlab import moments
+from cmxlab.cmx import cmx_cioslowski, cmx_knowles, singularity_report
 from cmxlab.errors import ContractViolationError, InsufficientMomentsError
+from cmxlab.methods import evaluate_method, parse_method
 from cmxlab.moments import (
     MomentTable,
     assemble_moments,
-    connected_moments,
     hamiltonian_powers,
     hw_energy_series,
     krylov_rank,
@@ -21,6 +24,7 @@ from cmxlab.moments import (
     reachable_spectrum,
     truncate_hamiltonian,
 )
+from cmxlab.noise import NoiseModel, noisy_moments
 from cmxlab.pauli import PauliString, PauliSum
 from cmxlab.statevector import StateVector, apply_pauli_sum, basis_state
 
@@ -37,6 +41,28 @@ from conftest import (
 
 def siam_sum(v=1.0, u=8.0):
     return PauliSum.from_label_terms(siam_caption_terms(u, u / 2, 0.0, u / 2, v))
+
+
+def sequential_connected(raw):
+    """I_k = K_k - sum_{i=0}^{k-2} C(k-1, i) I_{i+1} K_{k-i-1}, one term at
+    a time, ascending: the reference for the table's own derivation."""
+    connected = []
+    for k in range(1, len(raw)):
+        value = raw[k]
+        for i in range(k - 1):
+            value -= comb(k - 1, i) * connected[i] * raw[k - i - 1]
+        connected.append(value)
+    return connected
+
+
+# each moment route, as (H, trial, max order) -> MomentTable
+ROUTES = {
+    "pauli": lambda h, state, order: raw_moments_pauli(h, state, order)[0],
+    "dense": raw_moments_dense,
+    "noisy": lambda h, state, order: noisy_moments(
+        h, state, order, NoiseModel(p00=0.97, p11=0.96, shots=512, seed=3), depth_proxy=(2, 1)
+    )[0],
+}
 
 
 def random_state(rng, n):
@@ -232,7 +258,7 @@ class TestOracleEquivalence:
 class TestConnectedMoments:
     def test_base_cases(self, rng):
         h = random_hermitian_sum(rng, 2, 4)
-        table = connected_moments(raw_moments_dense(h, random_state(rng, 2), 4))
+        table = raw_moments_dense(h, random_state(rng, 2), 4)
         k = table.raw
         assert table.connected[0] == pytest.approx(k[1], abs=1e-12)
         assert table.connected[1] == pytest.approx(k[2] - k[1] ** 2, abs=1e-12)
@@ -241,19 +267,43 @@ class TestConnectedMoments:
         # I3 = K3 - 3 K1 K2 + 2 K1^3
         for _ in range(10):
             h = random_hermitian_sum(rng, 3, 5)
-            table = connected_moments(raw_moments_dense(h, random_state(rng, 3), 3))
+            table = raw_moments_dense(h, random_state(rng, 3), 3)
             k = table.raw
             expected = k[3] - 3.0 * k[1] * k[2] + 2.0 * k[1] ** 3
             assert table.connected[2] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))
+    @settings(max_examples=200)
+    def test_table_derives_the_sequential_recursion(self, tail):
+        raw = (1.0, *tail)
+        table = MomentTable(raw)
+        assert table.max_order == len(tail)
+        assert [v.hex() for v in table.connected] == [
+            v.hex() for v in sequential_connected(raw)
+        ]
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_route_tables_feed_every_solver(self, route):
+        table = ROUTES[route](siam_sum(1.0), basis_state("0110"), 5)
+        assert len(table.connected) == table.max_order == 5
+        ivals = list(table.connected)
+        assert cmx_cioslowski(table, 3) == cmx_cioslowski(ivals, 3)
+        assert cmx_knowles(table, 3) == cmx_knowles(ivals, 3)
+        assert singularity_report(table) == singularity_report(ivals)
+        assert hw_energy_series(table, 0.5, 4) == pytest.approx(
+            sum((-0.5) ** k / math.factorial(k) * ivals[k] for k in range(5))
+        )
+        for text in ("cmx-cioslowski:3", "cmx-knowles:3", "pds:3", "hw-series:4:0.5"):
+            assert math.isfinite(evaluate_method(parse_method(text), table).energy)
+        assert evaluate_method(parse_method("expectation"), table).energy == table.raw[1]
+
     def test_siam_values(self):
         table, _ = raw_moments_pauli(siam_sum(1.0), basis_state("0110"), 3)
-        table = connected_moments(table)
         assert table.connected == pytest.approx((-4.0, 2.0, 8.0), abs=1e-12)
 
     def test_eigenstate_collapse(self):
         h = siam_sum(0.0)  # diagonal; |0110> is an eigenstate
-        table = connected_moments(raw_moments_dense(h, basis_state("0110"), 6))
+        table = raw_moments_dense(h, basis_state("0110"), 6)
         assert table.connected[0] == pytest.approx(-4.0, abs=1e-12)
         assert max(abs(v) for v in table.connected[1:]) < 1e-9
 
@@ -262,7 +312,7 @@ class TestConnectedMoments:
     def test_point_mass_moments_have_zero_cumulants(self, e):
         # moments of a point mass at E: K_l = E^l
         raw = tuple(float(e) ** l for l in range(6))
-        table = connected_moments(MomentTable(raw))
+        table = MomentTable(raw)
         assert table.connected[0] == pytest.approx(e, abs=1e-9)
         assert max(abs(v) for v in table.connected[1:]) < 1e-9 * max(1.0, abs(e) ** 6)
 
@@ -270,26 +320,24 @@ class TestConnectedMoments:
 class TestHwSeries:
     def test_tau_zero(self, rng):
         h = random_hermitian_sum(rng, 2, 4)
-        table = connected_moments(raw_moments_dense(h, random_state(rng, 2), 5))
+        table = raw_moments_dense(h, random_state(rng, 2), 5)
         for order in range(5):
             assert hw_energy_series(table, 0.0, order) == table.connected[0]
 
     def test_small_tau_decreases_when_i2_positive(self):
-        table = connected_moments(
-            raw_moments_dense(siam_sum(1.0), basis_state("0110"), 4)
-        )
+        table = raw_moments_dense(siam_sum(1.0), basis_state("0110"), 4)
         assert table.connected[1] > 0
         assert hw_energy_series(table, 1e-3, 1) < table.connected[0]
 
     def test_eigenstate_flat(self):
         raw = tuple((-1.3) ** l for l in range(6))
-        table = connected_moments(MomentTable(raw))
+        table = MomentTable(raw)
         for tau in (0.0, 0.5, 2.0):
             for order in range(5):
                 assert hw_energy_series(table, tau, order) == pytest.approx(-1.3, abs=1e-9)
 
     def test_order_out_of_range(self):
-        table = connected_moments(MomentTable((1.0, 0.5, 0.3)))
+        table = MomentTable((1.0, 0.5, 0.3))
         with pytest.raises(InsufficientMomentsError):
             hw_energy_series(table, 0.1, 2)
 
@@ -359,7 +407,3 @@ class TestMomentTableValidation:
     def test_k0_must_be_one(self):
         with pytest.raises(ValueError):
             MomentTable((0.5, 1.0))
-
-    def test_connected_length_checked(self):
-        with pytest.raises(ValueError):
-            MomentTable((1.0, 2.0), connected=(2.0, 3.0))

@@ -9,7 +9,7 @@ from cmxlab.cmx import cmx_cioslowski
 from cmxlab.errors import ContractViolationError
 from cmxlab.methods import evaluate_method, parse_method
 from cmxlab.models import H2Coefficients, SiamParams, h2_bk_hamiltonian, siam_hamiltonian
-from cmxlab.moments import connected_moments, raw_moments_pauli
+from cmxlab.moments import raw_moments_pauli
 from cmxlab.noise import NoiseModel, hadamard_test_estimate, noisy_moments
 from cmxlab.pauli import PauliSum
 from cmxlab.statevector import basis_state
@@ -137,13 +137,13 @@ class TestNoisyMoments:
         # the exact value within its own spread
         h = siam(1.0)
         state = basis_state("0110")
-        exact_table = connected_moments(raw_moments_pauli(h, state, 3)[0])
+        exact_table = raw_moments_pauli(h, state, 3)[0]
         exact = cmx_cioslowski(exact_table, 2).energy
         energies = []
         for seed in range(50):
             nm = NoiseModel(shots=10**6, seed=seed)
             table, _ = noisy_moments(h, state, 3, nm)
-            energies.append(cmx_cioslowski(connected_moments(table), 2).energy)
+            energies.append(cmx_cioslowski(table, 2).energy)
         mean = float(np.mean(energies))
         spread = float(np.std(energies, ddof=1))
         assert abs(mean - exact) <= 5.0 * spread / math.sqrt(len(energies))
@@ -153,7 +153,7 @@ class TestNoisyMoments:
         spec = parse_method("pds:2")
         for v in (0.1, 1.0, 3.0, 6.0, 10.0):
             table, _ = noisy_moments(siam(v), basis_state("0110"), 3, nm)
-            value = evaluate_method(spec, connected_moments(table))
+            value = evaluate_method(spec, table)
             assert math.isfinite(value.energy)
 
     def test_noise_regularizes_singular_second_order(self):
@@ -164,12 +164,12 @@ class TestNoisyMoments:
         h = h2_bk_hamiltonian(c)
         state = basis_state("01")
         clean = cmx_cioslowski(
-            connected_moments(raw_moments_pauli(h, state, 3)[0]), 2
+            raw_moments_pauli(h, state, 3)[0], 2
         )
         assert clean.singular_flag
         nm = NoiseModel(p00=0.97, p11=0.97, shots=8192, seed=5)
         noisy_table, _ = noisy_moments(h, state, 3, nm)
-        noisy = cmx_cioslowski(connected_moments(noisy_table), 2)
+        noisy = cmx_cioslowski(noisy_table, 2)
         assert math.isfinite(noisy.energy)
 
     def test_raw_versus_mitigated_assembly(self):

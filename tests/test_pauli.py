@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cmxlab.errors import CapacityError, DimensionMismatchError, HamiltonianParseError
 from cmxlab.pauli import (
+    DEFAULT_PRUNE_THRESHOLD,
     PauliString,
     PauliSum,
     multiply,
@@ -205,7 +206,7 @@ def scalar_product(a, b):
             q = multiply(pa, pb)
             key = q.phaseless()
             collected[key] = collected.get(key, 0.0) + ca * cb * q.phase
-    return [(p, c) for p, c in collected.items() if abs(c) >= a.prune_threshold]
+    return [(p, c) for p, c in collected.items() if abs(c) >= DEFAULT_PRUNE_THRESHOLD]
 
 
 def exact_terms(pairs):
@@ -281,7 +282,7 @@ class TestArrayProduct:
         merged = {}
         for p, c in [*a.items(), *b.items()]:
             merged[p] = merged.get(p, 0.0) + c
-        expected = [(p, c) for p, c in merged.items() if abs(c) >= a.prune_threshold]
+        expected = [(p, c) for p, c in merged.items() if abs(c) >= DEFAULT_PRUNE_THRESHOLD]
         assert exact_terms((a + b).items()) == exact_terms(expected)
         scaled = [(p, c * (0.5 - 2j)) for p, c in a.items()]
         assert exact_terms(a.scaled(0.5 - 2j).items()) == exact_terms(scaled)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cmxlab.cmx import cmx_cioslowski, cmx_knowles
 from cmxlab.methods import MethodSpec, evaluate_method
 from cmxlab.models import siam_fci_energy
-from cmxlab.moments import MomentTable, connected_moments, raw_moments_dense
+from cmxlab.moments import MomentTable, raw_moments_dense
 from cmxlab.pauli import PauliSum
 from cmxlab.pds import solve_pds
 from cmxlab.statevector import basis_state
@@ -62,7 +62,7 @@ class TestBaselineScaleFailures:
     """Cases that depended on the units of H before the solves were unit-free."""
 
     def test_cmx2_at_scale_100(self):
-        table = connected_moments(siam_table(1.0, 100.0))
+        table = siam_table(1.0, 100.0)
         for solver in (cmx_cioslowski, cmx_knowles):
             result = solver(table, 2)
             assert not result.singular_flag
@@ -73,24 +73,24 @@ class TestBaselineScaleFailures:
         assert result.ground_energy == pytest.approx(100.0 * siam_fci_energy(8.0, 1.0), rel=1e-10)
 
     def test_cioslowski3_at_scale_one_hundredth(self):
-        table = connected_moments(siam_table(1.0, 1e-2))
+        table = siam_table(1.0, 1e-2)
         result = cmx_cioslowski(table, 3)
         assert not result.singular_flag
-        unscaled = cmx_cioslowski(connected_moments(siam_table(1.0)), 3)
+        unscaled = cmx_cioslowski(siam_table(1.0), 3)
         assert result.energy == pytest.approx(1e-2 * unscaled.energy, rel=1e-10)
 
 
 class TestCioslowskiEqualsKnowles:
     def test_siam_order_four(self):
         for v in (0.1, 0.5, 1.0, 3.0, 10.0):
-            table = connected_moments(siam_table(v))
+            table = siam_table(v)
             assert cmx_cioslowski(table, 4).energy == pytest.approx(
                 cmx_knowles(table, 4).energy, rel=1e-10
             )
 
     def test_cioslowski_singular_where_knowles_stays_finite(self):
         # at weak hybridization S[3,3] vanishes on the unit-free moments
-        table = connected_moments(siam_table(0.06))
+        table = siam_table(0.06)
         cioslowski = cmx_cioslowski(table, 4)
         knowles = cmx_knowles(table, 4)
         assert cioslowski.singular_flag
