@@ -123,12 +123,14 @@ def _ordered_sum(terms: np.ndarray) -> float:
 def assemble_moments(
     powers: Sequence[PauliSum],
     max_order: int,
-    value: Callable[[int, int], float],
+    values: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> tuple[MomentTable, int]:
-    """K_l = sum over the terms c P of H^l of c * value(x_mask, z_mask).
+    """K_l = sum over the terms c P of H^l of c * <P>, with <P> from one
+    batch provider call.
 
-    `value` is called exactly once per distinct non-identity string of
-    H^1..H^max_order, in the order the terms first meet it; each call
+    `values(xs, zs)` is called exactly once per table, with the uint64 masks
+    of every distinct non-identity string of H^1..H^max_order in the order
+    the terms first meet them, and returns one float per string; each string
     stands for one measured circuit.  The identity term contributes c
     itself.  Each K_l is summed from 0.0 in the power's term order, real
     and imaginary parts apart, so the result is bit for bit that of adding
@@ -142,10 +144,9 @@ def assemble_moments(
     measured = (x | z) != 0
     x, z = x[measured], z[measured]
     first, group = group_keys(x, z)
-    distinct = zip(x[first].tolist(), z[first].tolist())
-    values = np.ones(len(coeff))
-    values[measured] = np.array([value(a, b) for a, b in distinct], dtype=float)[group]
-    real, imag = coeff.real * values, coeff.imag * values
+    expectation = np.ones(len(coeff))
+    expectation[measured] = np.asarray(values(x[first], z[first]), dtype=float)[group]
+    real, imag = coeff.real * expectation, coeff.imag * expectation
     raw = [1.0]
     stop = 0
     for order, power in enumerate(used, start=1):
@@ -179,9 +180,10 @@ def raw_moments_pauli(
         )
     values: dict[tuple[int, int], float] = {}
 
-    def measure(x: int, z: int) -> float:
-        value = values[x, z] = masked_expectation(x, z, state)
-        return value
+    def measure(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        for key in zip(xs.tolist(), zs.tolist()):
+            values[key] = masked_expectation(*key, state)
+        return np.fromiter(values.values(), float, len(values))
 
     table, terms = assemble_moments(powers, max_order, measure)
     return table, PauliExpectationCache(values, terms - len(values))

@@ -5,13 +5,18 @@ The emulation works at the outcome-probability level: for a true expectation
 x the ancilla reads 0 with probability (1 + lambda*x)/2, where the damping
 lambda = (1-p1)^n1 (1-p2)^n2 collapses the depolarizing channel onto a gate
 count proxy.  Thermal relaxation is deliberately out of scope, so absolute
-noisy values are not comparable to hardware-calibrated simulators; seeded
-runs are bit-reproducible.
+noisy values are not comparable to hardware-calibrated simulators.
+
+A moment table samples all its distinct strings at once: one generator
+seeded with the model's seed draws them as arrays in ascending
+(x_mask, z_mask) order.  Seeded tables are bit-reproducible and do not
+depend on the order of the Hamiltonian's terms, but a string's estimate
+depends on the set of strings its table measures.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,62 +58,76 @@ class NoiseModel:
 @dataclass(frozen=True)
 class ShotEstimate:
     """One estimated expectation: the raw (biased) value, the
-    readout/damping-mitigated value, and the plug-in standard error."""
+    readout/damping-mitigated value, and the plug-in standard error.  For a
+    batch of expectations these three fields are arrays."""
 
-    raw_estimate: float
-    mitigated_estimate: float
-    standard_error: float
+    raw_estimate: float | np.ndarray
+    mitigated_estimate: float | np.ndarray
+    standard_error: float | np.ndarray
     shots_used: int
     mitigation_applied: bool = True
 
 
 def damping_factor(nm: NoiseModel, depth_proxy: tuple[int, int]) -> float:
+    """(1-p1)^n1 (1-p2)^n2 for depth_proxy = (n1, n2) gate equivalents."""
+    if len(depth_proxy) != 2 or not all(
+        isinstance(n, numbers.Integral) and n >= 0 for n in depth_proxy
+    ):
+        raise ValueError(
+            f"depth_proxy must be two non-negative ints (n1, n2), got {depth_proxy!r}"
+        )
     n1, n2 = depth_proxy
     return (1.0 - nm.p1) ** n1 * (1.0 - nm.p2) ** n2
 
 
 def hadamard_test_estimate(
-    true_expectation: float,
+    true_expectation: float | np.ndarray,
     nm: NoiseModel,
     depth_proxy: tuple[int, int] = (0, 1),
     rng: np.random.Generator | None = None,
 ) -> ShotEstimate:
-    """Sample a Hadamard-test estimate of a real expectation in [-1, 1].
+    """Sample Hadamard-test estimates of real expectations in [-1, 1].
+
+    `true_expectation` is one value or a 1-d array of values.  Every value
+    is sampled independently from one generator (by default seeded with
+    nm.seed), in array order, by three array draws: the ancilla's true
+    zeros, then the zeros read from true zeros, then the zeros read from
+    true ones.  A scalar gives a ShotEstimate of floats, bit for bit element
+    0 of the size-1 array call; an array gives one whose estimate and error
+    fields are arrays of its length.  Non-finite values and |x| > 1 are
+    rejected.
 
     depth_proxy counts (1q, 2q) gate equivalents: state-preparation flips
     plus one controlled operation per test.  Mitigation inverts the readout
     channel and divides out the damping; it is disabled (with the flag
     cleared) when the channel is singular or the signal fully depolarized.
     """
-    if abs(true_expectation) > 1.0 + 1e-12:
+    x = np.asarray(true_expectation, dtype=float)
+    # NaN fails every comparison, so it lands outside with |x| > 1
+    outside = ~(np.abs(x) <= 1.0 + 1e-12)
+    if outside.any():
         raise ContractViolationError(
-            f"|expectation| must be <= 1, got {true_expectation}"
+            f"expectation must be finite with |x| <= 1, got {x[outside].flat[0]}"
         )
-    x = min(1.0, max(-1.0, true_expectation))
+    x = np.clip(x, -1.0, 1.0)
     if rng is None:
         rng = np.random.default_rng(nm.seed)
     damping = damping_factor(nm, depth_proxy)
     p_zero = (1.0 + damping * x) / 2.0
 
-    true_zeros = int(rng.binomial(nm.shots, p_zero))
-    read_zeros = int(rng.binomial(true_zeros, nm.p00)) + int(
-        rng.binomial(nm.shots - true_zeros, 1.0 - nm.p11)
+    true_zeros = rng.binomial(nm.shots, p_zero)
+    read_zeros = rng.binomial(true_zeros, nm.p00) + rng.binomial(
+        nm.shots - true_zeros, 1.0 - nm.p11
     )
     raw = 2.0 * read_zeros / nm.shots - 1.0
-    standard_error = math.sqrt(max(0.0, 1.0 - raw * raw) / nm.shots)
+    standard_error = np.sqrt(np.maximum(0.0, 1.0 - raw * raw) / nm.shots)
 
     determinant = nm.p00 + nm.p11 - 1.0
-    if determinant <= 1e-12 or damping <= 1e-12:
-        return ShotEstimate(raw, raw, standard_error, nm.shots, mitigation_applied=False)
-    mitigated = (raw - (nm.p00 - nm.p11)) / determinant / damping
-    return ShotEstimate(raw, mitigated, standard_error, nm.shots)
-
-
-def _string_rng(nm: NoiseModel, x_mask: int, z_mask: int) -> np.random.Generator:
-    # sub-seed per string: estimates are independent of evaluation order
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=nm.seed, spawn_key=(x_mask, z_mask))
-    )
+    applied = determinant > 1e-12 and damping > 1e-12
+    mitigated = (raw - (nm.p00 - nm.p11)) / determinant / damping if applied else raw
+    if x.ndim == 0:
+        raw, mitigated, standard_error = float(raw), float(mitigated), float(standard_error)
+    return ShotEstimate(raw, mitigated, standard_error, nm.shots, applied)
 
 
 def noisy_moments(
@@ -124,20 +143,32 @@ def noisy_moments(
 
     The identity string contributes exactly 1 without sampling.  Each
     distinct string is sampled once and reused across all orders, so moment
-    errors are correlated precisely as measurement reuse implies.
+    errors are correlated precisely as measurement reuse implies.  All
+    strings of the table are sampled in one `hadamard_test_estimate` call
+    from a generator seeded with nm.seed, in ascending (x_mask, z_mask)
+    order, so the table does not depend on the order of H's terms; a
+    string's estimate does depend on which strings the table measures.
+    The estimates are returned in that sampling order.
     """
     if not h.is_hermitian():
         raise ContractViolationError("moments require a Hermitian sum")
     powers = hamiltonian_powers(h, max_order)
-    sampled: dict[tuple[int, int], ShotEstimate] = {}
+    estimates: dict[PauliString, ShotEstimate] = {}
 
-    def estimate(x: int, z: int) -> float:
-        truth = masked_expectation(x, z, state)
-        est = sampled[x, z] = hadamard_test_estimate(
-            truth, nm, depth_proxy, rng=_string_rng(nm, x, z)
-        )
-        return est.mitigated_estimate if mitigated else est.raw_estimate
+    def estimate(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        order = np.lexsort((zs, xs))
+        xs, zs = xs[order].tolist(), zs[order].tolist()
+        truth = [masked_expectation(x, z, state) for x, z in zip(xs, zs)]
+        batch = hadamard_test_estimate(np.array(truth, dtype=float), nm, depth_proxy)
+        rows = zip(xs, zs, batch.raw_estimate.tolist(), batch.mitigated_estimate.tolist(),
+                   batch.standard_error.tolist())
+        for x, z, raw, mit, se in rows:
+            estimates[PauliString(h.n_qubits, x, z)] = ShotEstimate(
+                raw, mit, se, batch.shots_used, batch.mitigation_applied
+            )
+        values = np.empty(len(order))
+        values[order] = batch.mitigated_estimate if mitigated else batch.raw_estimate
+        return values
 
     table, _ = assemble_moments(powers, max_order, estimate)
-    estimates = {PauliString(h.n_qubits, x, z): est for (x, z), est in sampled.items()}
     return table, estimates

@@ -172,25 +172,28 @@ class TestAssembleMoments:
     @settings(max_examples=300, deadline=None)
     def test_matches_sequential_loop_bit_for_bit(self, inputs):
         powers, table = inputs
-        calls = []
 
         def value(x, z):
-            calls.append((x, z))
             return table[4 * x + z]
 
         want, cache, hits = sequential_assembly(powers, value)
-        calls.clear()
+        calls = []
         totals = []
+
+        def values(xs, zs):
+            calls.append(list(zip(xs.tolist(), zs.tolist())))
+            return np.array([value(x, z) for x, z in calls[-1]])
 
         def capture(total, order):
             totals.append(total)
             return total.real
 
         with mock.patch.object(moments, "_real_moment", side_effect=capture):
-            got, terms = assemble_moments(powers, len(powers), value)
-        # one call per distinct string, in the order the loop first met them
-        assert calls == list(cache)
-        assert terms - len(calls) == hits
+            got, terms = assemble_moments(powers, len(powers), values)
+        # one provider call with every distinct string, in the order the
+        # loop first met them
+        assert calls == [list(cache)]
+        assert terms - len(cache) == hits
         assert [(v.real.hex(), v.imag.hex()) for v in totals] == [
             (v.real.hex(), v.imag.hex()) for v in want
         ]

@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmxlab.cmx import cmx_cioslowski
 from cmxlab.errors import ContractViolationError
 from cmxlab.methods import evaluate_method, parse_method
 from cmxlab.models import H2Coefficients, SiamParams, h2_bk_hamiltonian, siam_hamiltonian
 from cmxlab.moments import raw_moments_pauli
-from cmxlab.noise import NoiseModel, hadamard_test_estimate, noisy_moments
-from cmxlab.pauli import PauliSum
-from cmxlab.statevector import basis_state
+from cmxlab.noise import NoiseModel, damping_factor, hadamard_test_estimate, noisy_moments
+from cmxlab.pauli import PauliString, PauliSum
+from cmxlab.statevector import StateVector, basis_state, pauli_expectation
 
 
 def siam(v=1.0):
@@ -75,6 +77,47 @@ class TestHadamardTestEstimate:
     def test_out_of_range_rejected(self):
         with pytest.raises(ContractViolationError):
             hadamard_test_estimate(1.5, NoiseModel())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ContractViolationError):
+            hadamard_test_estimate(bad, NoiseModel(seed=1))
+        with pytest.raises(ContractViolationError):
+            hadamard_test_estimate(np.array([0.2, bad]), NoiseModel(seed=1))
+
+    @pytest.mark.parametrize("depth_proxy", [(-1, 1), (0, -2), (1.5, 1), (1, 0.5), (1,), (1, 1, 1)])
+    def test_depth_proxy_must_be_two_non_negative_ints(self, depth_proxy):
+        nm = NoiseModel(p1=0.1, p2=0.2, seed=1)
+        with pytest.raises(ValueError, match="depth_proxy"):
+            damping_factor(nm, depth_proxy)
+        with pytest.raises(ValueError, match="depth_proxy"):
+            hadamard_test_estimate(0.5, nm, depth_proxy=depth_proxy)
+
+    @given(
+        x=st.floats(-1.0, 1.0),
+        p00=st.floats(0.0, 1.0),
+        p11=st.floats(0.0, 1.0),
+        p1=st.floats(0.0, 1.0),
+        p2=st.floats(0.0, 1.0),
+        shots=st.integers(1, 10**6),
+        seed=st.integers(0, 2**32),
+        depth_proxy=st.tuples(st.integers(0, 6), st.integers(0, 3)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_is_element_zero_of_the_array_call(
+        self, x, p00, p11, p1, p2, shots, seed, depth_proxy
+    ):
+        nm = NoiseModel(p00=p00, p11=p11, p1=p1, p2=p2, shots=shots, seed=seed)
+        one = hadamard_test_estimate(x, nm, depth_proxy)
+        batch = hadamard_test_estimate(np.array([x]), nm, depth_proxy)
+        fields = ("raw_estimate", "mitigated_estimate", "standard_error")
+        assert all(type(getattr(one, f)) is float for f in fields)
+        assert [getattr(one, f).hex() for f in fields] == [
+            float(getattr(batch, f)[0]).hex() for f in fields
+        ]
+        assert (one.shots_used, one.mitigation_applied) == (
+            batch.shots_used, batch.mitigation_applied
+        )
 
     def test_standard_error_formula(self):
         nm = NoiseModel(shots=4096, seed=3)
@@ -171,6 +214,39 @@ class TestNoisyMoments:
         noisy_table, _ = noisy_moments(h, state, 3, nm)
         noisy = cmx_cioslowski(noisy_table, 2)
         assert math.isfinite(noisy.energy)
+
+    def test_estimates_do_not_depend_on_term_order(self):
+        h = siam(1.0)
+        terms = list(h.items())
+        reordered = PauliSum(h.n_qubits, terms[::-1][1::2] + terms[::-1][::2])
+        amplitudes = np.linspace(1.0, 2.0, 16) * np.exp(1j * np.arange(16))
+        state = StateVector(4, amplitudes / np.linalg.norm(amplitudes))
+        nm = NoiseModel(p00=0.97, p11=0.96, p1=0.001, p2=0.01, shots=4096, seed=29)
+        _, first = noisy_moments(h, state, 3, nm, depth_proxy=(2, 1))
+        _, second = noisy_moments(reordered, state, 3, nm, depth_proxy=(2, 1))
+        assert list(reordered.items()) != terms
+        assert len(first) > 10
+        assert first == second
+
+    def test_strings_of_one_table_are_unbiased_and_uncorrelated(self):
+        h = PauliSum.from_label_terms([(0.5, "XY"), (0.3, "ZX")])
+        amplitudes = np.array([0.6, 0.3 + 0.4j, -0.2j, 0.5])
+        state = StateVector(2, amplitudes / np.linalg.norm(amplitudes))
+        strings = [PauliString.from_label(label) for label in ("XY", "ZX")]
+        truth = [pauli_expectation(p, state) for p in strings]
+        seeds = range(400)
+        samples = np.array([
+            [est[p].mitigated_estimate for p in strings]
+            for est in (
+                noisy_moments(h, state, 1, NoiseModel(p00=0.97, p11=0.96, shots=1024, seed=s))[1]
+                for s in seeds
+            )
+        ])
+        for column, exact in zip(samples.T, truth):
+            sem = float(np.std(column, ddof=1)) / math.sqrt(len(seeds))
+            assert abs(float(np.mean(column)) - exact) <= 3.0 * sem
+        correlation = float(np.corrcoef(samples.T)[0, 1])
+        assert abs(correlation) <= 4.0 / math.sqrt(len(seeds))
 
     def test_raw_versus_mitigated_assembly(self):
         nm = NoiseModel(p00=0.9, p11=0.9, shots=4096, seed=17)
