@@ -18,6 +18,7 @@ significant digits so fixed-seed runs are byte-stable.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -75,189 +76,128 @@ def _row(*fields) -> str:
 
 
 # ---------------------------------------------------------------------------
-# run configuration
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated description of one run's model, trial state and noise."""
-
-    model: str
-    siam_U: float = 8.0
-    siam_V: float = 1.0
-    siam_mu: float | None = None
-    siam_eps0: float | None = None
-    siam_eps1: float | None = None
-    h2_coefficients: H2Coefficients | None = None
-    h2_file: str | None = None
-    hamiltonian_file: str | None = None
-    trial: str | None = None
-    generator: str | None = None
-    theta: float = 0.0
-    sweep_values: tuple[float, ...] = ()
-    noise: NoiseModel | None = None
-    mitigated: bool = True
-
-    def __post_init__(self):
-        if self.model not in ("siam", "h2", "file"):
-            raise UsageError(f"unknown model {self.model!r}")
-        for attr in ("h2_file", "hamiltonian_file"):
-            path = getattr(self, attr)
-            if path is not None and not Path(path).exists():
-                raise UsageError(f"{attr.replace('_', '-')} {path!r} does not exist")
-        if self.model == "h2" and self.h2_coefficients is None and self.h2_file is None:
-            raise UsageError("h2 model needs --g or --h2-file")
-        if self.model == "file" and self.hamiltonian_file is None:
-            raise UsageError("file model needs --hamiltonian-file")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> RunConfig:
-        """The run a parsed command line describes; an option group the
-        subcommand does not register reads as its defaults."""
-        coeffs = None
-        if args.g:
-            pieces = [p for p in args.g.split(",") if p.strip()]
-            if len(pieces) != 6:
-                raise UsageError(f"--g needs six comma-separated values, got {len(pieces)}")
-            coeffs = H2Coefficients(*(float(p) for p in pieces))
-        noise = None
-        if getattr(args, "noise", False):
-            noise = NoiseModel(
-                p00=args.p00, p11=args.p11, p1=args.p1, p2=args.p2,
-                shots=args.shots, seed=args.seed,
-            )
-        sweep = ()
-        if getattr(args, "sweep_values", None):
-            sweep = tuple(float(v) for v in args.sweep_values.split(",") if v.strip())
-            if not sweep:
-                raise UsageError("--sweep-values must contain at least one value")
-        return cls(
-            model=args.model,
-            siam_U=args.U,
-            siam_V=args.V,
-            siam_mu=args.mu,
-            siam_eps0=args.eps0,
-            siam_eps1=args.eps1,
-            h2_coefficients=coeffs,
-            h2_file=args.h2_file,
-            hamiltonian_file=args.hamiltonian_file,
-            trial=args.trial,
-            generator=args.generator,
-            theta=getattr(args, "theta", 0.0),
-            sweep_values=sweep,
-            noise=noise,
-            mitigated=not getattr(args, "no_mitigation", False),
-        )
-
-
-def siam_params(cfg: RunConfig, v: float) -> SiamParams:
-    if cfg.siam_mu is None and cfg.siam_eps0 is None and cfg.siam_eps1 is None:
-        return SiamParams.half_filling(cfg.siam_U, v)
-    mu = cfg.siam_mu if cfg.siam_mu is not None else cfg.siam_U / 2.0
-    return SiamParams(
-        U=cfg.siam_U,
-        mu=mu,
-        eps0=cfg.siam_eps0 if cfg.siam_eps0 is not None else 0.0,
-        eps1=cfg.siam_eps1 if cfg.siam_eps1 is not None else mu,
-        V=v,
-    )
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    sweep_value: float
-    hamiltonian: PauliSum
-    reference: float
-
-
-def sweep_points(cfg: RunConfig) -> list[SweepPoint]:
-    """One (value, Hamiltonian, reference energy) triple per sweep point.
-
-    The reference is the analytic ground energy for the half-filling
-    impurity model and the dense ground eigenvalue otherwise.
-    """
-    points: list[SweepPoint] = []
-    if cfg.model == "siam":
-        values = cfg.sweep_values or (cfg.siam_V,)
-        for v in values:
-            params = siam_params(cfg, v)
-            h = siam_hamiltonian(params)
-            if params.is_half_filling:
-                ref = siam_fci_energy(params.U, params.V)
-            else:
-                ref = exact_diagonalize(h).ground_energy
-            points.append(SweepPoint(v, h, ref))
-    elif cfg.model == "h2":
-        if cfg.h2_file is not None:
-            rows = load_h2_pes(cfg.h2_file)
-            if not rows:
-                raise UsageError(f"no coefficient rows in {cfg.h2_file!r}")
-            for r, coeffs in rows:
-                h = h2_bk_hamiltonian(coeffs)
-                points.append(SweepPoint(r, h, exact_diagonalize(h).ground_energy))
-        else:
-            h = h2_bk_hamiltonian(cfg.h2_coefficients)
-            label = cfg.h2_coefficients.r if cfg.h2_coefficients.r is not None else 0.0
-            points.append(SweepPoint(label, h, exact_diagonalize(h).ground_energy))
-    else:
-        h = parse_pauli_sum(Path(cfg.hamiltonian_file).read_text())
-        points.append(SweepPoint(0.0, h, exact_diagonalize(h).ground_energy))
-    return points
-
-
-# ---------------------------------------------------------------------------
 # the pipeline
 
 
 @dataclass(frozen=True)
 class Prepared:
-    """One model point with its trial state, its connected moment table and,
-    on the noisy route, the shot estimate of every measured string."""
+    """One model point: its sweep value, Hamiltonian and reference energy,
+    the trial state, its connected moment table and, on the noisy route,
+    the shot estimate of every measured string."""
 
-    point: SweepPoint
+    sweep_value: float
+    hamiltonian: PauliSum
+    reference: float
     state: StateVector
     table: MomentTable | None
     estimates: dict[PauliString, ShotEstimate]
 
 
-def _prepare(cfg: RunConfig, max_order: int | None, sweep: bool = False) -> list[Prepared]:
-    """Point -> trial state -> K_0..K_max_order with connected moments, for
-    every model point; max_order None stops at the state.
+def _numbers(text: str, option: str) -> tuple[float, ...]:
+    """The finite numbers of a comma list option; blank items are skipped."""
+    try:
+        values = tuple(float(p) for p in text.split(",") if p.strip())
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    raise UsageError(f"{option} takes comma-separated finite numbers, got {text!r}")
 
-    The moments are shot estimates when cfg.noise is set and exact Pauli
-    route values otherwise.  Unless `sweep`, the run must have exactly one
-    model point.
+
+def _prepare(args: argparse.Namespace, max_order: int | None,
+             sweep: bool = False) -> list[Prepared]:
+    """Model point -> trial state -> K_0..K_max_order with connected moments,
+    for every model point; max_order None stops at the state.
+
+    Every model, theta and noise option is read and checked here, so a
+    malformed value is a usage error.  The sweep value is V for the impurity
+    model, R for an --h2-file row and 0 otherwise; the reference is the
+    analytic ground energy for the half-filling impurity model and the dense
+    ground eigenvalue otherwise.  The moments are shot estimates under
+    --noise and exact Pauli-route values otherwise.  Unless `sweep`, the run
+    must have exactly one model point.
     """
-    if cfg.theta != 0.0 and cfg.generator is None:
+    coeffs = _numbers(args.g, "--g") if args.g else None
+    if coeffs is not None and len(coeffs) != 6:
+        raise UsageError(f"--g needs six comma-separated values, got {len(coeffs)}")
+    values = ()
+    if getattr(args, "sweep_values", None):
+        values = _numbers(args.sweep_values, "--sweep-values")
+        if not values:
+            raise UsageError("--sweep-values must contain at least one value")
+    for option in ("h2_file", "hamiltonian_file"):
+        path = getattr(args, option)
+        if path is not None and not Path(path).exists():
+            raise UsageError(f"{option.replace('_', '-')} {path!r} does not exist")
+    theta = getattr(args, "theta", 0.0)
+    if theta != 0.0 and args.generator is None:
         raise UsageError("--theta needs --generator")
-    points = sweep_points(cfg)
+
+    half_filling = False
+    if args.model == "siam":
+        mu = args.U / 2.0 if args.mu is None else args.mu
+        eps0 = 0.0 if args.eps0 is None else args.eps0
+        eps1 = mu if args.eps1 is None else args.eps1
+        params = [SiamParams(args.U, mu, eps0, eps1, v) for v in values or (args.V,)]
+        half_filling = params[0].is_half_filling
+        points = [(p.V, siam_hamiltonian(p)) for p in params]
+    elif args.model == "h2" and args.h2_file is not None:
+        rows = load_h2_pes(args.h2_file)
+        if not rows:
+            raise UsageError(f"no coefficient rows in {args.h2_file!r}")
+        points = [(r, h2_bk_hamiltonian(c)) for r, c in rows]
+    elif args.model == "h2":
+        if coeffs is None:
+            raise UsageError("h2 model needs --g or --h2-file")
+        points = [(0.0, h2_bk_hamiltonian(H2Coefficients(*coeffs)))]
+    else:
+        if args.hamiltonian_file is None:
+            raise UsageError("file model needs --hamiltonian-file")
+        points = [(0.0, parse_pauli_sum(Path(args.hamiltonian_file).read_text()))]
     if not sweep and len(points) != 1:
         raise UsageError("this subcommand works on a single model point")
-    bits = cfg.trial or _DEFAULT_TRIALS.get(cfg.model)
+
+    n_qubits = points[0][1].n_qubits
+    bits = args.trial or _DEFAULT_TRIALS.get(args.model)
     if bits is None:
         raise UsageError("the file model needs an explicit --trial bitstring")
-    prepared = []
-    for point in points:
-        h = point.hamiltonian
-        if len(bits) != h.n_qubits:
-            raise UsageError(
-                f"trial {bits!r} has {len(bits)} bits, model has {h.n_qubits} qubits"
-            )
+    if len(bits) != n_qubits:
+        raise UsageError(f"trial {bits!r} has {len(bits)} bits, model has {n_qubits} qubits")
+    try:
         state = basis_state(bits)
-        if cfg.theta != 0.0:
-            generator = PauliString.from_label(cfg.generator)
-            state = apply_generator_rotation(cfg.theta, generator, state)
+    except ValueError as err:
+        raise UsageError(f"--trial: {err}") from None
+    if args.generator is not None:
+        try:
+            generator = PauliString.from_label(args.generator)
+        except ValueError as err:
+            raise UsageError(f"--generator: {err}") from None
+        if generator.n_qubits != n_qubits:
+            raise UsageError(f"generator {args.generator!r} has {generator.n_qubits} "
+                             f"qubits, model has {n_qubits} qubits")
+        if theta != 0.0:
+            state = apply_generator_rotation(theta, generator, state)
+
+    noise = None
+    if getattr(args, "noise", False):
+        noise = NoiseModel(p00=args.p00, p11=args.p11, p1=args.p1, p2=args.p2,
+                           shots=args.shots, seed=args.seed)
+    prepared = []
+    for value, h in points:
+        if half_filling:
+            reference = siam_fci_energy(args.U, value)
+        else:
+            reference = exact_diagonalize(h).ground_energy
         table, estimates = None, {}
-        if max_order is not None:
-            if cfg.noise is not None:
-                # gate equivalents: the trial's preparation flips, one controlled op
-                table, estimates = noisy_moments(
-                    h, state, max_order, cfg.noise,
-                    depth_proxy=(bits.count("1"), 1), mitigated=cfg.mitigated,
-                )
-            else:
-                table, _ = raw_moments_pauli(h, state, max_order)
-        prepared.append(Prepared(point, state, table, estimates))
+        if max_order is not None and noise is not None:
+            # gate equivalents: the trial's preparation flips, one controlled op
+            table, estimates = noisy_moments(
+                h, state, max_order, noise, depth_proxy=(bits.count("1"), 1),
+                mitigated=not args.no_mitigation,
+            )
+        elif max_order is not None:
+            table, _ = raw_moments_pauli(h, state, max_order)
+        prepared.append(Prepared(value, h, reference, state, table, estimates))
     return prepared
 
 
@@ -265,8 +205,8 @@ def _prepare(cfg: RunConfig, max_order: int | None, sweep: bool = False) -> list
 Report = Iterator[list[str] | str | None]
 
 
-def _moments(cfg: RunConfig, args: argparse.Namespace) -> Report:
-    [prep] = _prepare(cfg, args.max_order)
+def _moments(args: argparse.Namespace) -> Report:
+    [prep] = _prepare(args, args.max_order)
     lines = [MOMENTS_HEADER]
     for order in range(args.max_order + 1):
         i_val = prep.table.connected[order - 1] if order >= 1 else ""
@@ -274,12 +214,12 @@ def _moments(cfg: RunConfig, args: argparse.Namespace) -> Report:
     yield lines
 
 
-def _cmx(cfg: RunConfig, args: argparse.Namespace) -> Report:
-    [prep] = _prepare(cfg, 2 * args.order - 1)
+def _cmx(args: argparse.Namespace) -> Report:
+    [prep] = _prepare(args, 2 * args.order - 1)
     variants = ("cioslowski", "knowles") if args.variant == "both" else (args.variant,)
     yield None
-    yield (f"model point: sweep_value={_fmt(prep.point.sweep_value)} "
-           f"reference={_fmt(prep.point.reference)}")
+    yield (f"model point: sweep_value={_fmt(prep.sweep_value)} "
+           f"reference={_fmt(prep.reference)}")
     for variant in variants:
         fn = cmx_cioslowski if variant == "cioslowski" else cmx_knowles
         result = fn(prep.table, args.order)
@@ -296,12 +236,12 @@ def _cmx(cfg: RunConfig, args: argparse.Namespace) -> Report:
         yield "hint: prefer an expansion that avoids the flagged denominators"
 
 
-def _pds(cfg: RunConfig, args: argparse.Namespace) -> Report:
-    [prep] = _prepare(cfg, 2 * args.order - 1)
+def _pds(args: argparse.Namespace) -> Report:
+    [prep] = _prepare(args, 2 * args.order - 1)
     result = solve_pds(prep.table, args.order)
     yield None
-    yield (f"model point: sweep_value={_fmt(prep.point.sweep_value)} "
-           f"reference={_fmt(prep.point.reference)}")
+    yield (f"model point: sweep_value={_fmt(prep.sweep_value)} "
+           f"reference={_fmt(prep.reference)}")
     yield (f"pds({args.order}): ground={_fmt(result.ground_energy)} "
            f"condition={_fmt(result.condition_number)} "
            f"pinv={_fmt_flag(result.used_pseudo_inverse)}")
@@ -311,7 +251,7 @@ def _pds(cfg: RunConfig, args: argparse.Namespace) -> Report:
                + " ".join(f"{r.real:.6g}{r.imag:+.6g}j" for r in result.complex_roots))
 
 
-def _sweep(cfg: RunConfig, args: argparse.Namespace) -> Report:
+def _sweep(args: argparse.Namespace) -> Report:
     """CSV rows for every (sweep point, method) pair, ordered by sweep value.
 
     Singular method evaluations become flagged rows, never crashes, so
@@ -320,13 +260,12 @@ def _sweep(cfg: RunConfig, args: argparse.Namespace) -> Report:
     methods = parse_method_list(args.methods)
     max_order = max(spec.required_max_order for spec in methods)
     rows = [SWEEP_HEADER]
-    for prep in _prepare(cfg, max_order, sweep=True):
-        reference = prep.point.reference
+    for prep in _prepare(args, max_order, sweep=True):
         for spec in methods:
             value = evaluate_method(spec, prep.table)
             rows.append(_row(
-                prep.point.sweep_value, spec.name, spec.order,
-                value.energy, reference, value.energy - reference,
+                prep.sweep_value, spec.name, spec.order,
+                value.energy, prep.reference, value.energy - prep.reference,
                 _fmt_flag(value.singular_flag), value.condition_number,
                 _fmt_flag(value.used_pseudo_inverse),
             ))
@@ -335,33 +274,37 @@ def _sweep(cfg: RunConfig, args: argparse.Namespace) -> Report:
         yield f"wrote {args.output}"
 
 
-def _variational(cfg: RunConfig, args: argparse.Namespace) -> Report:
+def _variational(args: argparse.Namespace) -> Report:
     grid = default_theta_grid(args.grid_points)
     methods = parse_method_list(args.method)
     if len(methods) != 1:
         raise UsageError("variational runs take exactly one method")
-    if cfg.generator is None:
+    if args.generator is None:
         raise UsageError("variational runs need --generator")
-    [prep] = _prepare(cfg, None)
-    generator = PauliString.from_label(cfg.generator)
-    scan = energy_vs_theta(prep.point.hamiltonian, prep.state, generator, methods[0],
+    [prep] = _prepare(args, None)
+    generator = PauliString.from_label(args.generator)
+    scan = energy_vs_theta(prep.hamiltonian, prep.state, generator, methods[0],
                            theta_grid=grid)
     lines = [VARIATIONAL_HEADER]
     for i, theta in enumerate(scan.theta_grid):
         lines.append(_row(theta, scan.energies[i], scan.i1[i], scan.i2[i], scan.i3[i],
                           _fmt_flag(scan.singular_flags[i])))
     yield lines
-    report = deviation_report(scan, prep.point.reference)
+    report = deviation_report(scan, prep.reference)
     yield (f"theta_opt={_fmt(scan.theta_opt)} energy_opt={_fmt(scan.energy_opt)} "
-           f"reference={_fmt(prep.point.reference)}")
+           f"reference={_fmt(prep.reference)}")
     factor = "inf" if report.infinite_improvement else _fmt(report.improvement_factor)
     yield (f"deviation at theta=0: {_fmt(report.dev_at_zero)}; at optimum: "
            f"{_fmt(report.dev_at_opt)}; improvement factor: {factor}")
 
 
-def _noise(cfg: RunConfig, args: argparse.Namespace) -> Report:
+def _noise(args: argparse.Namespace) -> Report:
     methods = parse_method_list(args.methods)
-    [prep] = _prepare(cfg, args.max_order)
+    needed = max(spec.required_max_order for spec in methods)
+    if needed > args.max_order:
+        raise UsageError(f"--methods {args.methods} needs --max-order >= {needed}, "
+                         f"got {args.max_order}")
+    [prep] = _prepare(args, args.max_order)
     lines = [NOISE_HEADER]
     for p in sorted(prep.estimates, key=lambda q: q.label):
         est = prep.estimates[p]
@@ -373,12 +316,12 @@ def _noise(cfg: RunConfig, args: argparse.Namespace) -> Report:
         yield f"{spec}: energy={_fmt(value.energy)} singular={_fmt_flag(value.singular_flag)}"
 
 
-def _diag(cfg: RunConfig, args: argparse.Namespace) -> Report:
-    [prep] = _prepare(cfg, None)
-    spectrum = exact_diagonalize(prep.point.hamiltonian)
+def _diag(args: argparse.Namespace) -> Report:
+    [prep] = _prepare(args, None)
+    spectrum = exact_diagonalize(prep.hamiltonian)
     yield ["index,eigenvalue"] + [_row(i, v) for i, v in enumerate(spectrum.eigenvalues)]
     overlap = fidelity(prep.state, spectrum.ground_vector)
-    rank = krylov_rank(prep.point.hamiltonian, prep.state, max_dim=8)
+    rank = krylov_rank(prep.hamiltonian, prep.state, max_dim=8)
     yield f"ground_energy={_fmt(spectrum.ground_energy)}"
     yield f"trial_fidelity_with_ground={_fmt(overlap)}"
     yield f"krylov_rank={rank}"
@@ -595,7 +538,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         output, plot = getattr(args, "output", None), getattr(args, "emit_plot", None)
         if plot and not output:
             raise UsageError("--emit-plot needs --output")
-        report = args.handler(RunConfig.from_args(args), args)
+        report = args.handler(args)
         csv = next(report)
         if csv is not None:
             text = "\n".join(csv) + "\n"

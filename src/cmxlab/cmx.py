@@ -75,13 +75,6 @@ def _hankel_dets(ivals: list[float], k: int, count: int) -> list[float]:
     ]
 
 
-def _s_dets(ivals: list[float], order: int) -> tuple[float, list[float], list[float]]:
-    """Scale r and the unit-free S[2,m], S[3,m] for m = 1..K-1; for an
-    eigenstate every determinant is 0."""
-    scale, unit = _unit_free(ivals, order)
-    return scale, _hankel_dets(unit, 2, order - 1), _hankel_dets(unit, 3, order - 1)
-
-
 def cmx_cioslowski(moments: MomentTable | Sequence[float], order: int) -> CmxResult:
     """Cioslowski CMX(K) from the Hankel determinants S[k,m] = det[I_(k+i+j)].
 
@@ -99,8 +92,9 @@ def cmx_cioslowski(moments: MomentTable | Sequence[float], order: int) -> CmxRes
         raise ValueError(f"order must be >= 1, got {order}")
     ivals = _connected_values(moments)
     _require(ivals, 2 * order - 1, order)
-    scale, s2, s3 = _s_dets(ivals, order)
-    s3 = [1.0, *s3]
+    scale, unit = _unit_free(ivals, order)
+    s2 = _hankel_dets(unit, 2, order - 1)
+    s3 = [1.0, *_hankel_dets(unit, 3, order - 1)]
 
     energies = [ivals[0]]
     denominators: list[tuple[str, float]] = []
@@ -192,8 +186,9 @@ def singularity_report(
 ) -> tuple[SingularityFinding, ...]:
     """Near-zero denominators and the methods/orders each would poison.
 
-    The denominators are the Cioslowski S[3,m] on the unit-free moments,
-    which are also Knowles' det(A[m]) (S[3,1] = I_3 for the closed forms),
+    The denominators are those `cmx_cioslowski` reports at the highest
+    order the moments allow: the S[3,m] on the unit-free moments, which are
+    also Knowles' det(A[m]) (S[3,1] = I_3 for the closed forms),
     so the tolerance is dimensionless.  Feeds the CLI hint for choosing an
     expansion that avoids small denominators; automatic selection stays off.
     """
@@ -202,10 +197,11 @@ def singularity_report(
     if max_order < 2:
         return ()
     findings = []
-    for m, value in enumerate(_s_dets(ivals, max_order)[2], start=1):
+    denominators = cmx_cioslowski(ivals, max_order).denominators
+    for m, (label, value) in enumerate(denominators, start=1):
         if abs(value) < tolerance:
             affected = f"cmx-cioslowski({m + 1}), cmx-knowles({m + 1})"
             if m == 1:
                 affected += ", cmx closed forms (2, 3)"
-            findings.append(SingularityFinding(f"S[3,{m}]", value, affected))
+            findings.append(SingularityFinding(label, value, affected))
     return tuple(findings)

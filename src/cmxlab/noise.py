@@ -84,18 +84,16 @@ def hadamard_test_estimate(
     true_expectation: float | np.ndarray,
     nm: NoiseModel,
     depth_proxy: tuple[int, int] = (0, 1),
-    rng: np.random.Generator | None = None,
 ) -> ShotEstimate:
     """Sample Hadamard-test estimates of real expectations in [-1, 1].
 
     `true_expectation` is one value or a 1-d array of values.  Every value
-    is sampled independently from one generator (by default seeded with
-    nm.seed), in array order, by three array draws: the ancilla's true
-    zeros, then the zeros read from true zeros, then the zeros read from
-    true ones.  A scalar gives a ShotEstimate of floats, bit for bit element
-    0 of the size-1 array call; an array gives one whose estimate and error
-    fields are arrays of its length.  Non-finite values and |x| > 1 are
-    rejected.
+    is sampled independently from one generator seeded with nm.seed, in
+    array order, by three array draws: the ancilla's true zeros, then the
+    zeros read from true zeros, then the zeros read from true ones.  A
+    scalar gives a ShotEstimate of floats, bit for bit element 0 of the
+    size-1 array call; an array gives one whose estimate and error fields
+    are arrays of its length.  Non-finite values and |x| > 1 are rejected.
 
     depth_proxy counts (1q, 2q) gate equivalents: state-preparation flips
     plus one controlled operation per test.  Mitigation inverts the readout
@@ -110,8 +108,7 @@ def hadamard_test_estimate(
             f"expectation must be finite with |x| <= 1, got {x[outside].flat[0]}"
         )
     x = np.clip(x, -1.0, 1.0)
-    if rng is None:
-        rng = np.random.default_rng(nm.seed)
+    rng = np.random.default_rng(nm.seed)
     damping = damping_factor(nm, depth_proxy)
     p_zero = (1.0 + damping * x) / 2.0
 

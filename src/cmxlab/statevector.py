@@ -167,7 +167,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def dense_matrix(h: PauliSum | PauliString, limit: int = DENSE_QUBIT_LIMIT) -> np.ndarray:
+def dense_matrix(h: PauliSum | PauliString) -> np.ndarray:
     """Dense 2**n x 2**n matrix of a string or sum.
 
     Each string is a signed permutation, so the matrix is filled column-wise
@@ -176,8 +176,8 @@ def dense_matrix(h: PauliSum | PauliString, limit: int = DENSE_QUBIT_LIMIT) -> n
     if isinstance(h, PauliString):
         h = PauliSum(h.n_qubits, [(h, 1.0)])
     n = h.n_qubits
-    if n > limit:
-        raise CapacityError(f"{n} qubits exceeds the dense limit of {limit}")
+    if n > DENSE_QUBIT_LIMIT:
+        raise CapacityError(f"{n} qubits exceeds the dense limit of {DENSE_QUBIT_LIMIT}")
     cols, reversal, _, sign = _index_tables(n)
     out = np.zeros((len(cols), len(cols)), dtype=complex)
     for p, c in h.items():
@@ -186,13 +186,11 @@ def dense_matrix(h: PauliSum | PauliString, limit: int = DENSE_QUBIT_LIMIT) -> n
     return out
 
 
-def exact_diagonalize(h: PauliSum, limit: int = DENSE_QUBIT_LIMIT) -> SpectrumResult:
+def exact_diagonalize(h: PauliSum) -> SpectrumResult:
     """Full spectrum of the dense Hermitian matrix, ascending."""
     if not h.is_hermitian():
         raise ContractViolationError("exact_diagonalize requires a Hermitian sum")
-    if h.n_qubits > limit:
-        raise CapacityError(f"{h.n_qubits} qubits exceeds the dense limit of {limit}")
-    mat = dense_matrix(h, limit)
+    mat = dense_matrix(h)
     eigenvalues, vectors = np.linalg.eigh(mat)
     ground = StateVector(h.n_qubits, vectors[:, 0])
     eigenvalues = eigenvalues.copy()

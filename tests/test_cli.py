@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cmxlab.cli import RunConfig, emit_plot_script, main
+from cmxlab.cli import emit_plot_script, main
 from cmxlab.errors import UsageError
 from cmxlab.methods import MethodSpec, parse_method, parse_method_list
 from cmxlab.pauli import PauliSum, serialize_pauli_sum
@@ -423,14 +423,51 @@ class TestOptionsPerSubcommand:
 
 
 class TestRunConfigValidation:
-    def test_model_validation(self):
-        with pytest.raises(UsageError):
-            RunConfig(model="bogus")
+    """Checks on the run a command line describes: each failure exits 2."""
 
-    def test_h2_needs_coefficients(self):
-        with pytest.raises(UsageError):
-            RunConfig(model="h2")
+    def test_model_validation(self):
+        assert exit_code("moments", "--model", "bogus") == 2
+
+    def test_h2_needs_coefficients(self, capsys):
+        assert run_cli("moments", "--model", "h2") == (2, "")
+        assert "h2 model needs --g or --h2-file" in capsys.readouterr().err
 
     def test_trial_length_checked(self):
         code, _ = run_cli("moments", "--trial", "01")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("moments", "--model", "file"),
+        ("moments", "--model", "file", "--hamiltonian-file", "/no/such/ham.txt"),
+        ("moments", "--model", "h2", "--g", "1,2,3"),
+        ("moments", "--model", "h2", "--g", "1,2,3,4,5,6,7"),
+        ("moments", "--g", "1,2,3"),
+        ("sweep", "--methods", "pds:2", "--sweep-values", ","),
+    ], ids=["file-without-path", "missing-file", "g-three", "g-seven", "g-under-siam",
+            "empty-sweep"])
+    def test_usage_error(self, capsys, argv):
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("moments", "--model", "h2", "--g", "1,2,3,4,5,x"),
+        ("moments", "--model", "h2", "--g", "1,2,3,4,5,nan"),
+        ("sweep", "--methods", "pds:2", "--sweep-values", "1,abc"),
+        ("sweep", "--methods", "pds:2", "--sweep-values", "1,nan"),
+        ("moments", "--trial", "01a0"),
+        ("moments", "--generator", "QQQQ", "--theta", "0.2"),
+        ("moments", "--generator", "YX", "--theta", "0.2"),
+        ("variational", "--generator", "YX", "--grid-points", "5"),
+    ], ids=["g-word", "g-nan", "sweep-word", "sweep-nan", "trial-letter", "generator-letter",
+            "generator-length", "variational-generator-length"])
+    def test_malformed_value_is_one_line_usage_error(self, capsys, argv):
+        assert run_cli(*argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_noise_orders_checked_before_sampling(self, capsys, tmp_path):
+        out_csv = tmp_path / "noise.csv"
+        code, _ = run_cli("noise", "--max-order", "2", "--output", str(out_csv))
+        assert code == 2
+        assert "needs --max-order >= 3" in capsys.readouterr().err
+        assert not out_csv.exists()
