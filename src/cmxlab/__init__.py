@@ -39,7 +39,6 @@ from .moments import (
     raw_moments_dense,
     raw_moments_pauli,
     reachable_spectrum,
-    truncate_hamiltonian,
 )
 from .noise import NoiseModel, ShotEstimate, hadamard_test_estimate, noisy_moments
 from .pauli import (

@@ -411,22 +411,23 @@ def _bounded(kind: type, low: float, high: float):
 
 _POSITIVE = _bounded(int, 1, float("inf"))
 _PROBABILITY = _bounded(float, 0.0, 1.0)
+_FINITE = _bounded(float, -sys.float_info.max, sys.float_info.max)
 
 OPTION_GROUPS = {
     "model": {
         "--model": dict(choices=("siam", "h2", "file"), default="siam"),
-        "--U": dict(type=float, default=8.0, help="impurity repulsion"),
-        "--V": dict(type=float, default=1.0, help="hybridization strength"),
-        "--mu": dict(type=float, help="chemical potential (default U/2)"),
-        "--eps0": dict(type=float, help="impurity site energy (default 0)"),
-        "--eps1": dict(type=float, help="bath site energy (default mu)"),
+        "--U": dict(type=_FINITE, default=8.0, help="impurity repulsion"),
+        "--V": dict(type=_FINITE, default=1.0, help="hybridization strength"),
+        "--mu": dict(type=_FINITE, help="chemical potential (default U/2)"),
+        "--eps0": dict(type=_FINITE, help="impurity site energy (default 0)"),
+        "--eps1": dict(type=_FINITE, help="bath site energy (default mu)"),
         "--g": dict(help="six comma-separated h2 coefficients"),
         "--h2-file": dict(help="PES CSV with columns R,g0..g5"),
         "--hamiltonian-file": dict(help="Hamiltonian text file"),
         "--trial": dict(help="trial bitstring (qubit 0 first)"),
         "--generator": dict(help="rotation generator label"),
     },
-    "theta": {"--theta": dict(type=float, default=0.0, help="rotation angle (rad)")},
+    "theta": {"--theta": dict(type=_FINITE, default=0.0, help="rotation angle (rad)")},
     "noise": {
         "--noise": dict(action="store_true", help="enable shot-noise emulation"),
         "--p00": dict(type=_PROBABILITY, default=1.0),

@@ -74,7 +74,8 @@ def masked_expectation(x_mask: int, z_mask: int, state: StateVector) -> float:
 @dataclass(frozen=True)
 class PauliExpectationCache:
     """The exact <Phi|P|Phi> of every distinct phaseless string one moment
-    table measured, keyed by (x_mask, z_mask) in first-measured order.
+    table measured, keyed by (x_mask, z_mask) in ascending order, the order
+    in which they were measured.
 
     ``misses`` counts the measured strings, one kernel call each; ``hits``
     counts the other non-identity terms, which reuse a measured value.  The
@@ -129,13 +130,14 @@ def assemble_moments(
     batch provider call.
 
     `values(xs, zs)` is called exactly once per table, with the uint64 masks
-    of every distinct non-identity string of H^1..H^max_order in the order
-    the terms first meet them, and returns one float per string; each string
-    stands for one measured circuit.  The identity term contributes c
-    itself.  Each K_l is summed from 0.0 in the power's term order, real
-    and imaginary parts apart, so the result is bit for bit that of adding
-    the terms one by one.  Also returns the number of non-identity terms,
-    so hits = terms - distinct strings.
+    of every distinct non-identity string of H^1..H^max_order in ascending
+    (x, z) order, and returns one float per string; each string stands for
+    one measured circuit.  The identity term contributes c itself.  Each
+    K_l is summed from 0.0 in the power's canonical term order, real and
+    imaginary parts apart, so the result is bit for bit that of adding the
+    terms one by one and depends only on the powers' term sets.  Also
+    returns the number of non-identity terms, so hits = terms - distinct
+    strings.
     """
     used = powers[:max_order]
     x = np.concatenate([p.x for p in used])
@@ -222,31 +224,6 @@ def hw_energy_series(table: MomentTable, tau: float, order: int) -> float:
             for k in range(order + 1)
         )
     )
-
-
-def truncate_hamiltonian(
-    h: PauliSum,
-    keep: int | None = None,
-    threshold: float | None = None,
-) -> PauliSum:
-    """Reduced Hamiltonian with the largest-|coefficient| terms only.
-
-    Either the `keep` largest terms (ties broken by label order; keep beyond
-    the term count returns the sum unchanged) or all terms with |coefficient|
-    strictly above `threshold`.
-    """
-    if (keep is None) == (threshold is None):
-        raise ValueError("pass exactly one of keep or threshold")
-    if keep is not None:
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
-        ranked = sorted(h.items(), key=lambda kv: (-abs(kv[1]), kv[0].label))
-        kept = ranked[:keep]
-    else:
-        if threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {threshold}")
-        kept = [(p, c) for p, c in h.items() if abs(c) > threshold]
-    return PauliSum(h.n_qubits, kept)
 
 
 def lanczos(

@@ -8,10 +8,11 @@ count proxy.  Thermal relaxation is deliberately out of scope, so absolute
 noisy values are not comparable to hardware-calibrated simulators.
 
 A moment table samples all its distinct strings at once: one generator
-seeded with the model's seed draws them as arrays in ascending
-(x_mask, z_mask) order.  Seeded tables are bit-reproducible and do not
-depend on the order of the Hamiltonian's terms, but a string's estimate
-depends on the set of strings its table measures.
+seeded with the model's seed draws them as arrays in the ascending
+(x_mask, z_mask) order in which every `PauliSum` keeps its terms.  Seeded
+tables are bit-reproducible and, like the exact routes, do not depend on
+the order of the Hamiltonian's terms, but a string's estimate depends on
+the set of strings its table measures.
 """
 
 from __future__ import annotations
@@ -142,10 +143,11 @@ def noisy_moments(
     distinct string is sampled once and reused across all orders, so moment
     errors are correlated precisely as measurement reuse implies.  All
     strings of the table are sampled in one `hadamard_test_estimate` call
-    from a generator seeded with nm.seed, in ascending (x_mask, z_mask)
-    order, so the table does not depend on the order of H's terms; a
-    string's estimate does depend on which strings the table measures.
-    The estimates are returned in that sampling order.
+    from a generator seeded with nm.seed, in the ascending (x_mask, z_mask)
+    order `assemble_moments` hands them over, so the table does not depend
+    on the order of H's terms; a string's estimate does depend on which
+    strings the table measures.  The estimates are returned in that
+    sampling order.
     """
     if not h.is_hermitian():
         raise ContractViolationError("moments require a Hermitian sum")
@@ -153,8 +155,7 @@ def noisy_moments(
     estimates: dict[PauliString, ShotEstimate] = {}
 
     def estimate(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        order = np.lexsort((zs, xs))
-        xs, zs = xs[order].tolist(), zs[order].tolist()
+        xs, zs = xs.tolist(), zs.tolist()
         truth = [masked_expectation(x, z, state) for x, z in zip(xs, zs)]
         batch = hadamard_test_estimate(np.array(truth, dtype=float), nm, depth_proxy)
         rows = zip(xs, zs, batch.raw_estimate.tolist(), batch.mitigated_estimate.tolist(),
@@ -163,9 +164,7 @@ def noisy_moments(
             estimates[PauliString(h.n_qubits, x, z)] = ShotEstimate(
                 raw, mit, se, batch.shots_used, batch.mitigation_applied
             )
-        values = np.empty(len(order))
-        values[order] = batch.mitigated_estimate if mitigated else batch.raw_estimate
-        return values
+        return batch.mitigated_estimate if mitigated else batch.raw_estimate
 
     table, _ = assemble_moments(powers, max_order, estimate)
     return table, estimates

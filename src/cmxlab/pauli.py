@@ -12,15 +12,19 @@ Hermitian, unitary, and squares to the identity.
 
 `PauliString` is the scalar API.  A `PauliSum` keeps its phaseless terms as
 arrays instead: uint64 x and z masks and complex128 coefficients, so it is
-limited to MAX_SUM_QUBITS = 64 qubits.  Sum products are one broadcast XOR
-over all term pairs, and terms are collected in first-occurrence order with
-coefficients bit-identical to a scalar `multiply` loop accumulating a dict.
+limited to MAX_SUM_QUBITS = 64 qubits.  Its terms are always in ascending
+(x_mask, z_mask) order, so a sum's arrays, and every product and moment
+built from them, depend on its term set alone and not on the order the
+terms were written in.  Sum products are one broadcast XOR over all term
+pairs, and each collected coefficient is bit-identical to a scalar
+`multiply` loop accumulating a dict.
 
 Labels are read left to right as qubit 0..n-1, e.g. "XIZ" puts X on qubit 0.
 """
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -92,11 +96,6 @@ class PauliString:
     @property
     def phase(self) -> complex:
         return 1j ** self.phase_exponent
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity sites."""
-        return (self.x_mask | self.z_mask).bit_count()
 
     def phaseless(self) -> "PauliString":
         if self.phase_exponent == 0:
@@ -174,8 +173,8 @@ def _complex_product(ar, ai, br, bi):
 
 
 # A sum product is formed and collected in row blocks of at least this many
-# string products, or of twice the terms collected so far if that is more,
-# so its transient arrays stay a small multiple of the result.
+# string products, or of as many as the terms collected so far if that is
+# more, so its transient arrays stay a small multiple of the result.
 _MIN_BLOCK = 1 << 14
 
 
@@ -186,16 +185,15 @@ def _key_type(n_qubits: int) -> np.dtype:
 
 
 def group_keys(x, z) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal (x, z) keys in first-occurrence order.
+    """Group equal (x, z) keys in ascending (x, z) order.
 
-    Returns ``first``, the index of each distinct key's first occurrence in
-    ascending order, and ``group``, which maps every key to its distinct
-    key's position in ``first``.
+    Returns ``first``, the index of one occurrence of each distinct key in
+    ascending key order, and ``group``, which maps every key to its
+    distinct key's position in ``first``.
     """
     count = len(x)
     if not count:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    # stable sort: each run of equal keys starts at its first occurrence
     order = np.lexsort((z, x))
     xs, zs = x[order], z[order]
     starts = np.empty(count, dtype=bool)
@@ -203,22 +201,21 @@ def group_keys(x, z) -> tuple[np.ndarray, np.ndarray]:
     np.not_equal(xs[1:], xs[:-1], out=starts[1:])
     starts[1:] |= zs[1:] != zs[:-1]
     del xs, zs
-    first = order[starts]
-    rank = np.argsort(first)
-    slot = np.empty(len(first), dtype=np.intp)
-    slot[rank] = np.arange(len(first))
+    ids = np.cumsum(starts, dtype=np.intp)
+    ids -= 1
     group = np.empty(count, dtype=np.intp)
-    group[order] = slot[np.cumsum(starts, dtype=np.intp) - 1]
-    return first[rank], group
+    group[order] = ids
+    return order[starts], group
 
 
 def _collect(x, z, real, imag):
-    """Merge repeated (x, z) keys into one term each.
+    """Merge repeated (x, z) keys into one term each, in ascending (x, z)
+    order.
 
-    Keys keep their first-occurrence order, and each coefficient is summed
-    from 0.0 in occurrence order, so the result is bit-identical to adding
-    the terms one by one into a dict.  Nothing is pruned, so collecting a
-    collected prefix together with further terms continues the same sums.
+    Each coefficient is summed from 0.0 in occurrence order, so the result
+    is bit-identical to adding the terms one by one into a dict and sorting
+    its keys.  Nothing is pruned, so collecting a collected prefix together
+    with further terms continues the same sums.
     """
     first, group = group_keys(x, z)
     return (
@@ -235,8 +232,9 @@ class PauliSum:
 
     The terms live in three aligned read-only arrays: uint64 ``x`` and ``z``
     masks and complex128 ``coeff``.  Phases on input strings are folded into
-    the coefficients, repeated keys are merged in first-occurrence order, and
-    coefficients with magnitude below DEFAULT_PRUNE_THRESHOLD are dropped.
+    the coefficients, repeated keys are merged, the terms are kept in
+    ascending (x, z) order, and coefficients with magnitude below
+    DEFAULT_PRUNE_THRESHOLD are dropped.  Coefficients must be finite.
     `PauliString` objects are built only at the edges, by `items()` and
     `sorted_items()`.  Instances are immutable; arithmetic returns new sums.
     """
@@ -266,6 +264,8 @@ class PauliSum:
             cs.append(complex(c) * p.phase)
         key = _key_type(n_qubits)
         coeff = np.array(cs, dtype=complex)
+        if not np.isfinite(coeff).all():
+            raise ValueError("coefficients must be finite")
         self._assign(
             n_qubits,
             *_collect(np.array(xs, dtype=key), np.array(zs, dtype=key), coeff.real, coeff.imag),
@@ -311,7 +311,8 @@ class PauliSum:
         return cls(n_qubits, pairs)
 
     def items(self) -> Iterator[tuple[PauliString, complex]]:
-        """(string, coefficient) pairs in term order, strings built lazily."""
+        """(string, coefficient) pairs in ascending (x, z) order, strings
+        built lazily."""
         n = self.n_qubits
         for x, z, c in zip(self.x.tolist(), self.z.tolist(), self.coeff.tolist()):
             yield PauliString(n, x, z), c
@@ -339,17 +340,16 @@ class PauliSum:
         return self._index(p) is not None
 
     def __eq__(self, other) -> bool:
-        """Same qubit count and the same term set, in any order."""
+        """Same qubit count and the same terms; the canonical order makes
+        equal term sets equal arrays."""
         if not isinstance(other, PauliSum):
             return NotImplemented
         if self.n_qubits != other.n_qubits or len(self) != len(other):
             return False
-        a = np.lexsort((self.z, self.x))
-        b = np.lexsort((other.z, other.x))
         return bool(
-            np.array_equal(self.x[a], other.x[b])
-            and np.array_equal(self.z[a], other.z[b])
-            and np.array_equal(self.coeff[a], other.coeff[b])
+            np.array_equal(self.x, other.x)
+            and np.array_equal(self.z, other.z)
+            and np.array_equal(self.coeff, other.coeff)
         )
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
@@ -380,11 +380,11 @@ class PauliSum:
         from one broadcast XOR of the masks, with the phase of each (see
         `multiply`) counted mod 4 in uint8 arithmetic.  Each block is
         collected together with the terms collected so far, which continues
-        the same running sums.  The result keeps the terms in the order a
-        row-major double loop over A then B first meets them, with
-        coefficients bit for bit equal to that loop's dict accumulation.  It
-        holds at most min(|A|*|B|, 4**n) terms, which keeps high Hamiltonian
-        powers affordable.
+        the same running sums, so each coefficient is bit for bit that of a
+        row-major double loop over A then B accumulating a dict.  Both
+        factors are in canonical order, so the product depends only on
+        their term sets.  It holds at most min(|A|*|B|, 4**n) terms, which
+        keeps high Hamiltonian powers affordable.
         """
         if self.n_qubits != other.n_qubits:
             raise DimensionMismatchError("cannot multiply sums on different qubit counts")
@@ -395,7 +395,7 @@ class PauliSum:
         x, z, real, imag = ax[:0], az[:0], ar[:0, 0], ai[:0, 0]
         start = 0
         while start < len(ax):
-            rows = slice(start, start + max(_MIN_BLOCK, 2 * len(x)) // max(1, len(bx)) + 1)
+            rows = slice(start, start + max(_MIN_BLOCK, len(x)) // max(1, len(bx)) + 1)
             px = (ax[rows, None] ^ bx).ravel()
             pz = (az[rows, None] ^ bz).ravel()
             phase = (ay[rows, None] + by + 2 * np.bitwise_count(az[rows, None] & bx)).ravel()
@@ -485,6 +485,8 @@ def parse_pauli_sum(text: str) -> PauliSum:
             coeff = complex(float(re_str), float(im_str))
         except ValueError:
             raise HamiltonianParseError(f"bad coefficient in {line!r}", lineno) from None
+        if not cmath.isfinite(coeff):
+            raise HamiltonianParseError(f"non-finite coefficient in {line!r}", lineno)
         pairs.append((PauliString.from_label(label), coeff))
     if n_qubits is None:
         raise HamiltonianParseError("no terms and no n_qubits header")

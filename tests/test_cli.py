@@ -182,6 +182,22 @@ class TestFileModel:
         ground = float(text.splitlines()[1].split("ground=")[1].split()[0])
         assert ground == pytest.approx(-1.0, abs=1e-8)
 
+    def test_line_order_does_not_change_the_output(self, tmp_path):
+        lines = ["0.5 ZZI", "-0.25 XXI", "0.3 IYY", "0.125 ZIZ", "0.2 XIX", "-0.4 IIZ"]
+        outputs = []
+        for name, order in (("forward", lines), ("backward", lines[::-1])):
+            path = tmp_path / f"{name}.txt"
+            path.write_text("\n".join(order) + "\n")
+            for noise in ((), ("--noise", "--shots", "2048", "--seed", "5")):
+                outputs.append(run_cli(
+                    "sweep", "--model", "file", "--hamiltonian-file", str(path),
+                    "--trial", "010", "--methods", "cmx-cioslowski:3,cmx-knowles:3,pds:3",
+                    *noise,
+                ))
+        exact, noisy = outputs[0], outputs[1]
+        assert exact[0] == noisy[0] == 0 and exact != noisy
+        assert outputs[2:] == [exact, noisy]
+
     def test_file_model_needs_trial(self, tmp_path):
         h = PauliSum.from_label_terms([(0.5, "ZZ")])
         path = tmp_path / "ham.txt"
@@ -416,6 +432,15 @@ class TestOptionsPerSubcommand:
         capsys.readouterr()
         assert exit_code(*argv, *option) == 2
         assert f"error: argument {option[0]}: must lie in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--U", "--V", "--mu", "--eps0", "--eps1", "--theta"])
+    def test_model_float_must_be_finite(self, capsys, flag, value):
+        argv = ("moments", "--generator", "XIII", "--max-order", "2")
+        assert exit_code(*argv, f"{flag}=0.5") == 0
+        capsys.readouterr()
+        assert exit_code(*argv, f"{flag}={value}") == 2
+        assert f"error: argument {flag}: must lie in" in capsys.readouterr().err
 
     def test_noise_subcommand_keeps_its_implied_flag(self):
         argv = ("noise", "--shots", "64", "--seed", "2")

@@ -22,7 +22,6 @@ from cmxlab.moments import (
     raw_moments_dense,
     raw_moments_pauli,
     reachable_spectrum,
-    truncate_hamiltonian,
 )
 from cmxlab.noise import NoiseModel, noisy_moments
 from cmxlab.pauli import PauliString, PauliSum
@@ -190,9 +189,9 @@ class TestAssembleMoments:
 
         with mock.patch.object(moments, "_real_moment", side_effect=capture):
             got, terms = assemble_moments(powers, len(powers), values)
-        # one provider call with every distinct string, in the order the
-        # loop first met them
-        assert calls == [list(cache)]
+        # one provider call with every distinct string, in ascending (x, z)
+        # order
+        assert calls == [sorted(cache)]
         assert terms - len(cache) == hits
         assert [(v.real.hex(), v.imag.hex()) for v in totals] == [
             (v.real.hex(), v.imag.hex()) for v in want
@@ -208,9 +207,62 @@ class TestAssembleMoments:
         )
         table, got = raw_moments_pauli(h, state, 4, powers=powers)
         assert got.values == cache
-        assert list(got.values) == list(cache)
+        assert list(got.values) == sorted(cache)
         assert (got.hits, got.misses, len(got)) == (hits, len(cache), len(cache))
         assert [k.hex() for k in table.raw[1:]] == [v.real.hex() for v in want]
+
+    def test_provider_gets_keys_in_strictly_ascending_order(self, rng):
+        h = random_hermitian_sum(rng, 5, 20)
+        calls = []
+
+        def values(xs, zs):
+            calls.append(list(zip(xs.tolist(), zs.tolist())))
+            return np.zeros(len(xs))
+
+        assemble_moments(hamiltonian_powers(h, 3), 3, values)
+        (keys,) = calls
+        assert len(keys) > 100
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@st.composite
+def permuted_terms(draw):
+    """A 2-5 qubit term list with distinct labels, the same terms in a
+    random order, and a seed."""
+    n = draw(st.integers(2, 5))
+    labels = draw(st.lists(
+        st.text(alphabet="IXYZ", min_size=n, max_size=n), min_size=2, max_size=8, unique=True
+    ))
+    coeffs = draw(st.lists(
+        st.floats(-1.0, 1.0, allow_subnormal=False), min_size=len(labels), max_size=len(labels)
+    ))
+    terms = list(zip(coeffs, labels))
+    return n, terms, draw(st.permutations(terms)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestCanonicalTermOrder:
+    @given(permuted_terms())
+    @settings(max_examples=40, deadline=None)
+    def test_moments_do_not_depend_on_term_order(self, inputs):
+        n, terms, permuted, seed = inputs
+        a = PauliSum.from_label_terms(terms, n)
+        b = PauliSum.from_label_terms(permuted, n)
+        state = random_state(np.random.default_rng(seed), n)
+        nm = NoiseModel(p00=0.97, p11=0.96, p1=0.001, p2=0.01, shots=512, seed=seed)
+
+        def bits(table):
+            return [k.hex() for k in table.raw]
+
+        (table_a, cache_a), (table_b, cache_b) = (raw_moments_pauli(h, state, 4) for h in (a, b))
+        assert bits(table_a) == bits(table_b)
+        assert list(cache_a.values.items()) == list(cache_b.values.items())
+        assert cache_a.hits == cache_b.hits
+        assert bits(raw_moments_dense(a, state, 4)) == bits(raw_moments_dense(b, state, 4))
+        (noisy_a, estimates_a), (noisy_b, estimates_b) = (
+            noisy_moments(h, state, 4, nm) for h in (a, b)
+        )
+        assert bits(noisy_a) == bits(noisy_b)
+        assert list(estimates_a.items()) == list(estimates_b.items())
 
 
 class TestOracleEquivalence:
@@ -343,43 +395,6 @@ class TestHwSeries:
         table = MomentTable((1.0, 0.5, 0.3))
         with pytest.raises(InsufficientMomentsError):
             hw_energy_series(table, 0.1, 2)
-
-
-class TestTruncate:
-    def test_threshold_zero_identity(self):
-        h = siam_sum(1.0)
-        assert truncate_hamiltonian(h, threshold=0.0) == h
-
-    def test_keep_largest(self):
-        h = PauliSum.from_label_terms(
-            siam_caption_terms(8.0, 4.0, 1.0, 4.0, 1.0)  # eps0 != 0 breaks the tie
-        )
-        kept = truncate_hamiltonian(h, keep=1)
-        assert len(kept) == 1
-        ((p, c),) = kept.items()
-        assert p.label == "ZIZI"
-        assert c == pytest.approx(2.0)
-
-    def test_keep_beyond_count_unchanged(self):
-        h = siam_sum(1.0)
-        assert truncate_hamiltonian(h, keep=100) == h
-
-    def test_truncated_moments_match_diagonal_oracle(self):
-        h = siam_sum(1.0)
-        diagonal = truncate_hamiltonian(h, threshold=1.0)  # drops the 0.5 hopping terms
-        assert all(p.x_mask == 0 for p, _ in diagonal.items())
-        table = raw_moments_dense(diagonal, basis_state("0110"), 5)
-        oracle = dense_moments(dense_of_sum(diagonal), basis_vector("0110"), 5)
-        assert np.allclose(table.raw, oracle, atol=1e-12)
-        # the diagonal model sees the eigenstate: K_l = (-4)^l
-        assert np.allclose(table.raw, [(-4.0) ** l for l in range(6)], atol=1e-10)
-
-    def test_argument_validation(self):
-        h = siam_sum(1.0)
-        with pytest.raises(ValueError):
-            truncate_hamiltonian(h)
-        with pytest.raises(ValueError):
-            truncate_hamiltonian(h, keep=2, threshold=0.5)
 
 
 class TestKrylov:

@@ -224,7 +224,7 @@ class TestNoisyMoments:
         nm = NoiseModel(p00=0.97, p11=0.96, p1=0.001, p2=0.01, shots=4096, seed=29)
         _, first = noisy_moments(h, state, 3, nm, depth_proxy=(2, 1))
         _, second = noisy_moments(reordered, state, 3, nm, depth_proxy=(2, 1))
-        assert list(reordered.items()) != terms
+        assert list(reordered.items()) == terms
         assert len(first) > 10
         assert first == second
 

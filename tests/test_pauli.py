@@ -1,5 +1,7 @@
 """Pauli string algebra and Hamiltonian text format."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,11 @@ class TestPauliSum:
         s = PauliSum.from_label_terms([(0.0, "XX")])
         assert len(s) == 0
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+    def test_non_finite_coefficient_rejected(self, c):
+        with pytest.raises(ValueError, match="finite"):
+            PauliSum.from_label_terms([(c, "ZI"), (1.0, "XX")])
+
     def test_phased_key_folds_into_coefficient(self):
         key = PauliString.from_label("Z", phase_exponent=1)  # i*Z
         s = PauliSum(1, [(key, 2.0)])
@@ -197,16 +204,23 @@ class TestPauliSum:
             a + b
 
 
+def canonical(pairs):
+    """Terms sorted by (x_mask, z_mask), the order every PauliSum keeps."""
+    return sorted(pairs, key=lambda kv: (kv[0].x_mask, kv[0].z_mask))
+
+
 def scalar_product(a, b):
     """Reference sum product: scalar `multiply` over all pairs, row-major,
-    accumulated into a dict and pruned."""
+    accumulated into a dict, pruned and put in canonical order."""
     collected = {}
     for pa, ca in a.items():
         for pb, cb in b.items():
             q = multiply(pa, pb)
             key = q.phaseless()
             collected[key] = collected.get(key, 0.0) + ca * cb * q.phase
-    return [(p, c) for p, c in collected.items() if abs(c) >= DEFAULT_PRUNE_THRESHOLD]
+    return canonical(
+        (p, c) for p, c in collected.items() if abs(c) >= DEFAULT_PRUNE_THRESHOLD
+    )
 
 
 def exact_terms(pairs):
@@ -282,7 +296,9 @@ class TestArrayProduct:
         merged = {}
         for p, c in [*a.items(), *b.items()]:
             merged[p] = merged.get(p, 0.0) + c
-        expected = [(p, c) for p, c in merged.items() if abs(c) >= DEFAULT_PRUNE_THRESHOLD]
+        expected = canonical(
+            (p, c) for p, c in merged.items() if abs(c) >= DEFAULT_PRUNE_THRESHOLD
+        )
         assert exact_terms((a + b).items()) == exact_terms(expected)
         scaled = [(p, c * (0.5 - 2j)) for p, c in a.items()]
         assert exact_terms(a.scaled(0.5 - 2j).items()) == exact_terms(scaled)
@@ -294,7 +310,7 @@ class TestOrderIndependentQueries:
         terms = [(float(c), label) for c, label in zip(rng.uniform(-1, 1, 5), labels)]
         forward = PauliSum.from_label_terms(terms)
         backward = PauliSum.from_label_terms(terms[::-1])
-        assert [p.label for p, _ in forward.items()] != [p.label for p, _ in backward.items()]
+        assert [p.label for p, _ in forward.items()] == [p.label for p, _ in backward.items()]
         assert forward == backward
         for c, label in terms:
             p = PauliString.from_label(label)
@@ -352,6 +368,12 @@ class TestTextFormat:
     def test_bad_coefficient(self):
         with pytest.raises(HamiltonianParseError):
             parse_pauli_sum("abc XX\n")
+
+    @pytest.mark.parametrize("line", ["nan ZI", "inf ZI", "1.0 -inf ZI", "1.0 nan ZI"])
+    def test_non_finite_coefficient_reports_line(self, line):
+        with pytest.raises(HamiltonianParseError) as err:
+            parse_pauli_sum(f"1.0 XX\n{line}\n")
+        assert err.value.line_number == 2
 
     def test_round_trip_bit_exact(self, rng):
         for _ in range(10):
