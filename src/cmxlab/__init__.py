@@ -40,7 +40,13 @@ from .moments import (
     raw_moments_pauli,
     reachable_spectrum,
 )
-from .noise import NoiseModel, ShotEstimate, hadamard_test_estimate, noisy_moments
+from .noise import (
+    NoiseModel,
+    SampledStrings,
+    ShotEstimate,
+    hadamard_test_estimate,
+    noisy_moments,
+)
 from .pauli import (
     PauliString,
     PauliSum,

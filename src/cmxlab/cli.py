@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .cmx import cmx_cioslowski, cmx_knowles, singularity_report
+from .cmx import cmx_cioslowski, cmx_knowles, denominator_findings
 from .errors import CmxlabError, UsageError
 from .methods import evaluate_method, parse_method_list
 from .models import (
@@ -37,7 +37,7 @@ from .models import (
     siam_hamiltonian,
 )
 from .moments import MomentTable, krylov_rank, raw_moments_pauli
-from .noise import NoiseModel, ShotEstimate, noisy_moments
+from .noise import NoiseModel, SampledStrings, noisy_moments
 from .pauli import PauliString, PauliSum, parse_pauli_sum
 from .pds import solve_pds
 from .statevector import (
@@ -46,7 +46,6 @@ from .statevector import (
     basis_state,
     exact_diagonalize,
     fidelity,
-    pauli_expectation,
 )
 from .variational import default_theta_grid, deviation_report, energy_vs_theta
 
@@ -83,14 +82,14 @@ def _row(*fields) -> str:
 class Prepared:
     """One model point: its sweep value, Hamiltonian and reference energy,
     the trial state, its connected moment table and, on the noisy route,
-    the shot estimate of every measured string."""
+    the record of every sampled string."""
 
     sweep_value: float
     hamiltonian: PauliSum
     reference: float
     state: StateVector
     table: MomentTable | None
-    estimates: dict[PauliString, ShotEstimate]
+    estimates: SampledStrings | None
 
 
 def _numbers(text: str, option: str) -> tuple[float, ...]:
@@ -188,7 +187,7 @@ def _prepare(args: argparse.Namespace, max_order: int | None,
             reference = siam_fci_energy(args.U, value)
         else:
             reference = exact_diagonalize(h).ground_energy
-        table, estimates = None, {}
+        table, estimates = None, None
         if max_order is not None and noise is not None:
             # gate equivalents: the trial's preparation flips, one controlled op
             table, estimates = noisy_moments(
@@ -220,15 +219,21 @@ def _cmx(args: argparse.Namespace) -> Report:
     yield None
     yield (f"model point: sweep_value={_fmt(prep.sweep_value)} "
            f"reference={_fmt(prep.reference)}")
+    cioslowski = None
     for variant in variants:
-        fn = cmx_cioslowski if variant == "cioslowski" else cmx_knowles
-        result = fn(prep.table, args.order)
+        if variant == "cioslowski":
+            result = cioslowski = cmx_cioslowski(prep.table, args.order)
+        else:
+            result = cmx_knowles(prep.table, args.order)
         orders = " ".join(_fmt(e) for e in result.energies)
         yield (f"cmx-{variant}({args.order}): energy={_fmt(result.energy)} "
                f"singular={_fmt_flag(result.singular_flag)} E(1..K)=[{orders}]")
         for label, value in result.denominators:
             yield f"  denominator {label} = {_fmt(value)}"
-    findings = singularity_report(prep.table)
+    # the report reads the Cioslowski denominators at the printed order
+    if cioslowski is None:
+        cioslowski = cmx_cioslowski(prep.table, args.order)
+    findings = denominator_findings(cioslowski.denominators)
     for finding in findings:
         yield (f"warning: {finding.label} = {_fmt(finding.value)} "
                f"would poison {finding.affected}")
@@ -306,10 +311,11 @@ def _noise(args: argparse.Namespace) -> Report:
                          f"got {args.max_order}")
     [prep] = _prepare(args, args.max_order)
     lines = [NOISE_HEADER]
-    for p in sorted(prep.estimates, key=lambda q: q.label):
-        est = prep.estimates[p]
-        lines.append(_row(p.label, pauli_expectation(p, prep.state), est.raw_estimate,
-                          est.mitigated_estimate, est.standard_error, est.shots_used))
+    sampled = prep.estimates
+    rows = zip(sampled, sampled.true.tolist(), sampled.values())
+    for p, true, est in sorted(rows, key=lambda row: row[0].label):
+        lines.append(_row(p.label, true, est.raw_estimate, est.mitigated_estimate,
+                          est.standard_error, est.shots_used))
     yield lines
     for spec in methods:
         value = evaluate_method(spec, prep.table)

@@ -196,8 +196,17 @@ def singularity_report(
     max_order = (len(ivals) + 1) // 2
     if max_order < 2:
         return ()
+    return denominator_findings(cmx_cioslowski(ivals, max_order).denominators, tolerance)
+
+
+def denominator_findings(
+    denominators: Sequence[tuple[str, float]],
+    tolerance: float = SINGULARITY_TOLERANCE,
+) -> tuple[SingularityFinding, ...]:
+    """The findings of `singularity_report` from the S[3,m] denominators of
+    a `CmxResult` of `cmx_cioslowski`, so a caller that already holds one
+    need not take the determinants again."""
     findings = []
-    denominators = cmx_cioslowski(ivals, max_order).denominators
     for m, (label, value) in enumerate(denominators, start=1):
         if abs(value) < tolerance:
             affected = f"cmx-cioslowski({m + 1}), cmx-knowles({m + 1})"

@@ -66,23 +66,40 @@ class MomentTable:
 
 
 def masked_expectation(x_mask: int, z_mask: int, state: StateVector) -> float:
-    """<Phi|P|Phi> for the phaseless string with these masks, built only for
-    the expectation kernel."""
+    """<Phi|P|Phi> for the phaseless string with these masks.
+
+    The `PauliString` built here for the scalar kernel is the only
+    per-string object either moment route makes; it stays until a kernel
+    takes masks directly."""
     return pauli_expectation(PauliString(state.n_qubits, x_mask, z_mask), state)
 
 
-@dataclass(frozen=True)
+def string_expectations(xs: np.ndarray, zs: np.ndarray, state: StateVector) -> np.ndarray:
+    """The exact <Phi|P|Phi> of each phaseless string given by the masks, in
+    array order: one `masked_expectation` kernel call per string."""
+    return np.fromiter(
+        (masked_expectation(x, z, state) for x, z in zip(xs.tolist(), zs.tolist())),
+        float, len(xs),
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class PauliExpectationCache:
     """The exact <Phi|P|Phi> of every distinct phaseless string one moment
-    table measured, keyed by (x_mask, z_mask) in ascending order, the order
-    in which they were measured.
+    table measured, as aligned arrays in ascending (x_mask, z_mask) order,
+    the order in which they were measured: uint64 masks ``x`` and ``z`` and
+    float ``values``.
 
     ``misses`` counts the measured strings, one kernel call each; ``hits``
     counts the other non-identity terms, which reuse a measured value.  The
-    identity string is never measured: its expectation is exactly 1.
+    identity string is never measured: its expectation is exactly 1.  No
+    per-string object is kept; the kernel's `PauliString` (see
+    `masked_expectation`) is the only one built.
     """
 
-    values: dict[tuple[int, int], float]
+    x: np.ndarray
+    z: np.ndarray
+    values: np.ndarray
     hits: int
 
     @property
@@ -180,15 +197,15 @@ def raw_moments_pauli(
         raise InsufficientMomentsError(
             f"{len(powers)} precomputed powers cannot serve order {max_order}"
         )
-    values: dict[tuple[int, int], float] = {}
+    measured: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def measure(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        for key in zip(xs.tolist(), zs.tolist()):
-            values[key] = masked_expectation(*key, state)
-        return np.fromiter(values.values(), float, len(values))
+        measured.append((xs, zs, string_expectations(xs, zs, state)))
+        return measured[0][2]
 
     table, terms = assemble_moments(powers, max_order, measure)
-    return table, PauliExpectationCache(values, terms - len(values))
+    xs, zs, values = measured[0]
+    return table, PauliExpectationCache(xs, zs, values, terms - len(values))
 
 
 def raw_moments_dense(h: PauliSum, state: StateVector, max_order: int) -> MomentTable:

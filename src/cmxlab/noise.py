@@ -13,17 +13,25 @@ seeded with the model's seed draws them as arrays in the ascending
 tables are bit-reproducible and, like the exact routes, do not depend on
 the order of the Hamiltonian's terms, but a string's estimate depends on
 the set of strings its table measures.
+
+`noisy_moments` returns the measured strings as one `SampledStrings`
+record of aligned arrays in that sampling order: the masks, the exact
+expectations and the batch of shot estimates.  The record is also a
+read-only mapping from each measured `PauliString` to its scalar
+`ShotEstimate`, so no per-string object is built unless a caller asks for
+one.
 """
 
 from __future__ import annotations
 
 import numbers
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .moments import MomentTable, assemble_moments, hamiltonian_powers, masked_expectation
+from .moments import MomentTable, assemble_moments, hamiltonian_powers, string_expectations
 from .pauli import PauliString, PauliSum
 from .statevector import StateVector
 
@@ -67,6 +75,84 @@ class ShotEstimate:
     standard_error: float | np.ndarray
     shots_used: int
     mitigation_applied: bool = True
+
+
+@dataclass(frozen=True, eq=False)
+class SampledStrings(Mapping[PauliString, ShotEstimate]):
+    """The distinct strings one noisy moment table sampled, as aligned
+    arrays in sampling order, which is ascending (x, z) mask order.
+
+    ``x`` and ``z`` are the uint64 masks, ``true`` the exact expectation of
+    each string and ``batch`` the `ShotEstimate` of arrays from the table's
+    one `hadamard_test_estimate` call.  As a mapping, a measured phaseless
+    `PauliString` on ``n_qubits`` qubits gives its scalar `ShotEstimate`,
+    whose floats are the batch's elements; any other key, the identity
+    included, raises KeyError.  Iteration yields the strings in sampling
+    order.
+    """
+
+    n_qubits: int
+    x: np.ndarray
+    z: np.ndarray
+    true: np.ndarray
+    batch: ShotEstimate
+
+    def __post_init__(self):
+        for array in (self.x, self.z, self.true):
+            array.setflags(write=False)
+
+    def _index(self, p: object) -> int:
+        if isinstance(p, PauliString) and p.is_phaseless and p.n_qubits == self.n_qubits:
+            x, z = np.uint64(p.x_mask), np.uint64(p.z_mask)
+            lo, hi = np.searchsorted(self.x, x, "left"), np.searchsorted(self.x, x, "right")
+            i = lo + int(np.searchsorted(self.z[lo:hi], z))
+            if i < hi and self.z[i] == z:
+                return i
+        raise KeyError(p)
+
+    def _estimate(self, raw: float, mitigated: float, error: float) -> ShotEstimate:
+        return ShotEstimate(raw, mitigated, error, self.batch.shots_used,
+                            self.batch.mitigation_applied)
+
+    def _estimates(self) -> Iterator[ShotEstimate]:
+        b = self.batch
+        for row in zip(b.raw_estimate.tolist(), b.mitigated_estimate.tolist(),
+                       b.standard_error.tolist()):
+            yield self._estimate(*row)
+
+    def __getitem__(self, p: PauliString) -> ShotEstimate:
+        i = self._index(p)
+        b = self.batch
+        return self._estimate(float(b.raw_estimate[i]), float(b.mitigated_estimate[i]),
+                              float(b.standard_error[i]))
+
+    def __iter__(self) -> Iterator[PauliString]:
+        n = self.n_qubits
+        for x, z in zip(self.x.tolist(), self.z.tolist()):
+            yield PauliString(n, x, z)
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def values(self) -> ValuesView:
+        return _SampledValues(self)
+
+    def items(self) -> ItemsView:
+        return _SampledItems(self)
+
+
+class _SampledValues(ValuesView):
+    """Values read off the batch arrays in order, with no lookups."""
+
+    def __iter__(self):
+        return self._mapping._estimates()
+
+
+class _SampledItems(ItemsView):
+    """Items read off the record's arrays in order, with no lookups."""
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._estimates())
 
 
 def damping_factor(nm: NoiseModel, depth_proxy: tuple[int, int]) -> float:
@@ -135,7 +221,7 @@ def noisy_moments(
     nm: NoiseModel,
     depth_proxy: tuple[int, int] = (0, 1),
     mitigated: bool = True,
-) -> tuple[MomentTable, dict[PauliString, ShotEstimate]]:
+) -> tuple[MomentTable, SampledStrings]:
     """Moment table assembled exactly like the noiseless Pauli route, with
     every distinct phaseless expectation replaced by its shot estimate.
 
@@ -146,25 +232,19 @@ def noisy_moments(
     from a generator seeded with nm.seed, in the ascending (x_mask, z_mask)
     order `assemble_moments` hands them over, so the table does not depend
     on the order of H's terms; a string's estimate does depend on which
-    strings the table measures.  The estimates are returned in that
-    sampling order.
+    strings the table measures.  The sampled strings are returned as one
+    `SampledStrings` record in that sampling order.
     """
     if not h.is_hermitian():
         raise ContractViolationError("moments require a Hermitian sum")
     powers = hamiltonian_powers(h, max_order)
-    estimates: dict[PauliString, ShotEstimate] = {}
+    sampled: list[SampledStrings] = []
 
     def estimate(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        xs, zs = xs.tolist(), zs.tolist()
-        truth = [masked_expectation(x, z, state) for x, z in zip(xs, zs)]
-        batch = hadamard_test_estimate(np.array(truth, dtype=float), nm, depth_proxy)
-        rows = zip(xs, zs, batch.raw_estimate.tolist(), batch.mitigated_estimate.tolist(),
-                   batch.standard_error.tolist())
-        for x, z, raw, mit, se in rows:
-            estimates[PauliString(h.n_qubits, x, z)] = ShotEstimate(
-                raw, mit, se, batch.shots_used, batch.mitigation_applied
-            )
+        truth = string_expectations(xs, zs, state)
+        batch = hadamard_test_estimate(truth, nm, depth_proxy)
+        sampled.append(SampledStrings(h.n_qubits, xs, zs, truth, batch))
         return batch.mitigated_estimate if mitigated else batch.raw_estimate
 
     table, _ = assemble_moments(powers, max_order, estimate)
-    return table, estimates
+    return table, sampled[0]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cmxlab import cmx
 from cmxlab.cli import emit_plot_script, main
 from cmxlab.errors import UsageError
 from cmxlab.methods import MethodSpec, parse_method, parse_method_list
@@ -222,6 +223,21 @@ class TestSinglePointCommands:
         assert code == 0
         assert "cmx-cioslowski(2): energy=-4.5" in text
         assert "cmx-knowles(2): energy=-4.5" in text
+
+    @pytest.mark.parametrize("variant", ["cioslowski", "knowles", "both"])
+    def test_cmx_takes_the_determinants_once(self, monkeypatch, variant):
+        # one Cioslowski solve (S[2,m] and S[3,m]) serves the printed
+        # result and the singularity report
+        calls = []
+        hankel_dets = cmx._hankel_dets
+
+        def counted(*args):
+            calls.append(args)
+            return hankel_dets(*args)
+
+        monkeypatch.setattr(cmx, "_hankel_dets", counted)
+        assert run_cli("cmx", "--order", "3", "--variant", variant)[0] == 0
+        assert len(calls) == 2
 
     def test_pds_report(self):
         code, text = run_cli("pds", "--order", "2", "--V", "1")

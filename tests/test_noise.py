@@ -16,6 +16,8 @@ from cmxlab.noise import NoiseModel, damping_factor, hadamard_test_estimate, noi
 from cmxlab.pauli import PauliString, PauliSum
 from cmxlab.statevector import StateVector, basis_state, pauli_expectation
 
+from conftest import sum_and_trial
+
 
 def siam(v=1.0):
     return siam_hamiltonian(SiamParams.half_filling(8.0, v))
@@ -147,6 +149,54 @@ class TestStatistics:
         mean = float(np.mean(values))
         sem = float(np.std(values, ddof=1)) / math.sqrt(len(values))
         assert abs(mean - x) <= 3.0 * sem
+
+
+def hexes(estimate):
+    return [v.hex() for v in (estimate.raw_estimate, estimate.mitigated_estimate,
+                              estimate.standard_error)]
+
+
+class TestSampledStrings:
+    @given(sum_and_trial(4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_record_reads_its_arrays(self, problem, order, seed):
+        h, state = problem
+        n = h.n_qubits
+        nm = NoiseModel(p00=0.97, p11=0.96, p1=0.001, p2=0.01, shots=512, seed=seed)
+        _, sampled = noisy_moments(h, state, order, nm)
+        batch = sampled.batch
+        keys = list(zip(sampled.x.tolist(), sampled.z.tolist()))
+        assert keys == sorted(set(keys)) and (0, 0) not in keys
+        assert len(sampled) == len(keys) == len(sampled.true) == len(batch.raw_estimate)
+        strings = list(sampled)
+        assert [(p.n_qubits, p.x_mask, p.z_mask, p.phase_exponent) for p in strings] == [
+            (n, x, z, 0) for x, z in keys
+        ]
+        columns = zip(batch.raw_estimate.tolist(), batch.mitigated_estimate.tolist(),
+                      batch.standard_error.tolist(), sampled.true.tolist())
+        for p, (raw, mitigated, error, true) in zip(strings, columns):
+            est = sampled[p]
+            assert p in sampled
+            assert hexes(est) == [raw.hex(), mitigated.hex(), error.hex()]
+            assert (est.shots_used, est.mitigation_applied) == (
+                batch.shots_used, batch.mitigation_applied)
+            assert true.hex() == pauli_expectation(p, state).hex()
+            for other in [PauliString(n, p.x_mask, p.z_mask, k) for k in (1, 2, 3)] + [
+                PauliString(n + 1, p.x_mask, p.z_mask)
+            ]:
+                assert other not in sampled
+                with pytest.raises(KeyError):
+                    sampled[other]
+        assert [hexes(e) for e in sampled.values()] == [hexes(sampled[p]) for p in strings]
+        assert list(sampled.items()) == [(p, sampled[p]) for p in strings]
+        measured = set(keys)
+        unmeasured = [PauliString(n, x, z) for x in range(1 << n) for z in range(1 << n)
+                      if (x, z) not in measured]
+        assert PauliString.identity(n) in unmeasured
+        for p in unmeasured + ["XI", (1, 0)]:
+            assert p not in sampled
+            with pytest.raises(KeyError):
+                sampled[p]
 
 
 class TestNoisyMoments:
