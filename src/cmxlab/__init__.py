@@ -5,7 +5,6 @@ from .cmx import (
     CmxResult,
     SingularityFinding,
     cmx_cioslowski,
-    cmx_closed_form,
     cmx_knowles,
     singularity_report,
 )
@@ -50,9 +49,7 @@ from .noise import (
 from .pauli import (
     PauliString,
     PauliSum,
-    multiply,
     parse_pauli_sum,
-    reduce_product,
     serialize_pauli_sum,
 )
 from .pds import PdsResult, build_pds_system, solve_pds

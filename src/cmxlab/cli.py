@@ -440,7 +440,8 @@ OPTION_GROUPS = {
         "--p11": dict(type=_PROBABILITY, default=1.0),
         "--p1": dict(type=_PROBABILITY, default=0.0),
         "--p2": dict(type=_PROBABILITY, default=0.0),
-        "--shots": dict(type=_POSITIVE, default=8192),
+        # np.int64's maximum, the largest count the binomial sampler accepts
+        "--shots": dict(type=_bounded(int, 1, 2**63 - 1), default=8192),
         "--seed": dict(type=_bounded(int, 0, float("inf")), default=0),
         "--no-mitigation": dict(action="store_true"),
     },

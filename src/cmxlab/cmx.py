@@ -118,24 +118,6 @@ def cmx_cioslowski(moments: MomentTable | Sequence[float], order: int) -> CmxRes
     )
 
 
-def cmx_closed_form(moments: MomentTable | Sequence[float], order: int) -> float:
-    """Literal second/third-order closed forms; the oracle for the recursion.
-
-    No singularity guards here: a zero I_3 raises ZeroDivisionError.  Use
-    cmx_cioslowski for guarded evaluation.
-    """
-    ivals = _connected_values(moments)
-    if order == 2:
-        _require(ivals, 3, 2)
-        i1, i2, i3 = ivals[:3]
-        return i1 - i2**2 / i3
-    if order == 3:
-        _require(ivals, 5, 3)
-        i1, i2, i3, i4, i5 = ivals[:5]
-        return i1 - i2**2 / i3 - (1.0 / i3) * (i2 * i4 - i3**2) ** 2 / (i5 * i3 - i4**2)
-    raise ValueError(f"closed forms exist for orders 2 and 3 only, got {order}")
-
-
 def cmx_knowles(moments: MomentTable | Sequence[float], order: int) -> CmxResult:
     """Knowles generalized-Pade CMX(K): E = I_1 - b^T A^-1 b with
     b_i = I_(i+1) and A_ij = I_(i+j+1) for i,j = 1..K-1.

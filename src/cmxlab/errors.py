@@ -26,7 +26,7 @@ class HamiltonianParseError(CmxlabError, ValueError):
 
 class ContractViolationError(CmxlabError, ValueError):
     """An input violates a documented precondition (non-Hermitian sum,
-    unnormalized state, phased generator, ...)."""
+    unnormalized state, non-finite moment, ...)."""
 
 
 class InsufficientMomentsError(CmxlabError, ValueError):

@@ -71,8 +71,8 @@ def parse_method(text: str) -> MethodSpec:
             order, tau = int(parts[1]), float(parts[2])
         except ValueError:
             raise UsageError(f"bad hw-series spec {text!r}") from None
-        if order < 0 or tau < 0:
-            raise UsageError("hw-series order and tau must be >= 0")
+        if order < 0 or not 0.0 <= tau < math.inf:
+            raise UsageError("hw-series order must be >= 0 and tau finite and >= 0")
         return MethodSpec(name, order, tau)
     if len(parts) != 2:
         raise UsageError(f"method {raw_name} needs an order, e.g. {raw_name}:2")

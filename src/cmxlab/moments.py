@@ -2,7 +2,7 @@
 Horn-Weinstein energy series.
 
 Two independent routes compute the raw moments: the Pauli route expands H^n
-as a collected Pauli sum and measures each distinct phaseless string once,
+as a collected Pauli sum and measures each distinct Pauli string once,
 while the dense route repeatedly applies H to the state.  They must agree;
 tests enforce it.
 """
@@ -10,7 +10,7 @@ tests enforce it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb, factorial, isfinite
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +42,9 @@ class MomentTable:
         I_k = K_k - sum_{i=0}^{k-2} C(k-1, i) I_{i+1} K_{k-i-1},
 
     computed ascending with exact integer binomials, so every table carries
-    both the K_n that PDS reads and the I_k that CMX reads.
+    both the K_n that PDS reads and the I_k that CMX reads.  Every moment
+    must be finite: a Hamiltonian whose powers overflow float64 is rejected
+    here, naming the first non-finite order, before any solver reads it.
     """
 
     raw: tuple[float, ...]
@@ -52,12 +54,18 @@ class MomentTable:
         raw = self.raw
         if len(raw) < 2 or raw[0] != 1.0:
             raise ValueError("raw moments must start with K_0 = 1")
+        for k, value in enumerate(raw):
+            if not isfinite(value):
+                raise ContractViolationError(f"raw moment K_{k} = {value} is not finite")
         connected: list[float] = []
         for k in range(1, len(raw)):
             value = raw[k]
             for i in range(0, k - 1):
                 value -= comb(k - 1, i) * connected[i] * raw[k - i - 1]
             connected.append(value)
+        for k, value in enumerate(connected, start=1):
+            if not isfinite(value):
+                raise ContractViolationError(f"connected moment I_{k} = {value} is not finite")
         object.__setattr__(self, "connected", tuple(connected))
 
     @property
@@ -65,27 +73,24 @@ class MomentTable:
         return len(self.raw) - 1
 
 
-def masked_expectation(x_mask: int, z_mask: int, state: StateVector) -> float:
-    """<Phi|P|Phi> for the phaseless string with these masks.
+def string_expectations(xs: np.ndarray, zs: np.ndarray, state: StateVector) -> np.ndarray:
+    """The exact <Phi|P|Phi> of each string given by the masks, in array
+    order: one `pauli_expectation` kernel call per string.
 
     The `PauliString` built here for the scalar kernel is the only
     per-string object either moment route makes; it stays until a kernel
     takes masks directly."""
-    return pauli_expectation(PauliString(state.n_qubits, x_mask, z_mask), state)
-
-
-def string_expectations(xs: np.ndarray, zs: np.ndarray, state: StateVector) -> np.ndarray:
-    """The exact <Phi|P|Phi> of each phaseless string given by the masks, in
-    array order: one `masked_expectation` kernel call per string."""
+    n = state.n_qubits
     return np.fromiter(
-        (masked_expectation(x, z, state) for x, z in zip(xs.tolist(), zs.tolist())),
+        (pauli_expectation(PauliString(n, x, z), state)
+         for x, z in zip(xs.tolist(), zs.tolist())),
         float, len(xs),
     )
 
 
 @dataclass(frozen=True, eq=False)
 class PauliExpectationCache:
-    """The exact <Phi|P|Phi> of every distinct phaseless string one moment
+    """The exact <Phi|P|Phi> of every distinct string one moment
     table measured, as aligned arrays in ascending (x_mask, z_mask) order,
     the order in which they were measured: uint64 masks ``x`` and ``z`` and
     float ``values``.
@@ -94,7 +99,7 @@ class PauliExpectationCache:
     counts the other non-identity terms, which reuse a measured value.  The
     identity string is never measured: its expectation is exactly 1.  No
     per-string object is kept; the kernel's `PauliString` (see
-    `masked_expectation`) is the only one built.
+    `string_expectations`) is the only one built.
     """
 
     x: np.ndarray
@@ -119,8 +124,11 @@ def hamiltonian_powers(h: PauliSum, max_order: int) -> list[PauliSum]:
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     powers = [h]
-    for _ in range(max_order - 1):
-        powers.append(powers[-1] * h)
+    # a product that overflows float64 leaves non-finite coefficients, and
+    # so non-finite moments, which MomentTable rejects by order
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_order - 1):
+            powers.append(powers[-1] * h)
     return powers
 
 
@@ -165,13 +173,15 @@ def assemble_moments(
     first, group = group_keys(x, z)
     expectation = np.ones(len(coeff))
     expectation[measured] = np.asarray(values(x[first], z[first]), dtype=float)[group]
-    real, imag = coeff.real * expectation, coeff.imag * expectation
     raw = [1.0]
     stop = 0
-    for order, power in enumerate(used, start=1):
-        start, stop = stop, stop + len(power)
-        total = complex(_ordered_sum(real[start:stop]), _ordered_sum(imag[start:stop]))
-        raw.append(_real_moment(total, order))
+    # overflowed powers give non-finite moments, which MomentTable rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        real, imag = coeff.real * expectation, coeff.imag * expectation
+        for order, power in enumerate(used, start=1):
+            start, stop = stop, stop + len(power)
+            total = complex(_ordered_sum(real[start:stop]), _ordered_sum(imag[start:stop]))
+            raw.append(_real_moment(total, order))
     return MomentTable(tuple(raw)), len(x)
 
 
@@ -183,7 +193,7 @@ def raw_moments_pauli(
 ) -> tuple[MomentTable, PauliExpectationCache]:
     """Raw moments via the Pauli-product expansion.
 
-    K_l = sum over collected terms c * <Phi|P|Phi>, each distinct phaseless
+    K_l = sum over collected terms c * <Phi|P|Phi>, each distinct
     string measured once.  Precomputed powers can be passed when sweeping
     many states against one Hamiltonian.
     """

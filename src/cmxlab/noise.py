@@ -84,7 +84,7 @@ class SampledStrings(Mapping[PauliString, ShotEstimate]):
 
     ``x`` and ``z`` are the uint64 masks, ``true`` the exact expectation of
     each string and ``batch`` the `ShotEstimate` of arrays from the table's
-    one `hadamard_test_estimate` call.  As a mapping, a measured phaseless
+    one `hadamard_test_estimate` call.  As a mapping, a measured
     `PauliString` on ``n_qubits`` qubits gives its scalar `ShotEstimate`,
     whose floats are the batch's elements; any other key, the identity
     included, raises KeyError.  Iteration yields the strings in sampling
@@ -102,7 +102,7 @@ class SampledStrings(Mapping[PauliString, ShotEstimate]):
             array.setflags(write=False)
 
     def _index(self, p: object) -> int:
-        if isinstance(p, PauliString) and p.is_phaseless and p.n_qubits == self.n_qubits:
+        if isinstance(p, PauliString) and p.n_qubits == self.n_qubits:
             x, z = np.uint64(p.x_mask), np.uint64(p.z_mask)
             lo, hi = np.searchsorted(self.x, x, "left"), np.searchsorted(self.x, x, "right")
             i = lo + int(np.searchsorted(self.z[lo:hi], z))
@@ -223,7 +223,7 @@ def noisy_moments(
     mitigated: bool = True,
 ) -> tuple[MomentTable, SampledStrings]:
     """Moment table assembled exactly like the noiseless Pauli route, with
-    every distinct phaseless expectation replaced by its shot estimate.
+    every distinct string expectation replaced by its shot estimate.
 
     The identity string contributes exactly 1 without sampling.  Each
     distinct string is sampled once and reused across all orders, so moment

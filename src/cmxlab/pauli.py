@@ -1,23 +1,19 @@
-"""Exact group algebra of n-qubit Pauli strings and Hamiltonians as Pauli sums.
+"""Exact algebra of n-qubit Pauli strings and Hamiltonians as Pauli sums.
 
-A string is stored in symplectic form: bit q of ``x_mask`` / ``z_mask`` marks
-an X / Z component on qubit q, and a quartic phase exponent tracks the global
-prefactor, so the operator value is
+A string is a Hermitian label in symplectic form: bit q of ``x_mask`` /
+``z_mask`` marks an X / Z component on qubit q, with P(0,0)=I, P(1,0)=X,
+P(0,1)=Z and P(1,1)=Y, so every string is Hermitian, unitary and squares to
+the identity.  A string carries no phase: the phase i**k of a product of
+strings (from Y = i*X*Z) is folded into the coefficient of its term.
 
-    i**phase_exponent * prod_q P(x_q, z_q)
-
-with P(0,0)=I, P(1,0)=X, P(0,1)=Z and P(1,1)=Y.  The convention Y = i*X*Z is
-used internally when multiplying; a string with phase_exponent = 0 is
-Hermitian, unitary, and squares to the identity.
-
-`PauliString` is the scalar API.  A `PauliSum` keeps its phaseless terms as
-arrays instead: uint64 x and z masks and complex128 coefficients, so it is
-limited to MAX_SUM_QUBITS = 64 qubits.  Its terms are always in ascending
-(x_mask, z_mask) order, so a sum's arrays, and every product and moment
-built from them, depend on its term set alone and not on the order the
-terms were written in.  Sum products are one broadcast XOR over all term
-pairs, and each collected coefficient is bit-identical to a scalar
-`multiply` loop accumulating a dict.
+`PauliString` is the scalar API, used for parsing, labels and lookups.  A
+`PauliSum` keeps its terms as arrays instead: uint64 x and z masks and
+complex128 coefficients, so it is limited to MAX_SUM_QUBITS = 64 qubits.
+Its terms are always in ascending (x_mask, z_mask) order, so a sum's arrays,
+and every product and moment built from them, depend on its term set alone
+and not on the order the terms were written in.  Sum products are one
+broadcast XOR over all term pairs, and each collected coefficient is
+bit-identical to a scalar string-product loop accumulating a dict.
 
 Labels are read left to right as qubit 0..n-1, e.g. "XIZ" puts X on qubit 0.
 """
@@ -35,7 +31,6 @@ from .errors import CapacityError, DimensionMismatchError, HamiltonianParseError
 
 _BITS_FROM_CHAR = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _CHAR_FROM_BITS = {v: k for k, v in _BITS_FROM_CHAR.items()}
-_PHASE_PREFIX = {0: "", 1: "i*", 2: "-", 3: "-i*"}
 
 DEFAULT_PRUNE_THRESHOLD = 1e-12
 MAX_SUM_QUBITS = 64
@@ -44,12 +39,12 @@ HERMITIAN_TOLERANCE = 1e-10
 
 @dataclass(frozen=True, slots=True)
 class PauliString:
-    """A phased tensor product of single-qubit Pauli/identity operators."""
+    """A tensor product of single-qubit Pauli/identity operators: a
+    Hermitian label with no phase."""
 
     n_qubits: int
     x_mask: int
     z_mask: int
-    phase_exponent: int = 0
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -57,15 +52,13 @@ class PauliString:
         full = (1 << self.n_qubits) - 1
         if not 0 <= self.x_mask <= full or not 0 <= self.z_mask <= full:
             raise ValueError("mask exceeds the qubit count")
-        if self.phase_exponent not in (0, 1, 2, 3):
-            object.__setattr__(self, "phase_exponent", self.phase_exponent % 4)
 
     @classmethod
     def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(n_qubits, 0, 0, 0)
+        return cls(n_qubits, 0, 0)
 
     @classmethod
-    def from_label(cls, label: str, phase_exponent: int = 0) -> "PauliString":
+    def from_label(cls, label: str) -> "PauliString":
         """Build from a character label such as "XYIZ" (qubit 0 leftmost)."""
         x = z = 0
         for q, ch in enumerate(label):
@@ -75,89 +68,19 @@ class PauliString:
                 raise ValueError(f"invalid Pauli character {ch!r} in {label!r}") from None
             x |= xq << q
             z |= zq << q
-        return cls(len(label), x, z, phase_exponent % 4)
+        return cls(len(label), x, z)
 
     @property
     def label(self) -> str:
-        """Character label of the phaseless part, qubit 0 leftmost."""
+        """Character label, qubit 0 leftmost."""
         return "".join(
             _CHAR_FROM_BITS[(self.x_mask >> q & 1, self.z_mask >> q & 1)]
             for q in range(self.n_qubits)
         )
 
     @property
-    def is_phaseless(self) -> bool:
-        return self.phase_exponent == 0
-
-    @property
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
-
-    @property
-    def phase(self) -> complex:
-        return 1j ** self.phase_exponent
-
-    def phaseless(self) -> "PauliString":
-        if self.phase_exponent == 0:
-            return self
-        return PauliString(self.n_qubits, self.x_mask, self.z_mask, 0)
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        """Group commutation: a*b = +-b*a with sign given by the symplectic
-        inner product of the masks."""
-        _check_dims(self, other)
-        sign = (self.x_mask & other.z_mask).bit_count() + (self.z_mask & other.x_mask).bit_count()
-        return sign % 2 == 0
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return multiply(self, other)
-
-    def __str__(self) -> str:
-        return _PHASE_PREFIX[self.phase_exponent] + self.label
-
-
-def _check_dims(a: PauliString, b: PauliString) -> None:
-    if a.n_qubits != b.n_qubits:
-        raise DimensionMismatchError(
-            f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}"
-        )
-
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Exact group product a*b as a single phased string.
-
-    Writing each factor in X^x Z^z form costs a phase i per Y site; commuting
-    the inner Z past X picks up (-1) per overlapping bit; converting back to
-    the canonical Y representation refunds a phase i per Y site of the result.
-    """
-    _check_dims(a, b)
-    x = a.x_mask ^ b.x_mask
-    z = a.z_mask ^ b.z_mask
-    exponent = (
-        a.phase_exponent
-        + b.phase_exponent
-        + (a.x_mask & a.z_mask).bit_count()
-        + (b.x_mask & b.z_mask).bit_count()
-        + 2 * (a.z_mask & b.x_mask).bit_count()
-        - (x & z).bit_count()
-    )
-    return PauliString(a.n_qubits, x, z, exponent % 4)
-
-
-def reduce_product(factors: Iterable[PauliString], n_qubits: int | None = None) -> PauliString:
-    """Left-fold of `multiply`, reducing a product of strings to one string.
-
-    An empty product is the identity; pass n_qubits to fix its size.
-    """
-    factors = list(factors)
-    if not factors:
-        if n_qubits is None:
-            raise ValueError("empty product needs an explicit n_qubits")
-        return PauliString.identity(n_qubits)
-    out = factors[0]
-    for f in factors[1:]:
-        out = multiply(out, f)
-    return out
 
 
 # i**k for k = 0..3 exactly as Python evaluates 1j**k, split into parts
@@ -227,13 +150,12 @@ def _collect(x, z, real, imag):
 
 
 class PauliSum:
-    """A Hamiltonian H = sum_j h_j P_j over phaseless strings, on at most
+    """A Hamiltonian H = sum_j h_j P_j over Pauli strings, on at most
     MAX_SUM_QUBITS qubits.
 
     The terms live in three aligned read-only arrays: uint64 ``x`` and ``z``
-    masks and complex128 ``coeff``.  Phases on input strings are folded into
-    the coefficients, repeated keys are merged, the terms are kept in
-    ascending (x, z) order, and coefficients with magnitude below
+    masks and complex128 ``coeff``.  Repeated keys are merged, the terms are
+    kept in ascending (x, z) order, and coefficients with magnitude below
     DEFAULT_PRUNE_THRESHOLD are dropped.  Coefficients must be finite.
     `PauliString` objects are built only at the edges, by `items()` and
     `sorted_items()`.  Instances are immutable; arithmetic returns new sums.
@@ -261,7 +183,7 @@ class PauliSum:
                 )
             xs.append(p.x_mask)
             zs.append(p.z_mask)
-            cs.append(complex(c) * p.phase)
+            cs.append(complex(c))
         key = _key_type(n_qubits)
         coeff = np.array(cs, dtype=complex)
         if not np.isfinite(coeff).all():
@@ -328,10 +250,7 @@ class PauliSum:
 
     def coefficient(self, p: PauliString) -> complex:
         i = self._index(p)
-        c = 0.0 if i is None else self.coeff[i].item()
-        if p.phase_exponent and c:
-            c = c * (-1j) ** p.phase_exponent
-        return c
+        return 0.0 if i is None else self.coeff[i].item()
 
     def __len__(self) -> int:
         return len(self.coeff)
@@ -377,8 +296,10 @@ class PauliSum:
         """Operator product with term collection.
 
         The string products of a block of A's terms with all of B's come
-        from one broadcast XOR of the masks, with the phase of each (see
-        `multiply`) counted mod 4 in uint8 arithmetic.  Each block is
+        from one broadcast XOR of the masks.  The phase i**k of each, from
+        Y = i*X*Z, is counted mod 4 in uint8 arithmetic: a phase i per Y site
+        of either factor, (-1) per overlap of A's Z with B's X, and i**-1
+        per Y site of the product; it is folded into the coefficient.  Each block is
         collected together with the terms collected so far, which continues
         the same running sums, so each coefficient is bit for bit that of a
         row-major double loop over A then B accumulating a dict.  Both
@@ -421,10 +342,6 @@ class PauliSum:
             return True
         scale = float(np.hypot(self.coeff.real, self.coeff.imag).max())
         return bool(np.all(np.abs(self.coeff.imag) <= HERMITIAN_TOLERANCE * max(1.0, scale)))
-
-    def coefficient_norm(self) -> float:
-        """Sum of |h_j|; an upper bound on the operator norm."""
-        return sum(np.hypot(self.coeff.real, self.coeff.imag).tolist())
 
     def __repr__(self) -> str:
         return f"PauliSum(n_qubits={self.n_qubits}, terms={len(self)})"

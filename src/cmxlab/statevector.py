@@ -90,20 +90,21 @@ def _check_sizes(p: PauliString, s: StateVector) -> None:
         )
 
 
-def _pauli_image(p: PauliString, s: StateVector) -> np.ndarray:
-    """Amplitudes of p|s>: an index permutation with unit phase factors."""
-    _check_sizes(p, s)
+def _pauli_image(x_mask: int, z_mask: int, s: StateVector) -> np.ndarray:
+    """Amplitudes of P|s> for the string with these masks: an index
+    permutation with unit phase factors."""
     index, reversal, parity, _ = _index_tables(s.n_qubits)
-    src = index ^ reversal[p.x_mask]
+    src = index ^ reversal[x_mask]
     # P(x,z)|b> = i^(x&z) (-1)^(z&b) |b^x>, accumulated over qubits
-    global_phase = 1j ** ((p.phase_exponent + (p.x_mask & p.z_mask).bit_count()) % 4)
-    flip = parity[src & reversal[p.z_mask]]
+    global_phase = 1j ** ((x_mask & z_mask).bit_count() % 4)
+    flip = parity[src & reversal[z_mask]]
     return np.where(flip, -global_phase, global_phase) * s.amplitudes[src]
 
 
 def apply_pauli(p: PauliString, s: StateVector) -> StateVector:
     """Exact p|s>: an index permutation with unit phase factors."""
-    return StateVector(s.n_qubits, _pauli_image(p, s))
+    _check_sizes(p, s)
+    return StateVector(s.n_qubits, _pauli_image(p.x_mask, p.z_mask, s))
 
 
 def apply_pauli_sum(h: PauliSum, s: StateVector) -> StateVector:
@@ -111,13 +112,13 @@ def apply_pauli_sum(h: PauliSum, s: StateVector) -> StateVector:
     if h.n_qubits != s.n_qubits:
         raise DimensionMismatchError("operator and state sizes differ")
     acc = np.zeros_like(s.amplitudes)
-    for p, c in h.items():
-        acc = acc + c * _pauli_image(p, s)
+    for x, z, c in zip(h.x.tolist(), h.z.tolist(), h.coeff.tolist()):
+        acc = acc + c * _pauli_image(x, z, s)
     return StateVector(s.n_qubits, acc)
 
 
 def pauli_expectation(p: PauliString, s: StateVector) -> float:
-    """<s|P|s> for a phaseless (Hermitian) string; always real in [-1, 1].
+    """<s|P|s> for a Hermitian string; always real in [-1, 1].
 
     One vdot of the amplitudes against a gathered copy of them: P's bit flip
     permutes the indices and its Z part flips the sign of odd-parity ones.
@@ -125,8 +126,6 @@ def pauli_expectation(p: PauliString, s: StateVector) -> float:
     the real expectation.  Moment assembly calls this once per distinct
     string, so its call count is the number of Hadamard-test circuits.
     """
-    if p.phase_exponent:
-        raise ContractViolationError("expectation of a phased string is not real")
     _check_sizes(p, s)
     index, reversal, _, sign = _index_tables(s.n_qubits)
     amps = s.amplitudes
@@ -150,11 +149,11 @@ def expectation(h: PauliSum, s: StateVector) -> float:
 
 
 def apply_generator_rotation(theta: float, g: PauliString, s: StateVector) -> StateVector:
-    """exp(i*theta*G)|s> = (cos(theta) I + i sin(theta) G)|s> for a phaseless
-    generator G, using G**2 = I."""
-    if not g.is_phaseless:
-        raise ContractViolationError("rotation generator must be phaseless")
-    rotated = np.cos(theta) * s.amplitudes + 1j * np.sin(theta) * _pauli_image(g, s)
+    """exp(i*theta*G)|s> = (cos(theta) I + i sin(theta) G)|s> for a
+    generator string G, using G**2 = I."""
+    _check_sizes(g, s)
+    image = _pauli_image(g.x_mask, g.z_mask, s)
+    rotated = np.cos(theta) * s.amplitudes + 1j * np.sin(theta) * image
     return StateVector(s.n_qubits, rotated)
 
 
@@ -168,22 +167,20 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def dense_matrix(h: PauliSum | PauliString) -> np.ndarray:
-    """Dense 2**n x 2**n matrix of a string or sum.
+def dense_matrix(h: PauliSum) -> np.ndarray:
+    """Dense 2**n x 2**n matrix of a sum.
 
     Each string is a signed permutation, so the matrix is filled column-wise
     in O(2**n) per term instead of building kron chains.
     """
-    if isinstance(h, PauliString):
-        h = PauliSum(h.n_qubits, [(h, 1.0)])
     n = h.n_qubits
     if n > DENSE_QUBIT_LIMIT:
         raise CapacityError(f"{n} qubits exceeds the dense limit of {DENSE_QUBIT_LIMIT}")
     cols, reversal, _, sign = _index_tables(n)
     out = np.zeros((len(cols), len(cols)), dtype=complex)
-    for p, c in h.items():
-        phase = c * 1j ** ((p.phase_exponent + (p.x_mask & p.z_mask).bit_count()) % 4)
-        out[cols ^ reversal[p.x_mask], cols] += phase * sign[cols & reversal[p.z_mask]]
+    for x, z, c in zip(h.x.tolist(), h.z.tolist(), h.coeff.tolist()):
+        phase = c * 1j ** ((x & z).bit_count() % 4)
+        out[cols ^ reversal[x], cols] += phase * sign[cols & reversal[z]]
     return out
 
 

@@ -2,7 +2,7 @@
 grid scan plus derivative-free refinement of the best point.
 
 The rotated trial is exp(i*theta*G)|base> = cos(theta)|base> +
-i sin(theta) G|base> for a phaseless generator G and any base state.  Every
+i sin(theta) G|base> for a Pauli-string generator G and any base state.  Every
 raw moment is then exactly
 
     K_l(theta) = cos^2(theta) alpha_l + sin^2(theta) beta_l
@@ -102,8 +102,9 @@ def energy_vs_theta(
     The raw moments are measured on three states only: |base>, G|base> and
     the rotation by ANCHOR_THETA.  Every grid point, refinement probe and
     `moments_at_opt` then comes from K_l(theta) = c^2 alpha_l + s^2 beta_l
-    + s c gamma_l (see the module docstring), which holds for any base and a
-    phaseless G.  At theta = 0 it gives the base's moments bit for bit.
+    + s c gamma_l (see the module docstring), which holds for any base and
+    any generator string G.  At theta = 0 it gives the base's moments bit
+    for bit.
 
     Singular grid points are recorded with their flag and excluded from the
     minimum; if every point is singular the full diagnostic sweep is raised.
@@ -119,7 +120,8 @@ def energy_vs_theta(
         table, _ = raw_moments_pauli(h, state, max_order, powers=powers)
         return np.array(table.raw)
 
-    # rotate first: it rejects a phased generator before anything is measured
+    # rotate first: it rejects a generator of another size before anything
+    # is measured
     anchor = apply_generator_rotation(ANCHOR_THETA, generator, base)
     alpha = measured(base)
     beta = measured(apply_pauli(generator, base))

@@ -1,15 +1,18 @@
 """Shared test oracles.
 
-Everything here is built from literal 2x2 matrices and numpy alone, so the
-dense reference route stays independent of the package implementation it
-checks.  Qubit 0 is the leftmost label character and the most significant
-amplitude index bit, matching the package convention.
+The dense references are built from literal 2x2 matrices and numpy alone, so
+they stay independent of the package implementation they check.  Qubit 0 is
+the leftmost label character and the most significant amplitude index bit,
+matching the package convention.  The scalar string product (`multiply`,
+`reduce_product`) is the oracle for the array product of `PauliSum`, and
+`cmx_closed_form` the oracle for the Cioslowski recursion.
 """
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from cmxlab.errors import DimensionMismatchError
 from cmxlab.pauli import PauliString, PauliSum
 from cmxlab.statevector import StateVector
 
@@ -28,9 +31,9 @@ def label_matrix(label: str) -> np.ndarray:
     return out
 
 
-def dense_of_terms(terms) -> np.ndarray:
-    """Dense matrix of [(coeff, label), ...]."""
-    n = len(terms[0][1])
+def dense_of_terms(terms, n_qubits: int | None = None) -> np.ndarray:
+    """Dense matrix of [(coeff, label), ...]; pass n_qubits for no terms."""
+    n = len(terms[0][1]) if n_qubits is None else n_qubits
     out = np.zeros((2**n, 2**n), dtype=complex)
     for coeff, label in terms:
         out += coeff * label_matrix(label)
@@ -39,11 +42,75 @@ def dense_of_terms(terms) -> np.ndarray:
 
 def dense_of_sum(h: PauliSum) -> np.ndarray:
     """Dense matrix of a PauliSum, using only its (label, coefficient) view."""
-    return dense_of_terms([(c, p.label) for p, c in h.sorted_items()])
+    return dense_of_terms([(c, p.label) for p, c in h.sorted_items()], h.n_qubits)
 
 
-def string_matrix(p: PauliString) -> np.ndarray:
-    return (1j**p.phase_exponent) * label_matrix(p.label)
+def string_matrix(p: PauliString, phase_exponent: int = 0) -> np.ndarray:
+    """Dense matrix of i**phase_exponent * p."""
+    return (1j**phase_exponent) * label_matrix(p.label)
+
+
+def _check_dims(a: PauliString, b: PauliString) -> None:
+    if a.n_qubits != b.n_qubits:
+        raise DimensionMismatchError(
+            f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}"
+        )
+
+
+def multiply(a: PauliString, b: PauliString) -> tuple[PauliString, int]:
+    """Exact group product a*b = i**k * P, returned as (P, k) with k in 0..3.
+
+    Writing each factor in X^x Z^z form costs a phase i per Y site; commuting
+    the inner Z past X picks up (-1) per overlapping bit; converting back to
+    the canonical Y representation refunds a phase i per Y site of the result.
+    """
+    _check_dims(a, b)
+    x = a.x_mask ^ b.x_mask
+    z = a.z_mask ^ b.z_mask
+    exponent = (
+        (a.x_mask & a.z_mask).bit_count()
+        + (b.x_mask & b.z_mask).bit_count()
+        + 2 * (a.z_mask & b.x_mask).bit_count()
+        - (x & z).bit_count()
+    )
+    return PauliString(a.n_qubits, x, z), exponent % 4
+
+
+def reduce_product(factors, n_qubits: int | None = None) -> tuple[PauliString, int]:
+    """Left fold of `multiply`: a product of strings as one (string, phase
+    exponent) pair.  An empty product is the identity; pass n_qubits to fix
+    its size."""
+    factors = list(factors)
+    if not factors:
+        if n_qubits is None:
+            raise ValueError("empty product needs an explicit n_qubits")
+        return PauliString.identity(n_qubits), 0
+    out, exponent = factors[0], 0
+    for f in factors[1:]:
+        out, k = multiply(out, f)
+        exponent += k
+    return out, exponent % 4
+
+
+def cmx_closed_form(ivals, order: int) -> float:
+    """Literal second/third-order CMX closed forms from the connected
+    moments I_1, I_2, ...; the oracle for the Cioslowski recursion.
+
+    No singularity guards here: a zero I_3 raises ZeroDivisionError.
+    """
+    ivals = [float(v) for v in ivals]
+    if order == 2:
+        i1, i2, i3 = ivals[:3]
+        return i1 - i2**2 / i3
+    if order == 3:
+        i1, i2, i3, i4, i5 = ivals[:5]
+        return i1 - i2**2 / i3 - (1.0 / i3) * (i2 * i4 - i3**2) ** 2 / (i5 * i3 - i4**2)
+    raise ValueError(f"closed forms exist for orders 2 and 3 only, got {order}")
+
+
+def coefficient_norm(h: PauliSum) -> float:
+    """Sum of |h_j|; an upper bound on the operator norm."""
+    return sum(np.hypot(h.coeff.real, h.coeff.imag).tolist())
 
 
 def basis_vector(bits: str) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cmxlab.cli import main
-from cmxlab.cmx import cmx_cioslowski, cmx_closed_form, cmx_knowles
+from cmxlab.cmx import cmx_cioslowski, cmx_knowles
 from cmxlab.methods import evaluate_method, parse_method
 from cmxlab.models import (
     H2Coefficients,
@@ -27,7 +27,7 @@ from cmxlab.pds import solve_pds
 from cmxlab.statevector import StateVector, basis_state, exact_diagonalize
 from cmxlab.variational import deviation_report, energy_vs_theta
 
-from conftest import h2_block_eigenvalues, random_hermitian_sum
+from conftest import cmx_closed_form, h2_block_eigenvalues, random_hermitian_sum
 
 V_SWEEP = (0.1, 0.5, 1.0, 2.0, 3.0, 6.0, 10.0)
 V_VARIATIONAL = (0.1, 1.0, 3.0, 6.0, 10.0)

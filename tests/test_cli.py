@@ -53,6 +53,8 @@ OUT_OF_RANGE = [
     ("pds", ("--order", "0")),
     ("variational", ("--grid-points", "0")),
     ("noise", ("--shots", "0")),
+    # past np.int64's maximum, which the binomial sampler cannot take
+    ("noise", ("--shots", "100000000000000000000")),
     ("noise", ("--seed", "-1")),
 ] + [("noise", (flag, value)) for flag in ("--p00", "--p11", "--p1", "--p2")
      for value in ("1.5", "-0.1")]
@@ -458,6 +460,11 @@ class TestOptionsPerSubcommand:
         assert exit_code(*argv, f"{flag}={value}") == 2
         assert f"error: argument {flag}: must lie in" in capsys.readouterr().err
 
+    def test_largest_shot_count_is_sampled(self):
+        code, text = run_cli("noise", "--shots", str(2**63 - 1), "--seed", "1")
+        assert code == 0
+        assert float(text.splitlines()[1].split(",")[-1]) == float(2**63 - 1)
+
     def test_noise_subcommand_keeps_its_implied_flag(self):
         argv = ("noise", "--shots", "64", "--seed", "2")
         assert run_cli(*argv, "--noise") == run_cli(*argv)
@@ -499,12 +506,29 @@ class TestRunConfigValidation:
         ("moments", "--generator", "QQQQ", "--theta", "0.2"),
         ("moments", "--generator", "YX", "--theta", "0.2"),
         ("variational", "--generator", "YX", "--grid-points", "5"),
+        ("sweep", "--methods", "hw-series:2:nan", "--sweep-values", "1"),
+        ("sweep", "--methods", "hw-series:2:inf", "--sweep-values", "1"),
+        ("sweep", "--methods", "hw-series:2:-0.5", "--sweep-values", "1"),
     ], ids=["g-word", "g-nan", "sweep-word", "sweep-nan", "trial-letter", "generator-letter",
-            "generator-length", "variational-generator-length"])
+            "generator-length", "variational-generator-length", "hw-tau-nan", "hw-tau-inf",
+            "hw-tau-negative"])
     def test_malformed_value_is_one_line_usage_error(self, capsys, argv):
         assert run_cli(*argv) == (2, "")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("cmx", "--V", "1e160"),
+        ("sweep", "--methods", "pds:2", "--sweep-values", "1e200"),
+        ("cmx", "--U", "1e308", "--V", "1e308"),
+        ("noise", "--V", "1e160"),
+        ("variational", "--V", "1e160", "--generator", "YXXX", "--grid-points", "5"),
+    ], ids=["cmx-V", "sweep-pds", "cmx-U-V", "noise", "variational"])
+    def test_overflowing_moments_are_one_line_error(self, capsys, argv):
+        # H^2 overflows float64: one error line naming the moment, no NaN row
+        assert run_cli(*argv) == (1, "")
+        err = capsys.readouterr().err
+        assert err == "error: raw moment K_2 = nan is not finite\n"
 
     def test_noise_orders_checked_before_sampling(self, capsys, tmp_path):
         out_csv = tmp_path / "noise.csv"

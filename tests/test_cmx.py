@@ -3,19 +3,14 @@
 import numpy as np
 import pytest
 
-from cmxlab.cmx import (
-    cmx_cioslowski,
-    cmx_closed_form,
-    cmx_knowles,
-    singularity_report,
-)
+from cmxlab.cmx import cmx_cioslowski, cmx_knowles, singularity_report
 from cmxlab.errors import InsufficientMomentsError
 from cmxlab.models import H2Coefficients, h2_bk_hamiltonian
 from cmxlab.moments import raw_moments_dense, raw_moments_pauli
 from cmxlab.pauli import PauliSum
 from cmxlab.statevector import basis_state
 
-from conftest import siam_caption_terms
+from conftest import cmx_closed_form, siam_caption_terms
 
 
 def siam_sum(v=1.0, u=8.0):

@@ -1,6 +1,7 @@
 """Moment engine: Pauli route vs dense route, connected recursion, series."""
 
 import math
+import warnings
 from math import comb
 from unittest import mock
 
@@ -204,7 +205,7 @@ class TestAssembleMoments:
         state = random_state(rng, 4)
         powers = hamiltonian_powers(h, 4)
         want, cache, hits = sequential_assembly(
-            powers, lambda x, z: moments.masked_expectation(x, z, state)
+            powers, lambda x, z: moments.pauli_expectation(PauliString(4, x, z), state)
         )
         table, got = raw_moments_pauli(h, state, 4, powers=powers)
         keys = list(zip(got.x.tolist(), got.z.tolist()))
@@ -428,3 +429,23 @@ class TestMomentTableValidation:
     def test_k0_must_be_one(self):
         with pytest.raises(ValueError):
             MomentTable((0.5, 1.0))
+
+    @pytest.mark.parametrize(("raw", "message"), [
+        ((1.0, 2.0, math.inf), "raw moment K_2 = inf"),
+        ((1.0, math.nan, 1.0), "raw moment K_1 = nan"),
+        ((1.0, -math.inf), "raw moment K_1 = -inf"),
+        # finite raw moments whose connected moment overflows
+        ((1.0, 1e200, 1e300), "connected moment I_2 = -inf"),
+    ])
+    def test_non_finite_moment_names_its_order(self, raw, message):
+        with pytest.raises(ContractViolationError, match=f"^{message} is not finite$"):
+            MomentTable(raw)
+
+    def test_overflowing_powers_are_rejected_without_warnings(self):
+        # H^2 overflows float64; the powers and the assembly stay silent and
+        # the table names the first non-finite order
+        h = PauliSum.from_label_terms([(1e160, "XZ"), (1e160, "ZZ"), (1.0, "YI")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match="K_2"):
+                raw_moments_pauli(h, basis_state("01"), 3)

@@ -14,6 +14,7 @@ from cmxlab.statevector import StateVector, basis_state
 
 from conftest import (
     basis_vector,
+    coefficient_norm,
     dense_of_sum,
     dense_reachable_spectrum,
     h2_block_eigenvalues,
@@ -228,4 +229,4 @@ class TestLanczosIdentity:
         assume(not result.used_pseudo_inverse and not result.complex_roots)
         ritz = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
         roots = np.sort([r.real for r in result.roots])
-        assert np.abs(roots - ritz).max() <= 1e-6 * max(1.0, h.coefficient_norm())
+        assert np.abs(roots - ritz).max() <= 1e-6 * max(1.0, coefficient_norm(h))

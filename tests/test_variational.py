@@ -25,7 +25,7 @@ from cmxlab.variational import (
     energy_vs_theta,
 )
 
-from conftest import random_hermitian_sum
+from conftest import coefficient_norm, random_hermitian_sum
 
 GENERATOR = PauliString.from_label("YXXX")
 PDS2_V1 = -2.0 - math.sqrt(6.0)
@@ -129,7 +129,7 @@ class TestThreeStateIdentity:
         )
         rotated = apply_generator_rotation(theta, generator, base)
         want = raw_moments_dense(h, rotated, 5).raw
-        norm = h.coefficient_norm()
+        norm = coefficient_norm(h)
         got = scan.moments_at_opt.raw
         assert got[0] == 1.0 and len(got) == len(want)
         for order, (a, b) in enumerate(zip(got, want)):
