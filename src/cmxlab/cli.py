@@ -37,7 +37,7 @@ from .models import (
     siam_hamiltonian,
 )
 from .moments import MomentTable, krylov_rank, raw_moments_pauli
-from .noise import NoiseModel, SampledStrings, noisy_moments
+from .noise import MAX_SHOTS, NoiseModel, SampledStrings, noisy_moments
 from .pauli import PauliString, PauliSum, parse_pauli_sum
 from .pds import solve_pds
 from .statevector import (
@@ -440,8 +440,7 @@ OPTION_GROUPS = {
         "--p11": dict(type=_PROBABILITY, default=1.0),
         "--p1": dict(type=_PROBABILITY, default=0.0),
         "--p2": dict(type=_PROBABILITY, default=0.0),
-        # np.int64's maximum, the largest count the binomial sampler accepts
-        "--shots": dict(type=_bounded(int, 1, 2**63 - 1), default=8192),
+        "--shots": dict(type=_bounded(int, 1, MAX_SHOTS), default=8192),
         "--seed": dict(type=_bounded(int, 0, float("inf")), default=0),
         "--no-mitigation": dict(action="store_true"),
     },

@@ -77,9 +77,12 @@ def string_expectations(xs: np.ndarray, zs: np.ndarray, state: StateVector) -> n
     """The exact <Phi|P|Phi> of each string given by the masks, in array
     order: one `pauli_expectation` kernel call per string.
 
-    The `PauliString` built here for the scalar kernel is the only
-    per-string object either moment route makes; it stays until a kernel
-    takes masks directly."""
+    Each call stands for one Hadamard-test circuit, so the call count is
+    the number of measured strings even on a computational-basis trial,
+    where the kernel answers each string in O(1) from the state's
+    `basis_index`.  The `PauliString` built here for the scalar kernel is
+    the only per-string object either moment route makes; it stays until a
+    kernel takes masks directly."""
     n = state.n_qubits
     return np.fromiter(
         (pauli_expectation(PauliString(n, x, z), state)
@@ -231,9 +234,12 @@ def raw_moments_dense(h: PauliSum, state: StateVector, max_order: int) -> Moment
         )
     raw = [1.0]
     v = state
-    for order in range(1, max_order + 1):
-        v = apply_pauli_sum(h, v)
-        raw.append(_real_moment(complex(np.vdot(state.amplitudes, v.amplitudes)), order))
+    # as on the Pauli route, an overflowing chain gives non-finite moments,
+    # which MomentTable rejects by order
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in range(1, max_order + 1):
+            v = apply_pauli_sum(h, v)
+            raw.append(_real_moment(complex(np.vdot(state.amplitudes, v.amplitudes)), order))
     return MomentTable(tuple(raw))
 
 
@@ -251,6 +257,15 @@ def hw_energy_series(table: MomentTable, tau: float, order: int) -> float:
             for k in range(order + 1)
         )
     )
+
+
+def _scaled_norm(v: np.ndarray) -> float:
+    """The 2-norm of v, taken after scaling by the power of two nearest
+    its largest modulus, so squaring cannot overflow; scaling by a power of
+    two is exact, so the bits are those of np.linalg.norm wherever that
+    does not overflow."""
+    _, exponent = np.frexp(np.abs(v).max(initial=0.0))
+    return float(np.ldexp(np.linalg.norm(v * np.ldexp(1.0, -exponent)), exponent))
 
 
 def lanczos(
@@ -275,8 +290,8 @@ def lanczos(
         w = v
         for _pass in range(2):
             w = w - basis.T @ (basis.conj() @ w)
-        norm = float(np.linalg.norm(w))
-        if norm < SATURATION_TOLERANCE * max(1.0, float(np.linalg.norm(v))):
+        norm = _scaled_norm(w)
+        if norm < SATURATION_TOLERANCE * max(1.0, _scaled_norm(v)):
             break
         norms.append(norm)
         basis = np.vstack([basis, w / norm])

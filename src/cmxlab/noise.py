@@ -36,10 +36,14 @@ from .pauli import PauliString, PauliSum
 from .statevector import StateVector
 
 
+# the largest count Generator.binomial accepts: np.int64's maximum
+MAX_SHOTS = 2**63 - 1
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Readout fidelities (p00, p11), depolarizing probabilities per 1q/2q
-    gate equivalent, shot budget, and RNG seed."""
+    gate equivalent, shot budget in [1, MAX_SHOTS], and RNG seed."""
 
     p00: float = 1.0
     p11: float = 1.0
@@ -53,8 +57,8 @@ class NoiseModel:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if not 1 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {self.shots}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

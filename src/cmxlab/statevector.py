@@ -8,7 +8,7 @@ significant index bit, so basis_state("01") puts amplitude 1 at index 0b01.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -22,7 +22,15 @@ _NORM_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Dense complex amplitudes over the 2**n computational basis states."""
+    """Dense complex amplitudes over the 2**n computational basis states.
+
+    A state with exactly one nonzero, finite amplitude is a computational
+    basis state up to a phase and a weight; `basis_index` names it, and
+    `pauli_expectation` then reads each string's value in O(1) from that
+    index and the weight, without touching the amplitudes.  Both are found
+    once per state, on first use; the amplitudes are a read-only copy, so
+    they cannot go stale.
+    """
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -41,6 +49,24 @@ class StateVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
+
+    @cached_property
+    def _basis(self) -> tuple[int, float] | None:
+        """(k, <s|s>) when amplitude k is the only nonzero one and is
+        finite, else None.  The weight is the vdot the dense kernel takes,
+        so both kernels give the same bits."""
+        amps = self.amplitudes
+        support = np.flatnonzero(amps)
+        if len(support) != 1 or not np.isfinite(amps[support[0]]):
+            return None
+        return int(support[0]), complex(np.vdot(amps, amps)).real
+
+    @property
+    def basis_index(self) -> int | None:
+        """Index of the single nonzero amplitude of a computational basis
+        state, or None when the state is not one."""
+        basis = self._basis
+        return None if basis is None else basis[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,9 +151,22 @@ def pauli_expectation(p: PauliString, s: StateVector) -> float:
     The phase i**(number of Y sites) then picks the part of the vdot that is
     the real expectation.  Moment assembly calls this once per distinct
     string, so its call count is the number of Hadamard-test circuits.
+
+    On a computational basis state |k> of weight w (see
+    `StateVector.basis_index`) the value costs O(1) instead of O(2**n): 0.0
+    when P flips any bit, else +-w by the parity of k under P's Z sites.
+    These are the bits the vdot gives, since its only nonzero product is
+    conj(a_k) * (+-a_k).
     """
     _check_sizes(p, s)
     index, reversal, _, sign = _index_tables(s.n_qubits)
+    basis = s._basis
+    if basis is not None:
+        if p.x_mask:
+            return 0.0
+        k, weight = basis
+        # + 0.0 as below: an underflowed weight gives 0.0, never -0.0
+        return (-weight if (k & reversal[p.z_mask]).bit_count() & 1 else weight) + 0.0
     amps = s.amplitudes
     src = index ^ reversal[p.x_mask]
     # a Python complex, so picking the part costs no numpy scalar operations

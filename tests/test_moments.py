@@ -168,6 +168,23 @@ def assembly_inputs():
     )
 
 
+class TestKernelCalls:
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_one_kernel_call_per_measured_string(self, rng, dense):
+        # a basis trial takes the kernel's O(1) path but still one call per
+        # string, so the call count stays the number of Hadamard tests
+        h = random_hermitian_sum(rng, 4, 8)
+        state = random_state(rng, 4) if dense else basis_state("0110")
+        assert (state.basis_index is None) == dense
+        kernel = mock.Mock(wraps=moments.pauli_expectation)
+        with mock.patch.object(moments, "pauli_expectation", kernel):
+            _, cache = raw_moments_pauli(h, state, 4)
+            assert kernel.call_count == cache.misses > 0
+            kernel.reset_mock()
+            _, estimates = noisy_moments(h, state, 4, NoiseModel(seed=1))
+            assert kernel.call_count == len(estimates) == cache.misses
+
+
 class TestAssembleMoments:
     @given(assembly_inputs())
     @settings(max_examples=300, deadline=None)
@@ -414,6 +431,14 @@ class TestKrylov:
             ours, [-2 - 2 * np.sqrt(2), -4.0, -2 + 2 * np.sqrt(2)], atol=1e-8
         )
 
+    def test_rank_survives_entries_whose_squares_overflow(self):
+        # the norms are taken on scaled vectors, so V = 1e200 neither warns
+        # nor loses a Krylov direction to an infinite norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rank = krylov_rank(siam_sum(1e200), basis_state("0110"), max_dim=8)
+        assert rank == krylov_rank(siam_sum(1.0), basis_state("0110"), max_dim=8) == 3
+
     @given(sum_and_trial(4))
     @settings(max_examples=300, deadline=None)
     def test_rank_and_spectrum_match_dense_oracle(self, inputs):
@@ -442,10 +467,11 @@ class TestMomentTableValidation:
             MomentTable(raw)
 
     def test_overflowing_powers_are_rejected_without_warnings(self):
-        # H^2 overflows float64; the powers and the assembly stay silent and
-        # the table names the first non-finite order
+        # H^2 overflows float64; the powers, the assembly and the dense chain
+        # stay silent and the table names the first non-finite order
         h = PauliSum.from_label_terms([(1e160, "XZ"), (1e160, "ZZ"), (1.0, "YI")])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ContractViolationError, match="K_2"):
-                raw_moments_pauli(h, basis_state("01"), 3)
+        for route in ("pauli", "dense"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ContractViolationError, match="K_2"):
+                    ROUTES[route](h, basis_state("01"), 3)

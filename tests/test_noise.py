@@ -32,6 +32,14 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(seed=-1)
 
+    def test_shots_are_bounded_by_the_binomial_draw(self):
+        # np.int64's maximum is the largest count Generator.binomial takes
+        est = hadamard_test_estimate(0.5, NoiseModel(shots=2**63 - 1))
+        assert est.shots_used == 2**63 - 1
+        for shots in (2**63, 10**20):
+            with pytest.raises(ValueError, match=r"^shots must lie in \[1, 9223372036854775807\]"):
+                NoiseModel(shots=shots)
+
     def test_readout_invertibility(self):
         assert NoiseModel(p00=0.9, p11=0.9).readout_invertible
         assert not NoiseModel(p00=0.5, p11=0.5).readout_invertible

@@ -124,7 +124,28 @@ class TestExpectation:
         p = PauliString(n, x % (1 << n), z % (1 << n))
         want = float(np.vdot(s.amplitudes, apply_pauli(p, s).amplitudes).real)
         assert pauli_expectation(p, s).hex() == want.hex()
-        assert pauli_expectation(p, basis_state(format(seed % (1 << n), f"0{n}b"))) in (-1.0, 0.0, 1.0)
+        # a phased basis state takes the O(1) path and must give the same bits
+        k = seed % (1 << n)
+        for phase in (1.0, -1.0, 1j, -1j, np.exp(2j * np.pi * rng.random())):
+            amps = np.zeros(1 << n, dtype=complex)
+            amps[k] = phase
+            b = StateVector(n, amps)
+            assert b.basis_index == k
+            want = float(np.vdot(b.amplitudes, apply_pauli(p, b).amplitudes).real)
+            assert pauli_expectation(p, b).hex() == want.hex()
+
+    @pytest.mark.parametrize("support", [[], [0, 5], [3, 4], [0, 1, 2, 3, 4, 5, 6, 7]])
+    def test_basis_index_needs_exactly_one_nonzero_amplitude(self, support):
+        amps = np.zeros(8, dtype=complex)
+        amps[support] = 0.5
+        assert StateVector(3, amps).basis_index is None
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, complex(1.0, np.inf)])
+    def test_non_finite_amplitude_is_not_a_basis_state(self, value):
+        # the dense kernel's vdot then gives inf or nan for bit flips too
+        amps = np.zeros(4, dtype=complex)
+        amps[2] = value
+        assert StateVector(2, amps).basis_index is None
 
     def test_string_expectation_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
