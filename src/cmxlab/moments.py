@@ -78,10 +78,13 @@ def string_expectations(xs: np.ndarray, zs: np.ndarray, state: StateVector) -> n
     order: one `pauli_expectation` kernel call per string.
 
     Each call stands for one Hadamard-test circuit, so the call count is
-    the number of measured strings even on a computational-basis trial,
-    where the kernel answers each string in O(1) from the state's
-    `basis_index`.  The `PauliString` built here for the scalar kernel is
-    the only per-string object either moment route makes; it stays until a
+    the number of measured strings, although the kernel computes little per
+    call: on a computational-basis trial it answers in O(1) from the state's
+    `basis_index`, and on any other state it reads the state's table for the
+    string's X part, which it builds once per run of equal x-masks.  Strings
+    in ascending (x, z) order, as `assemble_moments` gives them, build each
+    table once.  The `PauliString` built here for the scalar kernel is the
+    only per-string object either moment route makes; it stays until a
     kernel takes masks directly."""
     n = state.n_qubits
     return np.fromiter(

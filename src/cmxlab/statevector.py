@@ -28,8 +28,11 @@ class StateVector:
     basis state up to a phase and a weight; `basis_index` names it, and
     `pauli_expectation` then reads each string's value in O(1) from that
     index and the weight, without touching the amplitudes.  Both are found
-    once per state, on first use; the amplitudes are a read-only copy, so
-    they cannot go stale.
+    once per state, on first use.  Any other state keeps one slot,
+    ``(x_mask, table)``: the values of every string with that X part, which
+    `pauli_expectation` builds when asked for a new x-mask and replaces when
+    the x-mask changes, so a state holds O(2**n) floats at most.  The
+    amplitudes are a read-only copy, so neither cache can go stale.
     """
 
     n_qubits: int
@@ -53,8 +56,8 @@ class StateVector:
     @cached_property
     def _basis(self) -> tuple[int, float] | None:
         """(k, <s|s>) when amplitude k is the only nonzero one and is
-        finite, else None.  The weight is the vdot the dense kernel takes,
-        so both kernels give the same bits."""
+        finite, else None.  The weight is the vdot of the amplitudes, so a
+        string's value has the bits of a vdot against P|s>."""
         amps = self.amplitudes
         support = np.flatnonzero(amps)
         if len(support) != 1 or not np.isfinite(amps[support[0]]):
@@ -109,6 +112,44 @@ def _index_tables(n: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.n
     return index, tuple(reversal.tolist()), parity, sign
 
 
+@cache
+def _sylvester(k: int) -> np.ndarray:
+    """The 2**k x 2**k Sylvester-Hadamard matrix (-1)**popcount(i & j),
+    stored complex so the transform's products need no cast."""
+    index = np.arange(1 << k)
+    matrix = np.where(np.bitwise_count(index[:, None] & index) & 1, -1.0, 1.0).astype(complex)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _walsh_table(s: StateVector, x_mask: int) -> np.ndarray:
+    """<s|P|s> for every string P with this X part, indexed by the Z part's
+    amplitude-index bits (`reversal[z_mask]`).
+
+    With X = reversal[x_mask] and f[b] = conj(a[b^X]) a[b], the string with
+    Z part m has value Re(i**popcount(X & m) F[m]) for the Walsh-Hadamard
+    transform F[m] = sum_b f[b] (-1)**popcount(b & m).  Index bits split into
+    high and low halves, so F is two matrix products with Sylvester
+    matrices, H_hi f H_lo, in O(2**n (2**hi + 2**lo)).
+    """
+    n = s.n_qubits
+    index, reversal, _, _ = _index_tables(n)
+    flip = reversal[x_mask]
+    amps = s.amplitudes
+    hi = n // 2
+    # overflowing amplitudes give non-finite values, which MomentTable
+    # rejects by order, as the Pauli and dense routes do
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = amps[index ^ flip].conj() * amps
+        walsh = (_sylvester(hi) @ f.reshape(1 << hi, -1) @ _sylvester(n - hi)).ravel()
+        turns = np.bitwise_count(index & flip)  # Y sites of each string
+        part = np.where(turns & 1, -walsh.imag, walsh.real)
+        # + 0.0 turns a negated zero back into 0.0
+        table = np.where(turns & 2, -part, part) + 0.0
+    table.setflags(write=False)
+    return table
+
+
 def _check_sizes(p: PauliString, s: StateVector) -> None:
     if p.n_qubits != s.n_qubits:
         raise DimensionMismatchError(
@@ -144,37 +185,40 @@ def apply_pauli_sum(h: PauliSum, s: StateVector) -> StateVector:
 
 
 def pauli_expectation(p: PauliString, s: StateVector) -> float:
-    """<s|P|s> for a Hermitian string; always real in [-1, 1].
+    """<s|P|s> for a Hermitian string: real and at most <s|s> in
+    magnitude, so within [-1, 1] for a unit-norm state but not for the
+    unnormalised ones `apply_pauli_sum` returns.
 
-    One vdot of the amplitudes against a gathered copy of them: P's bit flip
-    permutes the indices and its Z part flips the sign of odd-parity ones.
-    The phase i**(number of Y sites) then picks the part of the vdot that is
-    the real expectation.  Moment assembly calls this once per distinct
-    string, so its call count is the number of Hadamard-test circuits.
+    Moment assembly calls this once per distinct string, so its call count
+    is the number of Hadamard-test circuits.
 
     On a computational basis state |k> of weight w (see
-    `StateVector.basis_index`) the value costs O(1) instead of O(2**n): 0.0
-    when P flips any bit, else +-w by the parity of k under P's Z sites.
-    These are the bits the vdot gives, since its only nonzero product is
-    conj(a_k) * (+-a_k).
+    `StateVector.basis_index`) the value costs O(1): 0.0 when P flips any
+    bit, else +-w by the parity of k under P's Z sites.  These are the bits
+    a vdot of the amplitudes against P|s> gives, since its only nonzero
+    product is conj(a_k) * (+-a_k).
+
+    On any other state the value is read from the state's table for P's X
+    part (see `_walsh_table`), built once in O(2**n * 2**(n/2)) and kept
+    until a string with another X part is asked for.  Asking in ascending
+    (x_mask, z_mask) order, as moment assembly does, builds each table once.
+    The value agrees with that vdot to within a few (n + 1) eps <s|s>, not
+    bit for bit, and does not depend on the order of the calls.
     """
     _check_sizes(p, s)
-    index, reversal, _, sign = _index_tables(s.n_qubits)
+    _, reversal, _, _ = _index_tables(s.n_qubits)
     basis = s._basis
     if basis is not None:
         if p.x_mask:
             return 0.0
         k, weight = basis
-        # + 0.0 as below: an underflowed weight gives 0.0, never -0.0
+        # + 0.0: an underflowed weight gives 0.0, never -0.0
         return (-weight if (k & reversal[p.z_mask]).bit_count() & 1 else weight) + 0.0
-    amps = s.amplitudes
-    src = index ^ reversal[p.x_mask]
-    # a Python complex, so picking the part costs no numpy scalar operations
-    value = complex(np.vdot(amps, amps[src] * sign[src & reversal[p.z_mask]]))
-    y_sites = (p.x_mask & p.z_mask).bit_count()
-    part = (value.real, -value.imag, -value.real, value.imag)[y_sites % 4]
-    # + 0.0 turns a negated zero back into the 0.0 the phased vdot gives
-    return part + 0.0
+    slot = s.__dict__.get("_walsh")
+    if slot is None or slot[0] != p.x_mask:
+        # the frozen dataclass's own __dict__, as cached_property writes it
+        slot = s.__dict__["_walsh"] = (p.x_mask, _walsh_table(s, p.x_mask))
+    return float(slot[1][reversal[p.z_mask]])
 
 
 def expectation(h: PauliSum, s: StateVector) -> float:

@@ -26,7 +26,7 @@ from cmxlab.moments import (
 )
 from cmxlab.noise import NoiseModel, noisy_moments
 from cmxlab.pauli import PauliString, PauliSum
-from cmxlab.statevector import StateVector, apply_pauli_sum, basis_state
+from cmxlab.statevector import DENSE_QUBIT_LIMIT, StateVector, apply_pauli_sum, basis_state
 
 from conftest import (
     basis_vector,
@@ -297,6 +297,17 @@ class TestOracleEquivalence:
             for kp, kd in zip(via_pauli.raw, via_dense.raw):
                 assert kp == pytest.approx(kd, rel=1e-10, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 9, DENSE_QUBIT_LIMIT])
+    def test_walsh_tables_match_dense_route(self, rng, n):
+        # a 1x1 Sylvester factor, an odd split of the index bits, and the
+        # largest state the dense route takes
+        h = random_hermitian_sum(rng, n, 8)
+        state = random_state(rng, n)
+        via_pauli, _ = raw_moments_pauli(h, state, 4)
+        via_dense = raw_moments_dense(h, state, 4)
+        for kp, kd in zip(via_pauli.raw, via_dense.raw):
+            assert kp == pytest.approx(kd, rel=1e-10, abs=1e-10)
+
     def test_dense_route_matches_kron_oracle(self, rng):
         h = random_hermitian_sum(rng, 3, 6)
         state = random_state(rng, 3)
@@ -475,3 +486,16 @@ class TestMomentTableValidation:
                 warnings.simplefilter("error")
                 with pytest.raises(ContractViolationError, match="K_2"):
                     ROUTES[route](h, basis_state("01"), 3)
+
+    def test_overflowing_dense_trial_is_rejected_without_warnings(self):
+        # amplitude products overflow float64 in the Walsh-Hadamard tables,
+        # which stay as silent as the dense chain, and K_1 is the first
+        # non-finite order
+        rng = np.random.default_rng(3)
+        state = StateVector(3, 1e160 * (rng.normal(size=8) + 1j * rng.normal(size=8)))
+        h = PauliSum.from_label_terms([(0.5, "XZI"), (0.25, "ZZY")])
+        for route in ("pauli", "dense"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ContractViolationError, match="^raw moment K_1 = .* is not finite$"):
+                    ROUTES[route](h, state, 2)
