@@ -37,7 +37,6 @@ from .moments import (
     lanczos,
     raw_moments_dense,
     raw_moments_pauli,
-    reachable_spectrum,
 )
 from .noise import (
     NoiseModel,

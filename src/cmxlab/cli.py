@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -80,16 +81,25 @@ def _row(*fields) -> str:
 
 @dataclass(frozen=True)
 class Prepared:
-    """One model point: its sweep value, Hamiltonian and reference energy,
-    the trial state, its connected moment table and, on the noisy route,
-    the record of every sampled string."""
+    """One model point: its sweep value and Hamiltonian, the trial state,
+    its connected moment table and, on the noisy route, the record of every
+    sampled string.  Its reference energy is computed on first use, so only
+    the subcommands that print it pay for a dense diagonalisation."""
 
     sweep_value: float
     hamiltonian: PauliSum
-    reference: float
+    analytic_reference: float | None
     state: StateVector
     table: MomentTable | None
     estimates: SampledStrings | None
+
+    @cached_property
+    def reference(self) -> float:
+        """The analytic ground energy when there is one, else the dense
+        ground eigenvalue."""
+        if self.analytic_reference is not None:
+            return self.analytic_reference
+        return exact_diagonalize(self.hamiltonian).ground_energy
 
 
 def _numbers(text: str, option: str) -> tuple[float, ...]:
@@ -111,9 +121,10 @@ def _prepare(args: argparse.Namespace, max_order: int | None,
     Every model, theta and noise option is read and checked here, so a
     malformed value is a usage error.  The sweep value is V for the impurity
     model, R for an --h2-file row and 0 otherwise; the reference is the
-    analytic ground energy for the half-filling impurity model and the dense
-    ground eigenvalue otherwise.  The moments are shot estimates under
-    --noise and exact Pauli-route values otherwise.  Unless `sweep`, the run
+    analytic ground energy for the half-filling impurity model and otherwise
+    the dense ground eigenvalue, computed when a handler first reads it.
+    The moments are shot estimates under --noise and exact Pauli-route
+    values otherwise.  Unless `sweep`, the run
     must have exactly one model point.
     """
     coeffs = _numbers(args.g, "--g") if args.g else None
@@ -183,10 +194,7 @@ def _prepare(args: argparse.Namespace, max_order: int | None,
                            shots=args.shots, seed=args.seed)
     prepared = []
     for value, h in points:
-        if half_filling:
-            reference = siam_fci_energy(args.U, value)
-        else:
-            reference = exact_diagonalize(h).ground_energy
+        analytic = siam_fci_energy(args.U, value) if half_filling else None
         table, estimates = None, None
         if max_order is not None and noise is not None:
             # gate equivalents: the trial's preparation flips, one controlled op
@@ -196,7 +204,7 @@ def _prepare(args: argparse.Namespace, max_order: int | None,
             )
         elif max_order is not None:
             table, _ = raw_moments_pauli(h, state, max_order)
-        prepared.append(Prepared(value, h, reference, state, table, estimates))
+        prepared.append(Prepared(value, h, analytic, state, table, estimates))
     return prepared
 
 
@@ -287,6 +295,7 @@ def _variational(args: argparse.Namespace) -> Report:
     if args.generator is None:
         raise UsageError("variational runs need --generator")
     [prep] = _prepare(args, None)
+    reference = prep.reference  # a model past the dense limit fails before the scan
     generator = PauliString.from_label(args.generator)
     scan = energy_vs_theta(prep.hamiltonian, prep.state, generator, methods[0],
                            theta_grid=grid)
@@ -295,9 +304,9 @@ def _variational(args: argparse.Namespace) -> Report:
         lines.append(_row(theta, scan.energies[i], scan.i1[i], scan.i2[i], scan.i3[i],
                           _fmt_flag(scan.singular_flags[i])))
     yield lines
-    report = deviation_report(scan, prep.reference)
+    report = deviation_report(scan, reference)
     yield (f"theta_opt={_fmt(scan.theta_opt)} energy_opt={_fmt(scan.energy_opt)} "
-           f"reference={_fmt(prep.reference)}")
+           f"reference={_fmt(reference)}")
     factor = "inf" if report.infinite_improvement else _fmt(report.improvement_factor)
     yield (f"deviation at theta=0: {_fmt(report.dev_at_zero)}; at optimum: "
            f"{_fmt(report.dev_at_opt)}; improvement factor: {factor}")

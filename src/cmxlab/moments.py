@@ -4,7 +4,9 @@ Horn-Weinstein energy series.
 Two independent routes compute the raw moments: the Pauli route expands H^n
 as a collected Pauli sum and measures each distinct Pauli string once,
 while the dense route repeatedly applies H to the state.  They must agree;
-tests enforce it.
+tests enforce it.  The Pauli route, and the noisy route built on it, read
+the Hermitian part Re(c) of H's coefficients; a sum whose imaginary parts
+exceed `PauliSum.is_hermitian`'s tolerance is rejected on both routes.
 """
 
 from __future__ import annotations
@@ -124,7 +126,10 @@ class PauliExpectationCache:
 def hamiltonian_powers(h: PauliSum, max_order: int) -> list[PauliSum]:
     """[H^1, ..., H^max_order] as collected Pauli sums.
 
-    Iterated sum-times-sum products keep the term count bounded by
+    H^l = H^(l-1).symmetric_product(H): since H^(l-1) commutes with H, only
+    commuting string pairs contribute, each with a real sign, so every
+    power above the first is real and built from the Hermitian part Re(c)
+    of H.  Iterated sum-times-sum products keep the term count bounded by
     min(M^l, 4**n) instead of enumerating M^l index tuples.
     """
     if max_order < 1:
@@ -134,7 +139,7 @@ def hamiltonian_powers(h: PauliSum, max_order: int) -> list[PauliSum]:
     # so non-finite moments, which MomentTable rejects by order
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_order - 1):
-            powers.append(powers[-1] * h)
+            powers.append(powers[-1].symmetric_product(h))
     return powers
 
 
@@ -163,9 +168,11 @@ def assemble_moments(
     `values(xs, zs)` is called exactly once per table, with the uint64 masks
     of every distinct non-identity string of H^1..H^max_order in ascending
     (x, z) order, and returns one float per string; each string stands for
-    one measured circuit.  The identity term contributes c itself.  Each
-    K_l is summed from 0.0 in the power's canonical term order, real and
-    imaginary parts apart, so the result is bit for bit that of adding the
+    one measured circuit.  Only the real parts c of the coefficients are
+    read: the Hermitian part of a sum, which is all of every power that
+    `hamiltonian_powers` builds above the first.  The identity term
+    contributes c itself.  Each K_l is summed from 0.0 in the power's
+    canonical term order, so the result is bit for bit that of adding the
     terms one by one and depends only on the powers' term sets.  Also
     returns the number of non-identity terms, so hits = terms - distinct
     strings.
@@ -173,7 +180,7 @@ def assemble_moments(
     used = powers[:max_order]
     x = np.concatenate([p.x for p in used])
     z = np.concatenate([p.z for p in used])
-    coeff = np.concatenate([p.coeff for p in used])
+    coeff = np.concatenate([p.coeff.real for p in used])
     measured = (x | z) != 0
     x, z = x[measured], z[measured]
     first, group = group_keys(x, z)
@@ -183,11 +190,10 @@ def assemble_moments(
     stop = 0
     # overflowed powers give non-finite moments, which MomentTable rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        real, imag = coeff.real * expectation, coeff.imag * expectation
-        for order, power in enumerate(used, start=1):
+        terms = coeff * expectation
+        for power in used:
             start, stop = stop, stop + len(power)
-            total = complex(_ordered_sum(real[start:stop]), _ordered_sum(imag[start:stop]))
-            raw.append(_real_moment(total, order))
+            raw.append(_ordered_sum(terms[start:stop]))
     return MomentTable(tuple(raw)), len(x)
 
 
@@ -307,9 +313,3 @@ def krylov_rank(h: PauliSum, state: StateVector, max_dim: int | None = None) -> 
     """Dimension of span{H^k|Phi>}, capped at max_dim: the Lanczos step count."""
     return len(lanczos(h, state, max_dim)[0])
 
-
-def reachable_spectrum(h: PauliSum, state: StateVector) -> np.ndarray:
-    """Eigenvalues of H restricted to the Krylov space of |Phi>, ascending:
-    the Ritz values of the saturated Lanczos tridiagonal."""
-    alpha, beta = lanczos(h, state)
-    return np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))

@@ -3,17 +3,21 @@
 A string is a Hermitian label in symplectic form: bit q of ``x_mask`` /
 ``z_mask`` marks an X / Z component on qubit q, with P(0,0)=I, P(1,0)=X,
 P(0,1)=Z and P(1,1)=Y, so every string is Hermitian, unitary and squares to
-the identity.  A string carries no phase: the phase i**k of a product of
-strings (from Y = i*X*Z) is folded into the coefficient of its term.
+the identity.  A string carries no phase: the product of two commuting
+strings is a string times a sign +-1 (from Y = i*X*Z), which is folded into
+the real coefficient of its term.
 
 `PauliString` is the scalar API, used for parsing, labels and lookups.  A
 `PauliSum` keeps its terms as arrays instead: uint64 x and z masks and
 complex128 coefficients, so it is limited to MAX_SUM_QUBITS = 64 qubits.
 Its terms are always in ascending (x_mask, z_mask) order, so a sum's arrays,
 and every product and moment built from them, depend on its term set alone
-and not on the order the terms were written in.  Sum products are one
-broadcast XOR over all term pairs, and each collected coefficient is
-bit-identical to a scalar string-product loop accumulating a dict.
+and not on the order the terms were written in.  The one product of sums,
+`PauliSum.symmetric_product`, builds Hamiltonian powers: it reads the real
+parts of the coefficients, keeps the commuting string pairs, whose products
+have real signs, and is one broadcast XOR over those pairs, each collected
+coefficient bit-identical to a scalar string-product loop accumulating a
+dict.
 
 Labels are read left to right as qubit 0..n-1, e.g. "XIZ" puts X on qubit 0.
 """
@@ -83,21 +87,11 @@ class PauliString:
         return self.x_mask == 0 and self.z_mask == 0
 
 
-# i**k for k = 0..3 exactly as Python evaluates 1j**k, split into parts
-_PHASE_REAL = np.array([1.0, 0.0, -1.0, -0.0])
-_PHASE_IMAG = np.array([0.0, 1.0, 0.0, -1.0])
-
-
-def _complex_product(ar, ai, br, bi):
-    """Real and imaginary parts of (ar + i ai)(br + i bi), rounded as
-    Python's complex `*` rounds them.  numpy's complex multiply may fuse the
-    operations into FMA instructions and change the last bits."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-# A sum product is formed and collected in row blocks of at least this many
-# string products, or of as many as the terms collected so far if that is
-# more, so its transient arrays stay a small multiple of the result.
+# A sum product is formed and collected in row blocks of about
+# 2 * max(_MIN_BLOCK, terms collected so far) string pairs.  About half of
+# the pairs commute and are kept, so each block adds about as many products
+# as it has collected, and its transient arrays stay a small multiple of the
+# result.
 _MIN_BLOCK = 1 << 14
 
 
@@ -131,22 +125,17 @@ def group_keys(x, z) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], group
 
 
-def _collect(x, z, real, imag):
+def _collect(x, z, *parts):
     """Merge repeated (x, z) keys into one term each, in ascending (x, z)
-    order.
+    order, summing each array of coefficient parts.
 
-    Each coefficient is summed from 0.0 in occurrence order, so the result
-    is bit-identical to adding the terms one by one into a dict and sorting
+    Each part is summed from 0.0 in occurrence order, so the result is
+    bit-identical to adding the terms one by one into a dict and sorting
     its keys.  Nothing is pruned, so collecting a collected prefix together
     with further terms continues the same sums.
     """
     first, group = group_keys(x, z)
-    return (
-        x[first],
-        z[first],
-        np.bincount(group, real, len(first)),
-        np.bincount(group, imag, len(first)),
-    )
+    return x[first], z[first], *(np.bincount(group, p, len(first)) for p in parts)
 
 
 class PauliSum:
@@ -158,7 +147,8 @@ class PauliSum:
     kept in ascending (x, z) order, and coefficients with magnitude below
     DEFAULT_PRUNE_THRESHOLD are dropped.  Coefficients must be finite.
     `PauliString` objects are built only at the edges, by `items()` and
-    `sorted_items()`.  Instances are immutable; arithmetic returns new sums.
+    `sorted_items()`.  Instances are immutable; `symmetric_product` returns
+    a new sum.
     """
 
     __slots__ = ("n_qubits", "x", "z", "coeff")
@@ -205,12 +195,6 @@ class PauliSum:
         for array in (self.x, self.z, self.coeff):
             array.setflags(write=False)
 
-    def _derived(self, x, z, real, imag) -> "PauliSum":
-        """A sum on the same qubits from collected terms."""
-        out = PauliSum.__new__(PauliSum)
-        out._assign(self.n_qubits, x, z, real, imag)
-        return out
-
     def _keys(self) -> tuple[np.ndarray, np.ndarray]:
         """The x and z masks in the narrowest dtype that holds them."""
         key = _key_type(self.n_qubits)
@@ -248,10 +232,6 @@ class PauliSum:
         hits = np.flatnonzero((self.x == p.x_mask) & (self.z == p.z_mask))
         return int(hits[0]) if len(hits) else None
 
-    def coefficient(self, p: PauliString) -> complex:
-        i = self._index(p)
-        return 0.0 if i is None else self.coeff[i].item()
-
     def __len__(self) -> int:
         return len(self.coeff)
 
@@ -271,69 +251,47 @@ class PauliSum:
             and np.array_equal(self.coeff, other.coeff)
         )
 
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if self.n_qubits != other.n_qubits:
-            raise DimensionMismatchError("cannot add sums on different qubit counts")
-        (ax, az), (bx, bz) = self._keys(), other._keys()
-        return self._derived(*_collect(
-            np.concatenate([ax, bx]),
-            np.concatenate([az, bz]),
-            np.concatenate([self.coeff.real, other.coeff.real]),
-            np.concatenate([self.coeff.imag, other.coeff.imag]),
-        ))
+    def symmetric_product(self, other: "PauliSum") -> "PauliSum":
+        """The symmetric product (AB + BA) / 2 of the Hermitian parts of two
+        sums, those with the real parts Re(c) of their coefficients.
 
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, factor: complex) -> "PauliSum":
-        factor = complex(factor)
-        real, imag = _complex_product(
-            self.coeff.real, self.coeff.imag, factor.real, factor.imag
-        )
-        return self._derived(*_collect(*self._keys(), real, imag))
-
-    def __mul__(self, other: "PauliSum") -> "PauliSum":
-        """Operator product with term collection.
-
-        The string products of a block of A's terms with all of B's come
-        from one broadcast XOR of the masks.  The phase i**k of each, from
-        Y = i*X*Z, is counted mod 4 in uint8 arithmetic: a phase i per Y site
-        of either factor, (-1) per overlap of A's Z with B's X, and i**-1
-        per Y site of the product; it is folded into the coefficient.  Each block is
-        collected together with the terms collected so far, which continues
-        the same running sums, so each coefficient is bit for bit that of a
-        row-major double loop over A then B accumulating a dict.  Both
-        factors are in canonical order, so the product depends only on
-        their term sets.  It holds at most min(|A|*|B|, 4**n) terms, which
-        keeps high Hamiltonian powers affordable.
+        Anticommuting string pairs cancel in it and commuting pairs P, Q
+        give PQ = QP = +-R, so only pairs whose commutation parity
+        |x_P & z_Q| + |z_P & x_Q| is even contribute, each with a real
+        coefficient.  The sign of each comes from the phase i**k of PQ, from
+        Y = i*X*Z, counted mod 4 in uint8 arithmetic: a phase i per Y site
+        of either factor, (-1) per overlap of P's Z with Q's X, and i**-1
+        per Y site of R, which leaves k = 0 or 2.  The products of a block
+        of A's terms with all of B's come from one broadcast XOR of the
+        masks, and each block is collected together with the terms
+        collected so far, which continues the same running sums.  So each
+        coefficient is bit for bit that of a row-major double loop over A
+        then B accumulating a dict, and depends only on the two term sets.
+        Since H^(l-1) commutes with H, H^(l-1).symmetric_product(H) is H^l.
         """
         if self.n_qubits != other.n_qubits:
             raise DimensionMismatchError("cannot multiply sums on different qubit counts")
         (ax, az), (bx, bz) = self._keys(), other._keys()
         ay, by = np.bitwise_count(ax & az), np.bitwise_count(bx & bz)
-        ar, ai = self.coeff.real[:, None], self.coeff.imag[:, None]
-        br, bi = other.coeff.real, other.coeff.imag
-        x, z, real, imag = ax[:0], az[:0], ar[:0, 0], ai[:0, 0]
+        a, b = self.coeff.real[:, None], other.coeff.real
+        x, z, real = ax[:0], az[:0], b[:0]
         start = 0
         while start < len(ax):
-            rows = slice(start, start + max(_MIN_BLOCK, len(x)) // max(1, len(bx)) + 1)
-            px = (ax[rows, None] ^ bx).ravel()
-            pz = (az[rows, None] ^ bz).ravel()
-            phase = (ay[rows, None] + by + 2 * np.bitwise_count(az[rows, None] & bx)).ravel()
-            phase -= np.bitwise_count(px & pz)
-            phase &= 3
-            pr, pi = _complex_product(ar[rows], ai[rows], br, bi)
-            pr, pi = _complex_product(
-                pr.ravel(), pi.ravel(), _PHASE_REAL[phase], _PHASE_IMAG[phase]
-            )
-            x, z, real, imag = _collect(
-                np.concatenate([x, px]),
-                np.concatenate([z, pz]),
-                np.concatenate([real, pr]),
-                np.concatenate([imag, pi]),
+            rows = slice(start, start + 2 * max(_MIN_BLOCK, len(x)) // max(1, len(bx)) + 1)
+            zx = np.bitwise_count(az[rows, None] & bx)
+            commuting = ((zx + np.bitwise_count(ax[rows, None] & bz)) & 1) == 0
+            px = (ax[rows, None] ^ bx)[commuting]
+            pz = (az[rows, None] ^ bz)[commuting]
+            phase = (ay[rows, None] + by + 2 * zx)[commuting] - np.bitwise_count(px & pz)
+            pc = (a[rows] * b)[commuting]
+            np.negative(pc, out=pc, where=(phase & 2).astype(bool))
+            x, z, real = _collect(
+                np.concatenate([x, px]), np.concatenate([z, pz]), np.concatenate([real, pc])
             )
             start = rows.stop
-        return self._derived(x, z, real, imag)
+        out = PauliSum.__new__(PauliSum)
+        out._assign(self.n_qubits, x, z, real, np.zeros_like(real))
+        return out
 
     def is_hermitian(self) -> bool:
         """True when every canonical coefficient is real within

@@ -162,7 +162,9 @@ def test_7_shift_covariance():
         for _ in range(20):
             n = int(rng.integers(2, 4))
             h = random_hermitian_sum(rng, n, 6)
-            shifted = h + PauliSum.from_label_terms([(shift, "I" * n)])
+            shifted = PauliSum.from_label_terms(
+                [*((c, p.label) for p, c in h.items()), (shift, "I" * n)]
+            )
             bits = "".join(str(b) for b in rng.integers(0, 2, size=n))
             state = basis_state(bits)
             base = raw_moments_pauli(h, state, 7)[0]

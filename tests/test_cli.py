@@ -3,10 +3,11 @@
 import io
 import math
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from cmxlab import cmx
+from cmxlab import cli, cmx
 from cmxlab.cli import emit_plot_script, main
 from cmxlab.errors import UsageError
 from cmxlab.methods import MethodSpec, parse_method, parse_method_list
@@ -264,6 +265,35 @@ class TestSinglePointCommands:
         methods = ("--methods", "pds:2") if command == "sweep" else ()
         assert run_cli(command, "--theta", "0.3", *methods) == (2, "")
         assert "--theta needs --generator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("command", "calls"), [
+        ("moments", 0), ("noise", 0), ("diag", 1), ("cmx", 1), ("pds", 1),
+        ("sweep", 1), ("variational", 1),
+    ])
+    def test_dense_reference_only_where_printed(self, command, calls):
+        extra = {"sweep": ("--methods", "pds:2"),
+                 "variational": ("--generator", "YX", "--grid-points", "5")}
+        counted = mock.Mock(wraps=cli.exact_diagonalize)
+        with mock.patch.object(cli, "exact_diagonalize", counted):
+            code, _ = run_cli(command, "--model", "h2", "--g", "0.1,0.4,-0.3,0.2,0.1,0.1",
+                              *extra.get(command, ()))
+        assert code == 0
+        assert counted.call_count == calls
+
+    def test_pauli_route_past_the_dense_limit(self, tmp_path, capsys):
+        # 16 qubits: moments and noise need no dense matrix; diag does
+        model = tmp_path / "h16.txt"
+        model.write_text("0.5 Z" + "I" * 15 + "\n0.25 XX" + "I" * 14
+                         + "\n0.3 IIYY" + "I" * 12 + "\n-0.2 " + "I" * 15 + "Z\n")
+        argv = ("--model", "file", "--hamiltonian-file", str(model), "--trial", "0" * 16)
+        code, text = run_cli("moments", *argv)
+        assert code == 0
+        assert text.splitlines()[2] == "1,0.29999999999999999,0.29999999999999999"
+        code, text = run_cli("noise", *argv, "--shots", "64")
+        assert code == 0
+        assert text.splitlines()[0] == cli.NOISE_HEADER
+        assert run_cli("diag", *argv) == (1, "")
+        assert "exceeds the dense limit" in capsys.readouterr().err
 
     def test_noise_subcommand_schema(self):
         code, text = run_cli(

@@ -161,7 +161,9 @@ class TestShiftCovariance:
         state = basis_state("0110")
         base = raw_moments_pauli(h, state, 5)[0]
         for scale in (1.0, 250.0, 1e-3):
-            shifted = h.scaled(scale) + PauliSum.from_label_terms([(1.5 * scale, "IIII")])
+            shifted = PauliSum.from_label_terms(
+                [*((scale * c, p.label) for p, c in h.items()), (1.5 * scale, "IIII")]
+            )
             if scale >= 1.0:
                 moved = raw_moments_pauli(shifted, state, 5)[0]
             else:

@@ -20,16 +20,17 @@ from cmxlab.moments import (
     hamiltonian_powers,
     hw_energy_series,
     krylov_rank,
+    lanczos,
     raw_moments_dense,
     raw_moments_pauli,
-    reachable_spectrum,
 )
 from cmxlab.noise import NoiseModel, noisy_moments
-from cmxlab.pauli import PauliString, PauliSum
+from cmxlab.pauli import DEFAULT_PRUNE_THRESHOLD, PauliString, PauliSum
 from cmxlab.statevector import DENSE_QUBIT_LIMIT, StateVector, apply_pauli_sum, basis_state
 
 from conftest import (
     basis_vector,
+    coefficient_norm,
     dense_moments,
     dense_of_sum,
     dense_reachable_spectrum,
@@ -125,22 +126,61 @@ class TestRawMomentsPauli:
             raw_moments_pauli(h, basis_state("0"), 2)
 
 
+class TestRealPowers:
+    """Powers built from commuting string pairs: real, and H^l itself."""
+
+    @given(sum_and_trial(6))
+    @settings(max_examples=100, deadline=None)
+    def test_powers_match_dense_matrix_powers(self, inputs):
+        h, _ = inputs
+        dense = dense_of_sum(h)
+        norm = coefficient_norm(h)
+        for l, power in enumerate(hamiltonian_powers(h, 6), start=1):
+            want = np.linalg.matrix_power(dense, l)
+            # rounding of l-fold products summed over 2**n-long dot
+            # products, plus the terms the absolute prune drops: at most one
+            # per string with the entry's x-mask, 2**n in all
+            dim = 2**h.n_qubits
+            bound = (4 * l * dim * np.finfo(float).eps * norm**l
+                     + dim * DEFAULT_PRUNE_THRESHOLD)
+            assert np.abs(dense_of_sum(power) - want).max() <= bound
+
+    @pytest.mark.parametrize("v", [0.05, 1.0, 20.0])
+    def test_siam_powers_are_real(self, v):
+        powers = hamiltonian_powers(siam_sum(v), 7)
+        assert all(not power.coeff.imag.any() for power in powers)
+        assert len(powers[-1]) <= 24
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_moments_read_the_hermitian_part(self, rng, dense):
+        h = random_hermitian_sum(rng, 4, 10)
+        skewed = PauliSum(4, [(p, complex(c, 1e-11)) for p, c in h.items()])
+        assert skewed.is_hermitian() and skewed != h
+        state = random_state(rng, 4) if dense else basis_state("0110")
+        got, got_cache = raw_moments_pauli(skewed, state, 5)
+        want, want_cache = raw_moments_pauli(h, state, 5)
+        assert [k.hex() for k in got.raw] == [k.hex() for k in want.raw]
+        assert np.array_equal(got_cache.x, want_cache.x)
+        assert np.array_equal(got_cache.z, want_cache.z)
+
+
 def sequential_assembly(powers, value):
-    """Reference assembly: a per-term loop from 0j with a memoising dict
-    cache.  Returns the complex sums, the cache and its hit count."""
+    """Reference assembly: a per-term loop from 0.0 over the real parts of
+    the coefficients with a memoising dict cache.  Returns the sums, the
+    cache and its hit count."""
     cache, hits, totals = {}, 0, []
     for power in powers:
-        acc = 0.0 + 0.0j
+        acc = 0.0
         for p, c in power.items():
             key = (p.x_mask, p.z_mask)
             if p.is_identity:
-                acc += c
+                acc += c.real
                 continue
             if key in cache:
                 hits += 1
             else:
                 cache[key] = value(*key)
-            acc += c * cache[key]
+            acc += c.real * cache[key]
         totals.append(acc)
     return totals, cache, hits
 
@@ -196,26 +236,17 @@ class TestAssembleMoments:
 
         want, cache, hits = sequential_assembly(powers, value)
         calls = []
-        totals = []
 
         def values(xs, zs):
             calls.append(list(zip(xs.tolist(), zs.tolist())))
             return np.array([value(x, z) for x, z in calls[-1]])
 
-        def capture(total, order):
-            totals.append(total)
-            return total.real
-
-        with mock.patch.object(moments, "_real_moment", side_effect=capture):
-            got, terms = assemble_moments(powers, len(powers), values)
+        got, terms = assemble_moments(powers, len(powers), values)
         # one provider call with every distinct string, in ascending (x, z)
         # order
         assert calls == [sorted(cache)]
         assert terms - len(cache) == hits
-        assert [(v.real.hex(), v.imag.hex()) for v in totals] == [
-            (v.real.hex(), v.imag.hex()) for v in want
-        ]
-        assert got.raw == (1.0, *(v.real for v in want))
+        assert [k.hex() for k in got.raw[1:]] == [v.hex() for v in want]
 
     def test_raw_moments_counts_match_a_dict_cache(self, rng):
         h = random_hermitian_sum(rng, 4, 12)
@@ -229,7 +260,7 @@ class TestAssembleMoments:
         assert dict(zip(keys, got.values.tolist())) == cache
         assert keys == sorted(cache)
         assert (got.hits, got.misses, len(got)) == (hits, len(cache), len(cache))
-        assert [k.hex() for k in table.raw[1:]] == [v.real.hex() for v in want]
+        assert [k.hex() for k in table.raw[1:]] == [v.hex() for v in want]
 
     def test_provider_gets_keys_in_strictly_ascending_order(self, rng):
         h = random_hermitian_sum(rng, 5, 20)
@@ -435,7 +466,8 @@ class TestKrylov:
 
     def test_reachable_spectrum_matches_dense_oracle(self):
         h = siam_sum(1.0)
-        ours = reachable_spectrum(h, basis_state("0110"))
+        alpha, beta = lanczos(h, basis_state("0110"))
+        ours = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
         oracle = dense_reachable_spectrum(dense_of_sum(h), basis_vector("0110"))
         assert np.allclose(ours, oracle, atol=1e-8)
         assert np.allclose(
@@ -454,7 +486,8 @@ class TestKrylov:
     @settings(max_examples=300, deadline=None)
     def test_rank_and_spectrum_match_dense_oracle(self, inputs):
         h, state = inputs
-        ours = reachable_spectrum(h, state)
+        alpha, beta = lanczos(h, state)
+        ours = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
         oracle = dense_reachable_spectrum(dense_of_sum(h), state.amplitudes)
         assert krylov_rank(h, state) == len(ours) == len(oracle)
         assert krylov_rank(h, state, max_dim=8) == min(8, len(oracle))

@@ -197,7 +197,9 @@ class TestSaturation:
         h = siam_sum(1.0)
         base_table = raw_moments_dense(h, basis_state("0110"), 7)
         for scale in (1.0, 250.0, 1e-3):
-            shifted = h.scaled(scale) + PauliSum.from_label_terms([(1.5 * scale, "IIII")])
+            shifted = PauliSum.from_label_terms(
+                [*((scale * c, p.label) for p, c in h.items()), (1.5 * scale, "IIII")]
+            )
             shift_table = raw_moments_dense(shifted, basis_state("0110"), 7)
             for order in (1, 2, 3, 4):
                 base = solve_pds(base_table, order)
