@@ -5,10 +5,12 @@ moments K_n -> CMX/PDS energy, noisy or exact, through `_prepare`, and
 differs only in what it reports.  `COMMANDS` gives each subcommand its help
 text, the option groups it reads, its own options and its handler; a
 subcommand registers only the options it reads, so argparse rejects any
-other with exit status 2.  A handler is a generator: it first yields its CSV
-lines (None when it has no table), which `main` writes to --output or
-stdout and, with --emit-plot, turns into a gnuplot script; then it yields
-summary lines, which always go to stdout.
+other with exit status 2.  A call builds only its own subcommand's options;
+the other subcommands are there by name, for help and usage errors.  A
+handler is a generator: it first yields its CSV lines (None when it has no
+table), which `main` writes to --output or stdout and, with --emit-plot,
+turns into a gnuplot script; then it yields summary lines, which always go
+to stdout.
 
 Every flag can also be given in a key = value config file (--config);
 command-line flags override file values.  CSV floats are written with 17
@@ -47,6 +49,7 @@ from .statevector import (
     basis_state,
     exact_diagonalize,
     fidelity,
+    require_dense,
 )
 from .variational import default_theta_grid, deviation_report, energy_vs_theta
 
@@ -114,7 +117,7 @@ def _numbers(text: str, option: str) -> tuple[float, ...]:
 
 
 def _prepare(args: argparse.Namespace, max_order: int | None,
-             sweep: bool = False) -> list[Prepared]:
+             sweep: bool = False, reference: bool = False) -> list[Prepared]:
     """Model point -> trial state -> K_0..K_max_order with connected moments,
     for every model point; max_order None stops at the state.
 
@@ -125,7 +128,8 @@ def _prepare(args: argparse.Namespace, max_order: int | None,
     the dense ground eigenvalue, computed when a handler first reads it.
     The moments are shot estimates under --noise and exact Pauli-route
     values otherwise.  Unless `sweep`, the run
-    must have exactly one model point.
+    must have exactly one model point.  With `reference`, a model past the
+    dense limit with no analytic reference fails before any moment is built.
     """
     coeffs = _numbers(args.g, "--g") if args.g else None
     if coeffs is not None and len(coeffs) != 6:
@@ -192,6 +196,8 @@ def _prepare(args: argparse.Namespace, max_order: int | None,
     if getattr(args, "noise", False):
         noise = NoiseModel(p00=args.p00, p11=args.p11, p1=args.p1, p2=args.p2,
                            shots=args.shots, seed=args.seed)
+    if reference and not half_filling:
+        require_dense(n_qubits)
     prepared = []
     for value, h in points:
         analytic = siam_fci_energy(args.U, value) if half_filling else None
@@ -222,7 +228,7 @@ def _moments(args: argparse.Namespace) -> Report:
 
 
 def _cmx(args: argparse.Namespace) -> Report:
-    [prep] = _prepare(args, 2 * args.order - 1)
+    [prep] = _prepare(args, 2 * args.order - 1, reference=True)
     variants = ("cioslowski", "knowles") if args.variant == "both" else (args.variant,)
     yield None
     yield (f"model point: sweep_value={_fmt(prep.sweep_value)} "
@@ -250,7 +256,7 @@ def _cmx(args: argparse.Namespace) -> Report:
 
 
 def _pds(args: argparse.Namespace) -> Report:
-    [prep] = _prepare(args, 2 * args.order - 1)
+    [prep] = _prepare(args, 2 * args.order - 1, reference=True)
     result = solve_pds(prep.table, args.order)
     yield None
     yield (f"model point: sweep_value={_fmt(prep.sweep_value)} "
@@ -273,7 +279,7 @@ def _sweep(args: argparse.Namespace) -> Report:
     methods = parse_method_list(args.methods)
     max_order = max(spec.required_max_order for spec in methods)
     rows = [SWEEP_HEADER]
-    for prep in _prepare(args, max_order, sweep=True):
+    for prep in _prepare(args, max_order, sweep=True, reference=True):
         for spec in methods:
             value = evaluate_method(spec, prep.table)
             rows.append(_row(
@@ -487,7 +493,16 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with options registered only on
+    `command`'s subparser, or on every subparser when `command` is None.
+
+    Every subparser exists either way, so the top-level usage, help and
+    errors do not depend on `command`; a subparser without its options
+    must not be asked to parse.  Each `add_argument` builds a help
+    formatter, which queries the terminal size, so a call that registers
+    only its own options spends about a third as long here.
+    """
     parser = argparse.ArgumentParser(
         prog="cmxlab",
         description="Connected-moments (CMX/PDS) energy estimation for qubit Hamiltonians.",
@@ -495,10 +510,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, groups, own, handler) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        options = {flag: kw for group in groups for flag, kw in OPTION_GROUPS[group].items()}
-        for flag, kwargs in (options | own).items():
-            p.add_argument(flag, **kwargs)
-        p.add_argument("--config", help="key = value config file")
+        if command in (None, name):
+            options = {flag: kw for group in groups for flag, kw in OPTION_GROUPS[group].items()}
+            for flag, kwargs in (options | own).items():
+                p.add_argument(flag, **kwargs)
+            p.add_argument("--config", help="key = value config file")
         p.set_defaults(handler=handler)
     return parser
 
@@ -550,7 +566,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         argv = _inject_config(argv)
-        args = build_parser().parse_args(argv)
+        # a leading subcommand name gets every later token, so only its
+        # subparser needs options
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        args = build_parser(command).parse_args(argv)
         output, plot = getattr(args, "output", None), getattr(args, "emit_plot", None)
         if plot and not output:
             raise UsageError("--emit-plot needs --output")

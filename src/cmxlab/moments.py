@@ -17,18 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    ContractViolationError,
-    InsufficientMomentsError,
-)
+from .errors import ContractViolationError, InsufficientMomentsError
 from .pauli import PauliString, PauliSum, group_keys
-from .statevector import (
-    DENSE_QUBIT_LIMIT,
-    StateVector,
-    apply_pauli_sum,
-    pauli_expectation,
-)
+from .statevector import StateVector, apply_pauli_sum, pauli_expectation, require_dense
 
 _IMAG_TOL = 1e-10
 SATURATION_TOLERANCE = 1e-8
@@ -237,10 +228,7 @@ def raw_moments_dense(h: PauliSum, state: StateVector, max_order: int) -> Moment
         raise ContractViolationError("moments require a Hermitian sum")
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
-    if h.n_qubits > DENSE_QUBIT_LIMIT:
-        raise CapacityError(
-            f"{h.n_qubits} qubits exceeds the dense limit of {DENSE_QUBIT_LIMIT}"
-        )
+    require_dense(h.n_qubits)
     raw = [1.0]
     v = state
     # as on the Pauli route, an overflowing chain gives non-finite moments,

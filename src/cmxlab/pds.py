@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -45,13 +46,18 @@ class PdsResult:
     """
 
     order: int
-    coefficients: tuple[float, ...]
     roots: tuple[complex, ...]
     real_roots_sorted: tuple[float, ...]
     ground_energy: float
     condition_number: float
     used_pseudo_inverse: bool
     complex_roots: tuple[complex, ...] = ()
+
+    @cached_property
+    def coefficients(self) -> tuple[float, ...]:
+        """The monic polynomial's coefficients, highest power first, in the
+        units of H; computed from `roots` on first read."""
+        return tuple(float(c) for c in np.poly(self.roots).real)
 
 
 def _raw_values(moments: MomentTable | Sequence[float]) -> list[float]:
@@ -133,7 +139,6 @@ def solve_pds(moments: MomentTable | Sequence[float], order: int) -> PdsResult:
     retained = sorted(real_nodes + [mean] * padding)
     return PdsResult(
         order=order,
-        coefficients=tuple(float(c) for c in np.poly(roots).real),
         roots=roots,
         real_roots_sorted=tuple(retained),
         ground_energy=retained[0],

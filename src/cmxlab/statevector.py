@@ -250,6 +250,13 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
+def require_dense(n_qubits: int) -> None:
+    """Raise CapacityError when a dense operator on `n_qubits` qubits is
+    past DENSE_QUBIT_LIMIT."""
+    if n_qubits > DENSE_QUBIT_LIMIT:
+        raise CapacityError(f"{n_qubits} qubits exceeds the dense limit of {DENSE_QUBIT_LIMIT}")
+
+
 def dense_matrix(h: PauliSum) -> np.ndarray:
     """Dense 2**n x 2**n matrix of a sum.
 
@@ -257,8 +264,7 @@ def dense_matrix(h: PauliSum) -> np.ndarray:
     in O(2**n) per term instead of building kron chains.
     """
     n = h.n_qubits
-    if n > DENSE_QUBIT_LIMIT:
-        raise CapacityError(f"{n} qubits exceeds the dense limit of {DENSE_QUBIT_LIMIT}")
+    require_dense(n)
     cols, reversal, _, sign = _index_tables(n)
     out = np.zeros((len(cols), len(cols)), dtype=complex)
     for x, z, c in zip(h.x.tolist(), h.z.tolist(), h.coeff.tolist()):

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, config files, CSV schemas, plots."""
 
+import argparse
 import io
 import math
 from pathlib import Path
@@ -27,6 +28,20 @@ def exit_code(*argv):
         return main(list(argv), out=io.StringIO())
     except SystemExit as exc:  # argparse rejects an option the subcommand lacks
         return exc.code
+
+
+def subparsers(parser):
+    """Each subcommand's parser, by name."""
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def model_past_the_dense_limit(tmp_path):
+    """File-model flags for a 16-qubit, 4-term sum on |0...0>."""
+    model = tmp_path / "h16.txt"
+    model.write_text("0.5 Z" + "I" * 15 + "\n0.25 XX" + "I" * 14
+                     + "\n0.3 IIYY" + "I" * 12 + "\n-0.2 " + "I" * 15 + "Z\n")
+    return ("--model", "file", "--hamiltonian-file", str(model), "--trial", "0" * 16)
 
 
 # (subcommand, option) pairs that the subcommand does not read
@@ -282,10 +297,7 @@ class TestSinglePointCommands:
 
     def test_pauli_route_past_the_dense_limit(self, tmp_path, capsys):
         # 16 qubits: moments and noise need no dense matrix; diag does
-        model = tmp_path / "h16.txt"
-        model.write_text("0.5 Z" + "I" * 15 + "\n0.25 XX" + "I" * 14
-                         + "\n0.3 IIYY" + "I" * 12 + "\n-0.2 " + "I" * 15 + "Z\n")
-        argv = ("--model", "file", "--hamiltonian-file", str(model), "--trial", "0" * 16)
+        argv = model_past_the_dense_limit(tmp_path)
         code, text = run_cli("moments", *argv)
         assert code == 0
         assert text.splitlines()[2] == "1,0.29999999999999999,0.29999999999999999"
@@ -294,6 +306,16 @@ class TestSinglePointCommands:
         assert text.splitlines()[0] == cli.NOISE_HEADER
         assert run_cli("diag", *argv) == (1, "")
         assert "exceeds the dense limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cmx", "pds", "sweep"])
+    def test_dense_reference_fails_before_any_moment(self, tmp_path, capsys, command):
+        argv = model_past_the_dense_limit(tmp_path)
+        methods = ("--methods", "pds:2") if command == "sweep" else ()
+        counted = mock.Mock(wraps=cli.raw_moments_pauli)
+        with mock.patch.object(cli, "raw_moments_pauli", counted):
+            assert run_cli(command, *argv, *methods) == (1, "")
+        assert capsys.readouterr().err == "error: 16 qubits exceeds the dense limit of 14\n"
+        assert counted.call_count == 0
 
     def test_noise_subcommand_schema(self):
         code, text = run_cli(
@@ -373,6 +395,16 @@ class TestConfigFile:
         cfg.write_text("just words\n")
         code, _ = run_cli("sweep", "--methods", "pds:2", "--config", str(cfg))
         assert code == 2
+
+    def test_config_keys_reach_only_the_chosen_subcommand(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("methods = pds:2\nU = 4\nsweep-values = 1,2\n")
+        direct = run_cli("sweep", "--methods", "pds:2", "--U", "4", "--sweep-values", "2")
+        assert direct[0] == 0
+        assert run_cli("sweep", "--config", str(cfg), "--sweep-values", "2") == direct
+        # a key the subcommand does not read is an unrecognized option
+        cfg.write_text("methods = pds:2\norder = 3\n")
+        assert exit_code("sweep", "--config", str(cfg)) == 2
 
     def test_negative_leading_value(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -498,6 +530,55 @@ class TestOptionsPerSubcommand:
     def test_noise_subcommand_keeps_its_implied_flag(self):
         argv = ("noise", "--shots", "64", "--seed", "2")
         assert run_cli(*argv, "--noise") == run_cli(*argv)
+
+
+class TestNarrowParser:
+    """A call registers options only on its own subcommand's parser; help and
+    usage errors read as if every subcommand had its options."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_help_matches_the_full_parser(self, command):
+        full, narrow = cli.build_parser(), cli.build_parser(command)
+        assert narrow.format_help() == full.format_help()
+        assert (subparsers(narrow)[command].format_help()
+                == subparsers(full)[command].format_help())
+
+    @pytest.mark.parametrize("argv", [
+        ("bogus",), (), ("sweep", "--methods", "pds:2", "--bogus"),
+    ], ids=["bogus", "no-arguments", "sweep-bogus"])
+    def test_usage_error_matches_the_full_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as full:
+            cli.build_parser().parse_args(list(argv))
+        want = capsys.readouterr()
+        assert exit_code(*argv) == full.value.code == 2
+        assert capsys.readouterr() == want
+
+    def test_only_the_chosen_subparser_holds_options(self, monkeypatch):
+        built = []
+
+        def spy(command=None):
+            built.append(build(command))
+            return built[-1]
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", spy)
+        assert run_cli("sweep", "--methods", "pds:2", "--sweep-values", "1")[0] == 0
+        [parser] = built
+        full = subparsers(build())
+
+        def options(p):
+            return [a.option_strings for a in p._actions]
+
+        for name, p in subparsers(parser).items():
+            if name == "sweep":
+                assert options(p) == options(full[name])
+                assert ["--methods"] in options(p) and ["--config"] in options(p)
+            else:
+                assert options(p) == [["-h", "--help"]]
 
 
 class TestRunConfigValidation:

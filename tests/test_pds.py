@@ -1,5 +1,8 @@
 """PDS solver: linear system assembly, roots, bounds, saturation."""
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -79,6 +82,18 @@ class TestSolve:
         result = solve_pds(siam_table(1.0), 3)
         assert result.coefficients[0] == 1.0
         assert result.ground_energy == min(result.real_roots_sorted)
+
+    def test_coefficients_computed_on_first_read(self, monkeypatch):
+        poly = np.poly
+        counted = mock.Mock(wraps=poly)
+        monkeypatch.setattr(np, "poly", counted)
+        result = solve_pds(siam_table(1.0), 3)
+        assert counted.call_count == 0
+        assert "coefficients" not in {f.name for f in dataclasses.fields(result)}
+        first = result.coefficients
+        assert result.coefficients is first and counted.call_count == 1
+        assert first == tuple(float(c) for c in poly(result.roots).real)
+        assert all(type(c) is float for c in first)
 
     def test_polynomial_residuals(self):
         for order in (2, 3, 4):
