@@ -546,7 +546,12 @@ def _load_config_tokens(path: str) -> list[str]:
 
 def _inject_config(argv: list[str]) -> list[str]:
     """Splice config-file tokens right after the subcommand so explicit
-    flags, which come later, win."""
+    flags, which come later, win.
+
+    The subcommand is the first token naming one, a --config value aside.
+    A --config given before it moves to after the file's tokens, where the
+    subcommand's parser reads it, so the subcommand leads the result.
+    """
     config_path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -558,7 +563,14 @@ def _inject_config(argv: list[str]) -> list[str]:
     if not Path(config_path).exists():
         raise UsageError(f"config file {config_path!r} does not exist")
     tokens = _load_config_tokens(config_path)
-    return argv[:1] + tokens + argv[1:]
+    head, moved, i = [], [], 0
+    while i < len(argv) and argv[i] not in COMMANDS:
+        width = 2 if argv[i] == "--config" else 1
+        (moved if argv[i].startswith("--config") else head).extend(argv[i:i + width])
+        i += width
+    if i >= len(argv):
+        return argv  # argparse reports the missing subcommand
+    return head + argv[i:i + 1] + tokens + moved + argv[i + 1:]
 
 
 def main(argv: list[str] | None = None, out=None) -> int:

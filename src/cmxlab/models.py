@@ -90,9 +90,6 @@ class H2Coefficients:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.g0, self.g1, self.g2, self.g3, self.g4, self.g5)
-
 
 def h2_bk_hamiltonian(c: H2Coefficients) -> PauliSum:
     """g0 I + g1 Z0 + g2 Z1 + g3 Z0Z1 + g4 X0X1 + g5 Y0Y1.

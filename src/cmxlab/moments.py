@@ -4,9 +4,8 @@ Horn-Weinstein energy series.
 Two independent routes compute the raw moments: the Pauli route expands H^n
 as a collected Pauli sum and measures each distinct Pauli string once,
 while the dense route repeatedly applies H to the state.  They must agree;
-tests enforce it.  The Pauli route, and the noisy route built on it, read
-the Hermitian part Re(c) of H's coefficients; a sum whose imaginary parts
-exceed `PauliSum.is_hermitian`'s tolerance is rejected on both routes.
+tests enforce it.  Both read the same real coefficients, since every
+`PauliSum` is Hermitian from the moment it is built.
 """
 
 from __future__ import annotations
@@ -118,10 +117,9 @@ def hamiltonian_powers(h: PauliSum, max_order: int) -> list[PauliSum]:
     """[H^1, ..., H^max_order] as collected Pauli sums.
 
     H^l = H^(l-1).symmetric_product(H): since H^(l-1) commutes with H, only
-    commuting string pairs contribute, each with a real sign, so every
-    power above the first is real and built from the Hermitian part Re(c)
-    of H.  Iterated sum-times-sum products keep the term count bounded by
-    min(M^l, 4**n) instead of enumerating M^l index tuples.
+    commuting string pairs contribute, each with a real sign.  Iterated
+    sum-times-sum products keep the term count bounded by min(M^l, 4**n)
+    instead of enumerating M^l index tuples.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
@@ -159,19 +157,16 @@ def assemble_moments(
     `values(xs, zs)` is called exactly once per table, with the uint64 masks
     of every distinct non-identity string of H^1..H^max_order in ascending
     (x, z) order, and returns one float per string; each string stands for
-    one measured circuit.  Only the real parts c of the coefficients are
-    read: the Hermitian part of a sum, which is all of every power that
-    `hamiltonian_powers` builds above the first.  The identity term
-    contributes c itself.  Each K_l is summed from 0.0 in the power's
-    canonical term order, so the result is bit for bit that of adding the
-    terms one by one and depends only on the powers' term sets.  Also
-    returns the number of non-identity terms, so hits = terms - distinct
-    strings.
+    one measured circuit.  The identity term contributes c itself.  Each
+    K_l is summed from 0.0 in the power's canonical term order, so the
+    result is bit for bit that of adding the terms one by one and depends
+    only on the powers' term sets.  Also returns the number of non-identity
+    terms, so hits = terms - distinct strings.
     """
     used = powers[:max_order]
     x = np.concatenate([p.x for p in used])
     z = np.concatenate([p.z for p in used])
-    coeff = np.concatenate([p.coeff.real for p in used])
+    coeff = np.concatenate([p.coeff for p in used])
     measured = (x | z) != 0
     x, z = x[measured], z[measured]
     first, group = group_keys(x, z)
@@ -200,8 +195,6 @@ def raw_moments_pauli(
     string measured once.  Precomputed powers can be passed when sweeping
     many states against one Hamiltonian.
     """
-    if not h.is_hermitian():
-        raise ContractViolationError("moments require a Hermitian sum")
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     if powers is None:
@@ -224,8 +217,6 @@ def raw_moments_pauli(
 def raw_moments_dense(h: PauliSum, state: StateVector, max_order: int) -> MomentTable:
     """Raw moments K_n = <Phi|v_n> on the Krylov chain |v_n> = H^n|Phi>;
     the independent oracle route."""
-    if not h.is_hermitian():
-        raise ContractViolationError("moments require a Hermitian sum")
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     require_dense(h.n_qubits)

@@ -62,11 +62,6 @@ class NoiseModel:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
-    @property
-    def readout_invertible(self) -> bool:
-        """The 2x2 readout channel is invertible iff p00 + p11 > 1."""
-        return self.p00 + self.p11 > 1.0
-
 
 @dataclass(frozen=True)
 class ShotEstimate:
@@ -239,8 +234,6 @@ def noisy_moments(
     strings the table measures.  The sampled strings are returned as one
     `SampledStrings` record in that sampling order.
     """
-    if not h.is_hermitian():
-        raise ContractViolationError("moments require a Hermitian sum")
     powers = hamiltonian_powers(h, max_order)
     sampled: list[SampledStrings] = []
 

@@ -9,15 +9,16 @@ the real coefficient of its term.
 
 `PauliString` is the scalar API, used for parsing, labels and lookups.  A
 `PauliSum` keeps its terms as arrays instead: uint64 x and z masks and
-complex128 coefficients, so it is limited to MAX_SUM_QUBITS = 64 qubits.
-Its terms are always in ascending (x_mask, z_mask) order, so a sum's arrays,
-and every product and moment built from them, depend on its term set alone
-and not on the order the terms were written in.  The one product of sums,
-`PauliSum.symmetric_product`, builds Hamiltonian powers: it reads the real
-parts of the coefficients, keeps the commuting string pairs, whose products
-have real signs, and is one broadcast XOR over those pairs, each collected
-coefficient bit-identical to a scalar string-product loop accumulating a
-dict.
+float64 coefficients, so it is limited to MAX_SUM_QUBITS = 64 qubits.  A sum
+is Hermitian from the moment it is built: complex coefficients are accepted
+only when their imaginary parts are rounding-sized, and only the real parts
+are kept.  Its terms are always in ascending (x_mask, z_mask) order, so a
+sum's arrays, and every product and moment built from them, depend on its
+term set alone and not on the order the terms were written in.  The one
+product of sums, `PauliSum.symmetric_product`, builds Hamiltonian powers: it
+keeps the commuting string pairs, whose products have real signs, and is one
+broadcast XOR over those pairs, each collected coefficient bit-identical to
+a scalar string-product loop accumulating a dict.
 
 Labels are read left to right as qubit 0..n-1, e.g. "XIZ" puts X on qubit 0.
 """
@@ -31,7 +32,12 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError, HamiltonianParseError
+from .errors import (
+    CapacityError,
+    ContractViolationError,
+    DimensionMismatchError,
+    HamiltonianParseError,
+)
 
 _BITS_FROM_CHAR = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _CHAR_FROM_BITS = {v: k for k, v in _BITS_FROM_CHAR.items()}
@@ -143,9 +149,12 @@ class PauliSum:
     MAX_SUM_QUBITS qubits.
 
     The terms live in three aligned read-only arrays: uint64 ``x`` and ``z``
-    masks and complex128 ``coeff``.  Repeated keys are merged, the terms are
+    masks and float64 ``coeff``.  Repeated keys are merged, the terms are
     kept in ascending (x, z) order, and coefficients with magnitude below
-    DEFAULT_PRUNE_THRESHOLD are dropped.  Coefficients must be finite.
+    DEFAULT_PRUNE_THRESHOLD are dropped.  Coefficients must be finite, and
+    the merged ones Hermitian: each |Im c| at most HERMITIAN_TOLERANCE *
+    max(1, largest |c|), else ContractViolationError names the first
+    offending label.  ``coeff`` keeps the real parts.
     `PauliString` objects are built only at the edges, by `items()` and
     `sorted_items()`.  Instances are immutable; `symmetric_product` returns
     a new sum.
@@ -178,20 +187,25 @@ class PauliSum:
         coeff = np.array(cs, dtype=complex)
         if not np.isfinite(coeff).all():
             raise ValueError("coefficients must be finite")
-        self._assign(
-            n_qubits,
-            *_collect(np.array(xs, dtype=key), np.array(zs, dtype=key), coeff.real, coeff.imag),
+        x, z, real, imag = _collect(
+            np.array(xs, dtype=key), np.array(zs, dtype=key), coeff.real, coeff.imag
         )
+        scale = float(np.hypot(real, imag).max(initial=0.0))
+        skew = np.flatnonzero(np.abs(imag) > HERMITIAN_TOLERANCE * max(1.0, scale))
+        if len(skew):
+            label = PauliString(n_qubits, int(x[skew[0]]), int(z[skew[0]])).label
+            raise ContractViolationError(
+                f"not Hermitian: term {label} has imaginary part {imag[skew[0]]:g}"
+            )
+        self._assign(n_qubits, x, z, real)
 
-    def _assign(self, n_qubits, x, z, real, imag) -> None:
+    def _assign(self, n_qubits, x, z, coeff) -> None:
         """Store collected terms, dropping those below DEFAULT_PRUNE_THRESHOLD."""
         self.n_qubits = n_qubits
-        # np.hypot rounds like Python's abs(complex); np.abs on complex does not
-        keep = np.hypot(real, imag) >= DEFAULT_PRUNE_THRESHOLD
+        keep = np.abs(coeff) >= DEFAULT_PRUNE_THRESHOLD
         self.x = x[keep].astype(np.uint64)
         self.z = z[keep].astype(np.uint64)
-        self.coeff = np.empty(len(self.x), dtype=complex)
-        self.coeff.real, self.coeff.imag = real[keep], imag[keep]
+        self.coeff = coeff[keep]
         for array in (self.x, self.z, self.coeff):
             array.setflags(write=False)
 
@@ -216,14 +230,14 @@ class PauliSum:
             raise ValueError("empty term list needs an explicit n_qubits")
         return cls(n_qubits, pairs)
 
-    def items(self) -> Iterator[tuple[PauliString, complex]]:
+    def items(self) -> Iterator[tuple[PauliString, float]]:
         """(string, coefficient) pairs in ascending (x, z) order, strings
         built lazily."""
         n = self.n_qubits
         for x, z, c in zip(self.x.tolist(), self.z.tolist(), self.coeff.tolist()):
             yield PauliString(n, x, z), c
 
-    def sorted_items(self) -> list[tuple[PauliString, complex]]:
+    def sorted_items(self) -> list[tuple[PauliString, float]]:
         return sorted(self.items(), key=lambda kv: kv[0].label)
 
     def _index(self, p: PauliString) -> int | None:
@@ -252,8 +266,7 @@ class PauliSum:
         )
 
     def symmetric_product(self, other: "PauliSum") -> "PauliSum":
-        """The symmetric product (AB + BA) / 2 of the Hermitian parts of two
-        sums, those with the real parts Re(c) of their coefficients.
+        """The symmetric product (AB + BA) / 2 of two sums.
 
         Anticommuting string pairs cancel in it and commuting pairs P, Q
         give PQ = QP = +-R, so only pairs whose commutation parity
@@ -273,8 +286,8 @@ class PauliSum:
             raise DimensionMismatchError("cannot multiply sums on different qubit counts")
         (ax, az), (bx, bz) = self._keys(), other._keys()
         ay, by = np.bitwise_count(ax & az), np.bitwise_count(bx & bz)
-        a, b = self.coeff.real[:, None], other.coeff.real
-        x, z, real = ax[:0], az[:0], b[:0]
+        a, b = self.coeff[:, None], other.coeff
+        x, z, coeff = ax[:0], az[:0], b[:0]
         start = 0
         while start < len(ax):
             rows = slice(start, start + 2 * max(_MIN_BLOCK, len(x)) // max(1, len(bx)) + 1)
@@ -285,21 +298,13 @@ class PauliSum:
             phase = (ay[rows, None] + by + 2 * zx)[commuting] - np.bitwise_count(px & pz)
             pc = (a[rows] * b)[commuting]
             np.negative(pc, out=pc, where=(phase & 2).astype(bool))
-            x, z, real = _collect(
-                np.concatenate([x, px]), np.concatenate([z, pz]), np.concatenate([real, pc])
+            x, z, coeff = _collect(
+                np.concatenate([x, px]), np.concatenate([z, pz]), np.concatenate([coeff, pc])
             )
             start = rows.stop
         out = PauliSum.__new__(PauliSum)
-        out._assign(self.n_qubits, x, z, real, np.zeros_like(real))
+        out._assign(self.n_qubits, x, z, coeff)
         return out
-
-    def is_hermitian(self) -> bool:
-        """True when every canonical coefficient is real within
-        HERMITIAN_TOLERANCE (relative to max(1, largest |coefficient|))."""
-        if not len(self):
-            return True
-        scale = float(np.hypot(self.coeff.real, self.coeff.imag).max())
-        return bool(np.all(np.abs(self.coeff.imag) <= HERMITIAN_TOLERANCE * max(1.0, scale)))
 
     def __repr__(self) -> str:
         return f"PauliSum(n_qubits={self.n_qubits}, terms={len(self)})"
@@ -315,7 +320,8 @@ def parse_pauli_sum(text: str) -> PauliSum:
     Term lines are ``<real> [<imag>] <label>``; ``#`` starts a comment.
     Optional ``key = value`` header lines may precede the terms; an
     ``n_qubits`` header fixes the size (required when there are no terms).
-    Repeated labels are summed.
+    Repeated labels are summed, and the summed imaginary parts must stay
+    within `PauliSum`'s Hermitian tolerance.
     """
     n_qubits: int | None = None
     pairs: list[tuple[PauliString, complex]] = []
@@ -381,8 +387,5 @@ def serialize_pauli_sum(h: PauliSum, metadata: Mapping[str, str] | None = None) 
             continue
         lines.append(f"{key} = {value}")
     for p, c in h.sorted_items():
-        if c.imag == 0.0:
-            lines.append(f"{_fmt(c.real)} {p.label}")
-        else:
-            lines.append(f"{_fmt(c.real)} {_fmt(c.imag)} {p.label}")
+        lines.append(f"{_fmt(c)} {p.label}")
     return "\n".join(lines) + "\n"

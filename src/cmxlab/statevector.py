@@ -222,9 +222,7 @@ def pauli_expectation(p: PauliString, s: StateVector) -> float:
 
 
 def expectation(h: PauliSum, s: StateVector) -> float:
-    """<s|H|s> for a Hermitian sum; the imaginary residual is checked."""
-    if not h.is_hermitian():
-        raise ContractViolationError("expectation requires a Hermitian sum")
+    """<s|H|s>; the imaginary residual is checked."""
     val = complex(np.vdot(s.amplitudes, apply_pauli_sum(h, s).amplitudes))
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise ContractViolationError(f"imaginary residual {val.imag:g} too large")
@@ -275,8 +273,6 @@ def dense_matrix(h: PauliSum) -> np.ndarray:
 
 def exact_diagonalize(h: PauliSum) -> SpectrumResult:
     """Full spectrum of the dense Hermitian matrix, ascending."""
-    if not h.is_hermitian():
-        raise ContractViolationError("exact_diagonalize requires a Hermitian sum")
     mat = dense_matrix(h)
     eigenvalues, vectors = np.linalg.eigh(mat)
     ground = StateVector(h.n_qubits, vectors[:, 0])

@@ -110,7 +110,7 @@ def cmx_closed_form(ivals, order: int) -> float:
 
 def coefficient_norm(h: PauliSum) -> float:
     """Sum of |h_j|; an upper bound on the operator norm."""
-    return sum(np.hypot(h.coeff.real, h.coeff.imag).tolist())
+    return sum(np.abs(h.coeff).tolist())
 
 
 def basis_vector(bits: str) -> np.ndarray:

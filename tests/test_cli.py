@@ -406,12 +406,44 @@ class TestConfigFile:
         cfg.write_text("methods = pds:2\norder = 3\n")
         assert exit_code("sweep", "--config", str(cfg)) == 2
 
+    @pytest.mark.parametrize("text", ["methods = pds:2\nsweep-values = 1\n",
+                                      "methods = pds:2\norder = 3\n"])
+    @pytest.mark.parametrize("form", ["split", "joined"])
+    def test_config_before_the_subcommand(self, tmp_path, capsys, text, form):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        option = ["--config", str(cfg)] if form == "split" else [f"--config={cfg}"]
+        runs = []
+        for argv in (["sweep", *option], [*option, "sweep"]):
+            out = io.StringIO()
+            try:
+                code = main(argv, out=out)
+            except SystemExit as exc:  # the unread key is a usage error
+                code = exc.code
+            runs.append((code, out.getvalue(), capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (0 if "sweep-values" in text else 2)
+
     def test_negative_leading_value(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("g = -0.3,0.35,-0.35,0.18,0.12,0.12\n")
         direct = run_cli("pds", "--model", "h2", "--g=-0.3,0.35,-0.35,0.18,0.12,0.12")
         assert direct[0] == 0
         assert run_cli("pds", "--model", "h2", "--config", str(cfg)) == direct
+
+
+class TestNonHermitianModel:
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_every_subcommand_ends_in_one_error_line(self, tmp_path, capsys, command):
+        model = tmp_path / "skew.txt"
+        model.write_text("-0.25 XXI\n0.5 0.2 ZZI\n0.3 IYY\n")
+        argv = [command, "--model", "file", "--hamiltonian-file", str(model), "--trial", "010"]
+        argv += {"sweep": ["--methods", "pds:2"], "variational": ["--generator", "YXI"]}.get(
+            command, [])
+        code, text = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert (code, text) == (1, "")
+        assert err.splitlines() == ["error: not Hermitian: term ZZI has imaginary part 0.2"]
 
 
 class TestPlotScripts:

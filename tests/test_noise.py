@@ -41,8 +41,11 @@ class TestNoiseModel:
                 NoiseModel(shots=shots)
 
     def test_readout_invertibility(self):
-        assert NoiseModel(p00=0.9, p11=0.9).readout_invertible
-        assert not NoiseModel(p00=0.5, p11=0.5).readout_invertible
+        # mitigation inverts the readout channel only when its determinant
+        # p00 + p11 - 1 exceeds 1e-12
+        for p00, p11, applied in ((0.9, 0.9, True), (0.5, 0.5, False), (0.5, 0.5 + 5e-13, False)):
+            est = hadamard_test_estimate(0.5, NoiseModel(p00=p00, p11=p11))
+            assert est.mitigation_applied is applied
 
 
 class TestHadamardTestEstimate:

@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmxlab.errors import CapacityError, DimensionMismatchError, HamiltonianParseError
+from cmxlab.errors import (
+    CapacityError,
+    ContractViolationError,
+    DimensionMismatchError,
+    HamiltonianParseError,
+)
 from cmxlab.pauli import (
     DEFAULT_PRUNE_THRESHOLD,
+    HERMITIAN_TOLERANCE,
     PauliString,
     PauliSum,
     parse_pauli_sum,
@@ -172,8 +178,12 @@ class TestPauliSum:
             PauliSum.from_label_terms([(c, "ZI"), (1.0, "XX")])
 
     def test_is_hermitian(self):
-        assert PauliSum.from_label_terms([(1.0, "XY"), (-0.5, "ZZ")]).is_hermitian()
-        assert not PauliSum.from_label_terms([(1.0j, "XY")]).is_hermitian()
+        # Hermitian by construction: real coefficients are stored, and a
+        # coefficient with a real imaginary part is refused by label
+        h = PauliSum.from_label_terms([(1.0, "XY"), (-0.5, "ZZ")])
+        assert h.coeff.dtype == np.float64 and not h.coeff.flags.writeable
+        with pytest.raises(ContractViolationError, match="XY"):
+            PauliSum.from_label_terms([(-0.5, "ZZ"), (1.0j, "XY")])
 
     def test_real_sums_have_hermitian_dense(self, rng):
         for n in (2, 3, 4):
@@ -182,10 +192,11 @@ class TestPauliSum:
             assert np.allclose(m, m.conj().T, atol=1e-12)
 
     def test_product_matches_dense(self, rng):
-        # (AB + BA) / 2 of the Hermitian parts, whatever the imaginary parts
+        # (AB + BA) / 2, also of a sum admitted with rounding-sized
+        # imaginary parts
         for _ in range(25):
             a, b = random_hermitian_sum(rng, 3, 4), random_hermitian_sum(rng, 3, 4)
-            skewed = PauliSum(3, [(p, c + 0.5j) for p, c in a.items()])
+            skewed = PauliSum(3, [(p, c + 1e-11j) for p, c in a.items()])
             da, db = dense_of_sum(a), dense_of_sum(b)
             for left in (a, skewed):
                 got = dense_of_sum(left.symmetric_product(b))
@@ -198,6 +209,70 @@ class TestPauliSum:
             a.symmetric_product(b)
 
 
+def collected_terms(terms):
+    """Label -> summed complex coefficient, added in occurrence order."""
+    collected = {}
+    for c, label in terms:
+        collected[label] = collected.get(label, 0.0) + c
+    return collected
+
+
+def hermitian_rule(terms):
+    """The rule a sum is held to, on its collected terms that survive the
+    prune: every |Im c| <= HERMITIAN_TOLERANCE * max(1, largest |c|)."""
+    kept = [c for c in collected_terms(terms).values() if abs(c) >= DEFAULT_PRUNE_THRESHOLD]
+    scale = max((abs(c) for c in kept), default=0.0)
+    return all(abs(c.imag) <= HERMITIAN_TOLERANCE * max(1.0, scale) for c in kept)
+
+
+@st.composite
+def skewed_terms(draw):
+    """A 1-3 qubit term list whose imaginary parts are zero, near the
+    tolerance or of order one, plus terms that cancel some of them on a
+    repeated label."""
+    n = draw(st.integers(1, 3))
+    label = st.text("IXYZ", min_size=n, max_size=n)
+    real = st.floats(-2.0, 2.0, allow_subnormal=False)
+    imag = st.one_of(st.just(0.0), st.floats(-4e-10, 4e-10, allow_subnormal=False), real)
+    terms = draw(st.lists(st.tuples(real, imag, label), min_size=1, max_size=8))
+    cancel = draw(st.lists(st.sampled_from(terms), max_size=3))
+    return n, [(complex(re, im), lb) for re, im, lb in terms + [(0.0, -im, lb) for _, im, lb in cancel]]
+
+
+class TestHermitianContract:
+    @given(skewed_terms())
+    @settings(max_examples=300, deadline=None)
+    def test_refused_iff_the_collected_terms_break_the_rule(self, drawn):
+        n, terms = drawn
+        if not hermitian_rule(terms):
+            with pytest.raises(ContractViolationError, match="not Hermitian"):
+                PauliSum.from_label_terms(terms, n)
+            return
+        h = PauliSum.from_label_terms(terms, n)
+        want = {label: c.real for label, c in collected_terms(terms).items()
+                if abs(c.real) >= DEFAULT_PRUNE_THRESHOLD}
+        assert {p.label: c for p, c in h.items()} == want
+        assert h.coeff.dtype == np.float64
+
+    def test_tolerance_is_relative_to_the_largest_coefficient(self):
+        PauliSum.from_label_terms([(1e3, "ZI"), (5e-8j, "XX")])
+        with pytest.raises(ContractViolationError, match="XX"):
+            PauliSum.from_label_terms([(1.0, "ZI"), (5e-8j, "XX")])
+
+    def test_parse_and_label_terms_raise_the_same_error(self):
+        with pytest.raises(ContractViolationError) as parsed:
+            parse_pauli_sum("0.25 XIX\n0.5 0.2 ZZI\n")
+        with pytest.raises(ContractViolationError) as built:
+            PauliSum.from_label_terms([(0.25, "XIX"), (0.5 + 0.2j, "ZZI")])
+        assert str(parsed.value) == str(built.value)
+        assert "ZZI" in str(built.value)
+
+    def test_admitted_imaginary_column_is_dropped(self):
+        h = parse_pauli_sum("0.5 1e-12 ZZI\n0.25 XIX\n")
+        assert h == parse_pauli_sum("0.5 ZZI\n0.25 XIX\n")
+        assert serialize_pauli_sum(h) == "n_qubits = 3\n0.25 XIX\n0.5 ZZI\n"
+
+
 def canonical(pairs):
     """Terms sorted by (x_mask, z_mask), the order every PauliSum keeps."""
     return sorted(pairs, key=lambda kv: (kv[0].x_mask, kv[0].z_mask))
@@ -205,7 +280,7 @@ def canonical(pairs):
 
 def scalar_product(a, b):
     """Reference symmetric product: scalar `multiply` over the commuting
-    pairs of real parts, row-major, each signed by its phase (0 or 2),
+    pairs, row-major, each signed by its phase (0 or 2),
     accumulated into a dict, pruned and put in canonical order."""
     collected = {}
     for pa, ca in a.items():
@@ -215,7 +290,7 @@ def scalar_product(a, b):
                 continue
             q, phase = multiply(pa, pb)
             assert phase in (0, 2)
-            term = ca.real * cb.real
+            term = ca * cb
             collected[q] = collected.get(q, 0.0) + (-term if phase else term)
     return canonical(
         (p, c) for p, c in collected.items() if abs(c) >= DEFAULT_PRUNE_THRESHOLD
@@ -224,26 +299,24 @@ def scalar_product(a, b):
 
 def exact_terms(pairs):
     """Terms in order with coefficients as bit patterns (signed zeros count)."""
-    return [(p, c.real.hex(), c.imag.hex()) for p, c in pairs]
+    return [(p, c.hex()) for p, c in pairs]
 
 
 coefficients = st.floats(-4.0, 4.0, allow_subnormal=False)
 
 
 def sum_pairs(max_terms=10):
-    """Two random sums on one qubit count in [1, 12], with complex
-    coefficients, whose imaginary parts the product ignores, and repeated
-    keys."""
+    """Two random sums on one qubit count in [1, 12], with real
+    coefficients and repeated keys."""
 
     def build(n, raw_a, raw_b):
         m = (1 << n) - 1
         return tuple(
-            PauliSum(n, [(PauliString(n, x & m, z & m), complex(re, im))
-                         for x, z, re, im in raw])
+            PauliSum(n, [(PauliString(n, x & m, z & m), c) for x, z, c in raw])
             for raw in (raw_a, raw_b)
         )
 
-    term = st.tuples(st.integers(0, 4095), st.integers(0, 4095), coefficients, coefficients)
+    term = st.tuples(st.integers(0, 4095), st.integers(0, 4095), coefficients)
     return st.builds(
         build,
         st.integers(1, 12),
