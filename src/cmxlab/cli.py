@@ -550,7 +550,7 @@ def _inject_config(argv: list[str]) -> list[str]:
 
     The subcommand is the first token naming one, a --config value aside.
     A --config given before it moves to after the file's tokens, where the
-    subcommand's parser reads it, so the subcommand leads the result.
+    subcommand's parser reads it.
     """
     config_path = None
     for i, token in enumerate(argv):
