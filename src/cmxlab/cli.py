@@ -550,7 +550,8 @@ def _inject_config(argv: list[str]) -> list[str]:
 
     The subcommand is the first token naming one, a --config value aside.
     A --config given before it moves to after the file's tokens, where the
-    subcommand's parser reads it.
+    subcommand's parser reads it.  With no subcommand the --config tokens
+    are dropped unread, so argparse answers as for the call without them.
     """
     config_path = None
     for i, token in enumerate(argv):
@@ -560,16 +561,16 @@ def _inject_config(argv: list[str]) -> list[str]:
             config_path = token.split("=", 1)[1]
     if config_path is None:
         return argv
-    if not Path(config_path).exists():
-        raise UsageError(f"config file {config_path!r} does not exist")
-    tokens = _load_config_tokens(config_path)
     head, moved, i = [], [], 0
     while i < len(argv) and argv[i] not in COMMANDS:
         width = 2 if argv[i] == "--config" else 1
         (moved if argv[i].startswith("--config") else head).extend(argv[i:i + width])
         i += width
     if i >= len(argv):
-        return argv  # argparse reports the missing subcommand
+        return head  # argparse reports the missing subcommand
+    if not Path(config_path).exists():
+        raise UsageError(f"config file {config_path!r} does not exist")
+    tokens = _load_config_tokens(config_path)
     return head + argv[i:i + 1] + tokens + moved + argv[i + 1:]
 
 

@@ -11,14 +11,21 @@ tests enforce it.  Both read the same real coefficients, since every
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import comb, factorial, isfinite
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractViolationError, InsufficientMomentsError
-from .pauli import PauliString, PauliSum, group_keys
-from .statevector import StateVector, apply_pauli_sum, pauli_expectation, require_dense
+from .pauli import PauliSum, group_keys
+from .statevector import (
+    StateVector,
+    apply_pauli_sum,
+    check_sizes,
+    pauli_expectation,
+    require_dense,
+)
 
 _IMAG_TOL = 1e-10
 SATURATION_TOLERANCE = 1e-8
@@ -75,13 +82,10 @@ def string_expectations(xs: np.ndarray, zs: np.ndarray, state: StateVector) -> n
     `basis_index`, and on any other state it reads the state's table for the
     string's X part, which it builds once per run of equal x-masks.  Strings
     in ascending (x, z) order, as `assemble_moments` gives them, build each
-    table once.  The `PauliString` built here for the scalar kernel is the
-    only per-string object either moment route makes; it stays until a
-    kernel takes masks directly."""
-    n = state.n_qubits
+    table once.  The kernel reads the masks themselves, so neither moment
+    route builds a per-string object."""
     return np.fromiter(
-        (pauli_expectation(PauliString(n, x, z), state)
-         for x, z in zip(xs.tolist(), zs.tolist())),
+        map(pauli_expectation, xs.tolist(), zs.tolist(), repeat(state, len(xs))),
         float, len(xs),
     )
 
@@ -96,8 +100,8 @@ class PauliExpectationCache:
     ``misses`` counts the measured strings, one kernel call each; ``hits``
     counts the other non-identity terms, which reuse a measured value.  The
     identity string is never measured: its expectation is exactly 1.  No
-    per-string object is kept; the kernel's `PauliString` (see
-    `string_expectations`) is the only one built.
+    per-string object is built or kept: the kernel reads each string's
+    masks (see `string_expectations`).
     """
 
     x: np.ndarray
@@ -195,6 +199,7 @@ def raw_moments_pauli(
     string measured once.  Precomputed powers can be passed when sweeping
     many states against one Hamiltonian.
     """
+    check_sizes(h, state)
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     if powers is None:

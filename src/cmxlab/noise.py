@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .moments import MomentTable, assemble_moments, hamiltonian_powers, string_expectations
 from .pauli import PauliString, PauliSum
-from .statevector import StateVector
+from .statevector import StateVector, check_sizes
 
 
 # the largest count Generator.binomial accepts: np.int64's maximum
@@ -234,6 +234,7 @@ def noisy_moments(
     strings the table measures.  The sampled strings are returned as one
     `SampledStrings` record in that sampling order.
     """
+    check_sizes(h, state)
     powers = hamiltonian_powers(h, max_order)
     sampled: list[SampledStrings] = []
 

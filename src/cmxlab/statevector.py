@@ -150,10 +150,12 @@ def _walsh_table(s: StateVector, x_mask: int) -> np.ndarray:
     return table
 
 
-def _check_sizes(p: PauliString, s: StateVector) -> None:
-    if p.n_qubits != s.n_qubits:
+def check_sizes(op: PauliString | PauliSum, s: StateVector) -> None:
+    """Raise DimensionMismatchError unless the string or sum acts on the
+    state's qubit count."""
+    if op.n_qubits != s.n_qubits:
         raise DimensionMismatchError(
-            f"string acts on {p.n_qubits} qubits, state on {s.n_qubits}"
+            f"operator acts on {op.n_qubits} qubits, state on {s.n_qubits}"
         )
 
 
@@ -170,27 +172,29 @@ def _pauli_image(x_mask: int, z_mask: int, s: StateVector) -> np.ndarray:
 
 def apply_pauli(p: PauliString, s: StateVector) -> StateVector:
     """Exact p|s>: an index permutation with unit phase factors."""
-    _check_sizes(p, s)
+    check_sizes(p, s)
     return StateVector(s.n_qubits, _pauli_image(p.x_mask, p.z_mask, s))
 
 
 def apply_pauli_sum(h: PauliSum, s: StateVector) -> StateVector:
     """H|s> accumulated term by term (no normalization)."""
-    if h.n_qubits != s.n_qubits:
-        raise DimensionMismatchError("operator and state sizes differ")
+    check_sizes(h, s)
     acc = np.zeros_like(s.amplitudes)
     for x, z, c in zip(h.x.tolist(), h.z.tolist(), h.coeff.tolist()):
         acc = acc + c * _pauli_image(x, z, s)
     return StateVector(s.n_qubits, acc)
 
 
-def pauli_expectation(p: PauliString, s: StateVector) -> float:
-    """<s|P|s> for a Hermitian string: real and at most <s|s> in
+def pauli_expectation(x_mask: int, z_mask: int, s: StateVector) -> float:
+    """<s|P|s> for the Hermitian string with these masks (bit q marks an X
+    or Z part on qubit q, as in `PauliString`): real and at most <s|s> in
     magnitude, so within [-1, 1] for a unit-norm state but not for the
-    unnormalised ones `apply_pauli_sum` returns.
+    unnormalised ones `apply_pauli_sum` returns.  Masks that reach past the
+    state's qubits, negative ones included, raise DimensionMismatchError.
 
-    Moment assembly calls this once per distinct string, so its call count
-    is the number of Hadamard-test circuits.
+    Moment assembly calls this once per distinct string, straight from the
+    power's mask arrays with no per-string object, so its call count is the
+    number of Hadamard-test circuits.
 
     On a computational basis state |k> of weight w (see
     `StateVector.basis_index`) the value costs O(1): 0.0 when P flips any
@@ -205,20 +209,24 @@ def pauli_expectation(p: PauliString, s: StateVector) -> float:
     The value agrees with that vdot to within a few (n + 1) eps <s|s>, not
     bit for bit, and does not depend on the order of the calls.
     """
-    _check_sizes(p, s)
-    _, reversal, _, _ = _index_tables(s.n_qubits)
+    n = s.n_qubits
+    if (x_mask | z_mask) >> n:
+        raise DimensionMismatchError(
+            f"string masks ({x_mask:#x}, {z_mask:#x}) reach past the state's {n} qubits"
+        )
+    _, reversal, _, _ = _index_tables(n)
     basis = s._basis
     if basis is not None:
-        if p.x_mask:
+        if x_mask:
             return 0.0
         k, weight = basis
         # + 0.0: an underflowed weight gives 0.0, never -0.0
-        return (-weight if (k & reversal[p.z_mask]).bit_count() & 1 else weight) + 0.0
+        return (-weight if (k & reversal[z_mask]).bit_count() & 1 else weight) + 0.0
     slot = s.__dict__.get("_walsh")
-    if slot is None or slot[0] != p.x_mask:
+    if slot is None or slot[0] != x_mask:
         # the frozen dataclass's own __dict__, as cached_property writes it
-        slot = s.__dict__["_walsh"] = (p.x_mask, _walsh_table(s, p.x_mask))
-    return float(slot[1][reversal[p.z_mask]])
+        slot = s.__dict__["_walsh"] = (x_mask, _walsh_table(s, x_mask))
+    return float(slot[1][reversal[z_mask]])
 
 
 def expectation(h: PauliSum, s: StateVector) -> float:
@@ -232,7 +240,7 @@ def expectation(h: PauliSum, s: StateVector) -> float:
 def apply_generator_rotation(theta: float, g: PauliString, s: StateVector) -> StateVector:
     """exp(i*theta*G)|s> = (cos(theta) I + i sin(theta) G)|s> for a
     generator string G, using G**2 = I."""
-    _check_sizes(g, s)
+    check_sizes(g, s)
     image = _pauli_image(g.x_mask, g.z_mask, s)
     rotated = np.cos(theta) * s.amplitudes + 1j * np.sin(theta) * image
     return StateVector(s.n_qubits, rotated)

@@ -424,6 +424,28 @@ class TestConfigFile:
         assert runs[0] == runs[1]
         assert runs[0][0] == (0 if "sweep-values" in text else 2)
 
+    @pytest.mark.parametrize("name", ["run.cfg", "missing.cfg"])
+    @pytest.mark.parametrize("form", ["split", "joined"])
+    def test_config_without_a_subcommand(self, tmp_path, capsys, name, form):
+        # with no subcommand the --config tokens are dropped unread, so the
+        # call answers as it would without them: the missing subcommand is
+        # named, and --help prints the top-level help
+        (tmp_path / "run.cfg").write_text("methods = pds:2\nsweep-values = 1\n")
+        cfg = tmp_path / name
+        option = ["--config", str(cfg)] if form == "split" else [f"--config={cfg}"]
+        for extra, code, text in (([], 2, "the following arguments are required: command"),
+                                  (["--help"], 0, "positional arguments")):
+            runs = []
+            for argv in (extra, [*option, *extra]):
+                out = io.StringIO()
+                with pytest.raises(SystemExit) as exc:
+                    main(argv, out=out)
+                streams = capsys.readouterr()
+                runs.append((exc.value.code, out.getvalue(), streams.out, streams.err))
+            assert runs[0] == runs[1]
+            assert runs[0][0] == code
+            assert text in runs[0][2] + runs[0][3]
+
     def test_negative_leading_value(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("g = -0.3,0.35,-0.35,0.18,0.12,0.12\n")

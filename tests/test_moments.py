@@ -12,7 +12,11 @@ from hypothesis import strategies as st
 
 from cmxlab import moments
 from cmxlab.cmx import cmx_cioslowski, cmx_knowles, singularity_report
-from cmxlab.errors import ContractViolationError, InsufficientMomentsError
+from cmxlab.errors import (
+    ContractViolationError,
+    DimensionMismatchError,
+    InsufficientMomentsError,
+)
 from cmxlab.methods import evaluate_method, parse_method
 from cmxlab.moments import (
     MomentTable,
@@ -108,8 +112,7 @@ class TestRawMomentsPauli:
 
         rows = zip(cache.x.tolist(), cache.z.tolist(), cache.values.tolist())
         for x, z, value in rows:
-            p = PauliString(4, x, z)
-            assert value == pytest.approx(pauli_expectation(p, state), abs=1e-12)
+            assert value == pytest.approx(pauli_expectation(x, z, state), abs=1e-12)
 
     def test_precomputed_powers(self):
         h = siam_sum(1.0)
@@ -119,6 +122,16 @@ class TestRawMomentsPauli:
         assert table.raw == direct.raw
         with pytest.raises(InsufficientMomentsError):
             raw_moments_pauli(h, basis_state("0110"), 7, powers=powers)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("bits", ["01101", "011"])
+    def test_operator_and_state_sizes_must_match(self, route, bits):
+        # every route refuses a 4-qubit H on a larger or smaller trial at its
+        # entry: masks that fit a larger state would otherwise read only its
+        # first four qubits and return moments
+        match = f"operator acts on 4 qubits, state on {len(bits)}"
+        with pytest.raises(DimensionMismatchError, match=match):
+            ROUTES[route](siam_sum(1.0), basis_state(bits), 4)
 
     def test_non_hermitian_rejected(self):
         # refused when the sum is built, before any moment route sees it
@@ -237,6 +250,27 @@ class TestKernelCalls:
             assert kernel.call_count == len(estimates) == cache.misses
 
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_no_string_object_per_measured_string(self, rng, dense):
+        # the kernel reads each string's masks from the power's arrays: no
+        # route builds a PauliString, and the moments keep their bits
+        h = random_hermitian_sum(rng, 4, 8)
+        state = random_state(rng, 4) if dense else basis_state("0110")
+        assert (state.basis_index is None) == dense
+
+        def both_routes():
+            table, cache = raw_moments_pauli(h, state, 4)
+            noisy, sampled = noisy_moments(h, state, 4, NoiseModel(seed=1))
+            return table.raw, noisy.raw, cache.values.tobytes(), sampled.true.tobytes()
+
+        want = both_routes()
+        built = mock.Mock(side_effect=AssertionError("a PauliString was built"))
+        with mock.patch.object(PauliString, "__post_init__", built):
+            got = both_routes()
+        assert built.call_count == 0
+        assert got == want
+
+
 class TestAssembleMoments:
     @given(assembly_inputs())
     @settings(max_examples=300, deadline=None)
@@ -265,7 +299,7 @@ class TestAssembleMoments:
         state = random_state(rng, 4)
         powers = hamiltonian_powers(h, 4)
         want, cache, hits = sequential_assembly(
-            powers, lambda x, z: moments.pauli_expectation(PauliString(4, x, z), state)
+            powers, lambda x, z: moments.pauli_expectation(x, z, state)
         )
         table, got = raw_moments_pauli(h, state, 4, powers=powers)
         keys = list(zip(got.x.tolist(), got.z.tolist()))

@@ -191,7 +191,7 @@ class TestSampledStrings:
             assert hexes(est) == [raw.hex(), mitigated.hex(), error.hex()]
             assert (est.shots_used, est.mitigation_applied) == (
                 batch.shots_used, batch.mitigation_applied)
-            assert true.hex() == pauli_expectation(p, state).hex()
+            assert true.hex() == pauli_expectation(p.x_mask, p.z_mask, state).hex()
             other = PauliString(n + 1, p.x_mask, p.z_mask)
             assert other not in sampled
             with pytest.raises(KeyError):
@@ -292,7 +292,7 @@ class TestNoisyMoments:
         amplitudes = np.array([0.6, 0.3 + 0.4j, -0.2j, 0.5])
         state = StateVector(2, amplitudes / np.linalg.norm(amplitudes))
         strings = [PauliString.from_label(label) for label in ("XY", "ZX")]
-        truth = [pauli_expectation(p, state) for p in strings]
+        truth = [pauli_expectation(p.x_mask, p.z_mask, state) for p in strings]
         seeds = range(400)
         samples = np.array([
             [est[p].mitigated_estimate for p in strings]

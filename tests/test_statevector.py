@@ -42,7 +42,8 @@ class TestBasisState:
     def test_vacuum_z_expectations(self):
         s = basis_state("00")
         for q, label in enumerate(("ZI", "IZ")):
-            assert pauli_expectation(PauliString.from_label(label), s) == 1.0
+            p = PauliString.from_label(label)
+            assert pauli_expectation(p.x_mask, p.z_mask, s) == 1.0
 
     def test_rejects_bad_bits(self):
         with pytest.raises(ValueError):
@@ -127,7 +128,7 @@ class TestExpectation:
         want = float(np.vdot(s.amplitudes, apply_pauli(p, s).amplitudes).real)
         weight = np.vdot(s.amplitudes, s.amplitudes).real
         eps = np.finfo(float).eps
-        assert abs(pauli_expectation(p, s) - want) <= 2 * (n + 1) * eps * weight
+        assert abs(pauli_expectation(p.x_mask, p.z_mask, s) - want) <= 2 * (n + 1) * eps * weight
         # a phased basis state takes the O(1) path and must give the same bits
         k = seed % (1 << n)
         for phase in (1.0, -1.0, 1j, -1j, np.exp(2j * np.pi * rng.random())):
@@ -136,7 +137,7 @@ class TestExpectation:
             b = StateVector(n, amps)
             assert b.basis_index == k
             want = float(np.vdot(b.amplitudes, apply_pauli(p, b).amplitudes).real)
-            assert pauli_expectation(p, b).hex() == want.hex()
+            assert pauli_expectation(p.x_mask, p.z_mask, b).hex() == want.hex()
 
     def test_string_values_do_not_depend_on_call_order(self, rng):
         # each state keeps one x-mask's table: asking in another order, or
@@ -150,7 +151,7 @@ class TestExpectation:
         strings = [PauliString(n, x, z) for x in range(1 << n) for z in range(1 << n)]
 
         def bits(s, order):
-            return {p: pauli_expectation(p, s).hex() for p in order}
+            return {p: pauli_expectation(p.x_mask, p.z_mask, s).hex() for p in order}
 
         ascending = [bits(s, strings) for s in states]
         shuffled = list(strings)
@@ -159,7 +160,7 @@ class TestExpectation:
         interleaved = [{}, {}]
         for p in shuffled:
             for s, got in zip(states, interleaved):
-                got[p] = pauli_expectation(p, s).hex()
+                got[p] = pauli_expectation(p.x_mask, p.z_mask, s).hex()
         assert interleaved == ascending
 
     @pytest.mark.parametrize("support", [[], [0, 5], [3, 4], [0, 1, 2, 3, 4, 5, 6, 7]])
@@ -176,8 +177,23 @@ class TestExpectation:
         assert StateVector(2, amps).basis_index is None
 
     def test_string_expectation_dimension_mismatch(self):
+        p = PauliString.from_label("XX")
         with pytest.raises(DimensionMismatchError):
-            pauli_expectation(PauliString.from_label("XX"), basis_state("0"))
+            pauli_expectation(p.x_mask, p.z_mask, basis_state("0"))
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("x, z", [(8, 0), (0, 8), (9, 15), (1 << 64, 0), (-1, 0),
+                                      (0, -1), (-8, 3)])
+    def test_masks_outside_the_state_are_refused(self, rng, dense, x, z):
+        # a basis state answers in O(1) and a dense one reads a table, but
+        # both refuse a mask past the state's qubits, or a negative one,
+        # before reading anything
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8) if dense else np.eye(8)[5]
+        s = StateVector(3, amps)
+        assert (s.basis_index is None) == dense
+        with pytest.raises(DimensionMismatchError, match="3 qubits"):
+            pauli_expectation(x, z, s)
+        assert "_walsh" not in s.__dict__
 
     def test_non_hermitian_rejected(self):
         # a non-Hermitian sum is refused when it is built, so no expectation
