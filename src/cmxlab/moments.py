@@ -165,8 +165,13 @@ def assemble_moments(
     K_l is summed from 0.0 in the power's canonical term order, so the
     result is bit for bit that of adding the terms one by one and depends
     only on the powers' term sets.  Also returns the number of non-identity
-    terms, so hits = terms - distinct strings.
+    terms, so hits = terms - distinct strings.  Fewer than max_order powers
+    raise InsufficientMomentsError.
     """
+    if len(powers) < max_order:
+        raise InsufficientMomentsError(
+            f"{len(powers)} powers cannot serve order {max_order}"
+        )
     used = powers[:max_order]
     x = np.concatenate([p.x for p in used])
     z = np.concatenate([p.z for p in used])
@@ -204,10 +209,6 @@ def raw_moments_pauli(
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     if powers is None:
         powers = hamiltonian_powers(h, max_order)
-    elif len(powers) < max_order:
-        raise InsufficientMomentsError(
-            f"{len(powers)} precomputed powers cannot serve order {max_order}"
-        )
     measured: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def measure(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:

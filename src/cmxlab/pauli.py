@@ -16,9 +16,10 @@ are kept.  Its terms are always in ascending (x_mask, z_mask) order, so a
 sum's arrays, and every product and moment built from them, depend on its
 term set alone and not on the order the terms were written in.  The one
 product of sums, `PauliSum.symmetric_product`, builds Hamiltonian powers: it
-keeps the commuting string pairs, whose products have real signs, and is one
-broadcast XOR over those pairs, each collected coefficient bit-identical to
-a scalar string-product loop accumulating a dict.
+keeps the commuting string pairs, whose products have real signs, and forms
+masks, signs and coefficients for those pairs alone, each collected
+coefficient bit-identical to a scalar string-product loop accumulating a
+dict.
 
 Labels are read left to right as qubit 0..n-1, e.g. "XIZ" puts X on qubit 0.
 """
@@ -97,7 +98,9 @@ class PauliString:
 # 2 * max(_MIN_BLOCK, terms collected so far) string pairs.  About half of
 # the pairs commute and are kept, so each block adds about as many products
 # as it has collected, and its transient arrays stay a small multiple of the
-# result.
+# result.  The block's pair indices, overlap counts and phases are dropped
+# before it is collected: kept alive beside the collect's sort, they raise
+# the peak RSS (by about 5% on a 10-qubit, 60-term H to the fourth power).
 _MIN_BLOCK = 1 << 14
 
 
@@ -200,12 +203,13 @@ class PauliSum:
         self._assign(n_qubits, x, z, real)
 
     def _assign(self, n_qubits, x, z, coeff) -> None:
-        """Store collected terms, dropping those below DEFAULT_PRUNE_THRESHOLD."""
+        """Store collected terms, dropping those below DEFAULT_PRUNE_THRESHOLD.
+        ``coeff`` is cast to float64, which an empty `np.bincount` is not."""
         self.n_qubits = n_qubits
         keep = np.abs(coeff) >= DEFAULT_PRUNE_THRESHOLD
         self.x = x[keep].astype(np.uint64)
         self.z = z[keep].astype(np.uint64)
-        self.coeff = coeff[keep]
+        self.coeff = coeff[keep].astype(np.float64, copy=False)
         for array in (self.x, self.z, self.coeff):
             array.setflags(write=False)
 
@@ -274,10 +278,13 @@ class PauliSum:
         coefficient.  The sign of each comes from the phase i**k of PQ, from
         Y = i*X*Z, counted mod 4 in uint8 arithmetic: a phase i per Y site
         of either factor, (-1) per overlap of P's Z with Q's X, and i**-1
-        per Y site of R, which leaves k = 0 or 2.  The products of a block
-        of A's terms with all of B's come from one broadcast XOR of the
-        masks, and each block is collected together with the terms
-        collected so far, which continues the same running sums.  So each
+        per Y site of R, which leaves k = 0 or 2.  For a block of A's terms
+        against all of B's, the parity is taken over the whole grid of
+        pairs; its even entries, in row-major order, give the row and
+        column index of each kept pair, and the product masks, phases and
+        coefficients are gathered for those pairs alone.  Each block is
+        collected together with the terms collected so far, which
+        continues the same running sums.  So each
         coefficient is bit for bit that of a row-major double loop over A
         then B accumulating a dict, and depends only on the two term sets.
         Since H^(l-1) commutes with H, H^(l-1).symmetric_product(H) is H^l.
@@ -286,18 +293,19 @@ class PauliSum:
             raise DimensionMismatchError("cannot multiply sums on different qubit counts")
         (ax, az), (bx, bz) = self._keys(), other._keys()
         ay, by = np.bitwise_count(ax & az), np.bitwise_count(bx & bz)
-        a, b = self.coeff[:, None], other.coeff
-        x, z, coeff = ax[:0], az[:0], b[:0]
+        x, z, coeff = ax[:0], az[:0], other.coeff[:0]
         start = 0
         while start < len(ax):
             rows = slice(start, start + 2 * max(_MIN_BLOCK, len(x)) // max(1, len(bx)) + 1)
-            zx = np.bitwise_count(az[rows, None] & bx)
-            commuting = ((zx + np.bitwise_count(ax[rows, None] & bz)) & 1) == 0
-            px = (ax[rows, None] ^ bx)[commuting]
-            pz = (az[rows, None] ^ bz)[commuting]
-            phase = (ay[rows, None] + by + 2 * zx)[commuting] - np.bitwise_count(px & pz)
-            pc = (a[rows] * b)[commuting]
+            zx = np.bitwise_count(az[rows, None] & bx).ravel()
+            idx = np.flatnonzero(((zx + np.bitwise_count(ax[rows, None] & bz).ravel()) & 1) == 0)
+            i, j = np.divmod(idx, len(bx))
+            i += start
+            px, pz = ax[i] ^ bx[j], az[i] ^ bz[j]
+            phase = ay[i] + by[j] + 2 * zx[idx] - np.bitwise_count(px & pz)
+            pc = self.coeff[i] * other.coeff[j]
             np.negative(pc, out=pc, where=(phase & 2).astype(bool))
+            del idx, i, j, zx, phase
             x, z, coeff = _collect(
                 np.concatenate([x, px]), np.concatenate([z, pz]), np.concatenate([coeff, pc])
             )

@@ -29,10 +29,11 @@ class StateVector:
     `pauli_expectation` then reads each string's value in O(1) from that
     index and the weight, without touching the amplitudes.  Both are found
     once per state, on first use.  Any other state keeps one slot,
-    ``(x_mask, table)``: the values of every string with that X part, which
-    `pauli_expectation` builds when asked for a new x-mask and replaces when
-    the x-mask changes, so a state holds O(2**n) floats at most.  The
-    amplitudes are a read-only copy, so neither cache can go stale.
+    ``(x_mask, table)``: the values of every string with that X part,
+    indexed by the string's z-mask, which `pauli_expectation` builds when
+    asked for a new x-mask and replaces when the x-mask changes, so a state
+    holds O(2**n) floats at most.  The amplitudes are a read-only copy, so
+    neither cache can go stale.
     """
 
     n_qubits: int
@@ -95,7 +96,7 @@ def basis_state(bits: str) -> StateVector:
 
 
 @cache
-def _index_tables(n: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray]:
+def _index_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Tables for n-qubit amplitude indices b = 0..2**n-1: the indices
     themselves; the n-bit reversal of every mask, which maps a qubit-indexed
     mask (bit q = qubit q) onto amplitude-index bits (qubit q = bit n-1-q);
@@ -107,9 +108,9 @@ def _index_tables(n: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.n
         reversal |= (index >> q & 1) << (n - 1 - q)
     parity = (np.bitwise_count(index) & 1).astype(bool)
     sign = np.where(parity, -1.0, 1.0)
-    for table in (index, parity, sign):
+    for table in (index, reversal, parity, sign):
         table.setflags(write=False)
-    return index, tuple(reversal.tolist()), parity, sign
+    return index, reversal, parity, sign
 
 
 @cache
@@ -124,13 +125,15 @@ def _sylvester(k: int) -> np.ndarray:
 
 def _walsh_table(s: StateVector, x_mask: int) -> np.ndarray:
     """<s|P|s> for every string P with this X part, indexed by the Z part's
-    amplitude-index bits (`reversal[z_mask]`).
+    mask itself (bit q = qubit q).
 
     With X = reversal[x_mask] and f[b] = conj(a[b^X]) a[b], the string with
     Z part m has value Re(i**popcount(X & m) F[m]) for the Walsh-Hadamard
     transform F[m] = sum_b f[b] (-1)**popcount(b & m).  Index bits split into
     high and low halves, so F is two matrix products with Sylvester
-    matrices, H_hi f H_lo, in O(2**n (2**hi + 2**lo)).
+    matrices, H_hi f H_lo, in O(2**n (2**hi + 2**lo)).  The table is then
+    gathered once through the reversal, so entry z_mask is the value of the
+    string with that Z part.
     """
     n = s.n_qubits
     index, reversal, _, _ = _index_tables(n)
@@ -145,7 +148,7 @@ def _walsh_table(s: StateVector, x_mask: int) -> np.ndarray:
         turns = np.bitwise_count(index & flip)  # Y sites of each string
         part = np.where(turns & 1, -walsh.imag, walsh.real)
         # + 0.0 turns a negated zero back into 0.0
-        table = np.where(turns & 2, -part, part) + 0.0
+        table = (np.where(turns & 2, -part, part) + 0.0)[reversal]
     table.setflags(write=False)
     return table
 
@@ -200,10 +203,12 @@ def pauli_expectation(x_mask: int, z_mask: int, s: StateVector) -> float:
     `StateVector.basis_index`) the value costs O(1): 0.0 when P flips any
     bit, else +-w by the parity of k under P's Z sites.  These are the bits
     a vdot of the amplitudes against P|s> gives, since its only nonzero
-    product is conj(a_k) * (+-a_k).
+    product is conj(a_k) * (+-a_k).  Only the strings with no X part read
+    the mask reversal.
 
-    On any other state the value is read from the state's table for P's X
-    part (see `_walsh_table`), built once in O(2**n * 2**(n/2)) and kept
+    On any other state the value is entry z_mask of the state's table for
+    P's X part (see `_walsh_table`), read with one ``ndarray.item`` as a
+    Python float.  The table is built once in O(2**n * 2**(n/2)) and kept
     until a string with another X part is asked for.  Asking in ascending
     (x_mask, z_mask) order, as moment assembly does, builds each table once.
     The value agrees with that vdot to within a few (n + 1) eps <s|s>, not
@@ -214,19 +219,19 @@ def pauli_expectation(x_mask: int, z_mask: int, s: StateVector) -> float:
         raise DimensionMismatchError(
             f"string masks ({x_mask:#x}, {z_mask:#x}) reach past the state's {n} qubits"
         )
-    _, reversal, _, _ = _index_tables(n)
     basis = s._basis
     if basis is not None:
         if x_mask:
             return 0.0
         k, weight = basis
+        reversal = _index_tables(n)[1]
         # + 0.0: an underflowed weight gives 0.0, never -0.0
-        return (-weight if (k & reversal[z_mask]).bit_count() & 1 else weight) + 0.0
+        return (-weight if (k & reversal.item(z_mask)).bit_count() & 1 else weight) + 0.0
     slot = s.__dict__.get("_walsh")
     if slot is None or slot[0] != x_mask:
         # the frozen dataclass's own __dict__, as cached_property writes it
         slot = s.__dict__["_walsh"] = (x_mask, _walsh_table(s, x_mask))
-    return float(slot[1][reversal[z_mask]])
+    return slot[1].item(z_mask)
 
 
 def expectation(h: PauliSum, s: StateVector) -> float:

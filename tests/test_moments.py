@@ -28,7 +28,7 @@ from cmxlab.moments import (
     raw_moments_dense,
     raw_moments_pauli,
 )
-from cmxlab.noise import NoiseModel, noisy_moments
+from cmxlab.noise import NoiseModel, hadamard_test_estimate, noisy_moments
 from cmxlab.pauli import DEFAULT_PRUNE_THRESHOLD, PauliString, PauliSum
 from cmxlab.statevector import DENSE_QUBIT_LIMIT, StateVector, apply_pauli_sum, basis_state
 
@@ -307,6 +307,27 @@ class TestAssembleMoments:
         assert keys == sorted(cache)
         assert (got.hits, got.misses, len(got)) == (hits, len(cache), len(cache))
         assert [k.hex() for k in table.raw[1:]] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("route", ["pauli", "noisy"])
+    def test_too_few_powers_are_refused_before_any_measurement(self, route):
+        # both string routes share assemble_moments' check: H^1, H^2 cannot
+        # give K_4, and no string is measured or sampled first
+        h, state = siam_sum(1.0), basis_state("0110")
+        powers = hamiltonian_powers(h, 2)
+        nm = NoiseModel(p00=0.97, p11=0.96, shots=512, seed=3)
+
+        def exact(xs, zs):
+            return moments.string_expectations(xs, zs, state)
+
+        def sampled(xs, zs):
+            return hadamard_test_estimate(exact(xs, zs), nm).mitigated_estimate
+
+        provider = mock.Mock(side_effect={"pauli": exact, "noisy": sampled}[route])
+        with pytest.raises(InsufficientMomentsError, match="2 powers cannot serve order 4"):
+            assemble_moments(powers, 4, provider)
+        assert provider.call_count == 0
+        table, _ = assemble_moments(powers, 2, provider)
+        assert table.max_order == 2 and provider.call_count == 1
 
     def test_provider_gets_keys_in_strictly_ascending_order(self, rng):
         h = random_hermitian_sum(rng, 5, 20)

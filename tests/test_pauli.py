@@ -340,6 +340,43 @@ class TestArrayProduct:
         assert len(a) * len(h) > 3 * 2 * (1 << 14)
         assert exact_terms(a.symmetric_product(h).items()) == exact_terms(scalar_product(a, h))
 
+    def test_multi_block_product_past_32_qubits(self, rng):
+        # a 6-qubit sum spread onto qubits up to 47 needs uint64 keys; its
+        # products recur across at least two row blocks of 2 * 2**14 pairs
+        n, sites = 48, (0, 9, 31, 32, 40, 47)
+
+        def spread(mask):
+            return sum(1 << site for q, site in enumerate(sites) if mask >> q & 1)
+
+        small = random_hermitian_sum(rng, 6, 40)
+        h = PauliSum(n, [(PauliString(n, spread(p.x_mask), spread(p.z_mask)), c)
+                         for p, c in small.items()])
+        a = h.symmetric_product(h).symmetric_product(h)
+        assert int(a.x.max() | a.z.max()) >> 32
+        assert len(a) > 2 * (1 << 14) // len(h) + 1
+        assert exact_terms(a.symmetric_product(h).items()) == exact_terms(scalar_product(a, h))
+
+    @pytest.mark.parametrize("left, right", [(["X"], ["Z"]), (["X", "Y"], ["Z"]),
+                                             (["XZ", "YZ"], ["ZI", "ZZ"])])
+    def test_all_pairs_anticommute(self, left, right):
+        # every string pair cancels in (AB + BA) / 2, in either order
+        a = PauliSum.from_label_terms([(0.5 + k, label) for k, label in enumerate(left)])
+        b = PauliSum.from_label_terms([(-0.25 - k, label) for k, label in enumerate(right)])
+        for product in (a.symmetric_product(b), b.symmetric_product(a)):
+            self.assert_empty(product, a.n_qubits)
+
+    def test_empty_factor(self, rng):
+        h = random_hermitian_sum(rng, 3, 6)
+        for product in (PauliSum(3).symmetric_product(h), h.symmetric_product(PauliSum(3))):
+            self.assert_empty(product, 3)
+
+    @staticmethod
+    def assert_empty(product, n_qubits):
+        assert product.n_qubits == n_qubits and len(product) == 0
+        assert (product.x.dtype, product.z.dtype, product.coeff.dtype) == (
+            np.uint64, np.uint64, np.float64)
+        assert not any(a.flags.writeable for a in (product.x, product.z, product.coeff))
+
     def test_64_qubit_product(self):
         rng = np.random.default_rng(64)
 

@@ -163,6 +163,18 @@ class TestExpectation:
                 got[p] = pauli_expectation(p.x_mask, p.z_mask, s).hex()
         assert interleaved == ascending
 
+    def test_string_values_are_builtin_floats(self, rng):
+        # the basis branch, the dense branch on a fresh slot, and the dense
+        # branch after the slot switches to another x-mask and back
+        basis = basis_state("0110")
+        dense = StateVector(4, rng.normal(size=16) + 1j * rng.normal(size=16))
+        calls = [(basis, 0, 0b0110), (basis, 0b0011, 0), (basis, 0, 0),
+                 (dense, 0b0101, 0b0011), (dense, 0b0101, 0b1000),
+                 (dense, 0b1010, 0b0001), (dense, 0b0101, 0b0011), (dense, 0, 0)]
+        for s, x, z in calls:
+            assert type(pauli_expectation(x, z, s)) is float
+        assert dense.__dict__["_walsh"][0] == 0
+
     @pytest.mark.parametrize("support", [[], [0, 5], [3, 4], [0, 1, 2, 3, 4, 5, 6, 7]])
     def test_basis_index_needs_exactly_one_nonzero_amplitude(self, support):
         amps = np.zeros(8, dtype=complex)
