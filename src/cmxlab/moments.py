@@ -165,9 +165,11 @@ def assemble_moments(
     K_l is summed from 0.0 in the power's canonical term order, so the
     result is bit for bit that of adding the terms one by one and depends
     only on the powers' term sets.  Also returns the number of non-identity
-    terms, so hits = terms - distinct strings.  Fewer than max_order powers
-    raise InsufficientMomentsError.
+    terms, so hits = terms - distinct strings.  A max_order below 1 raises
+    ValueError, and fewer than max_order powers InsufficientMomentsError.
     """
+    if max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
     if len(powers) < max_order:
         raise InsufficientMomentsError(
             f"{len(powers)} powers cannot serve order {max_order}"
@@ -205,8 +207,6 @@ def raw_moments_pauli(
     many states against one Hamiltonian.
     """
     check_sizes(h, state)
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
     if powers is None:
         powers = hamiltonian_powers(h, max_order)
     measured: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []

@@ -310,8 +310,9 @@ class TestAssembleMoments:
 
     @pytest.mark.parametrize("route", ["pauli", "noisy"])
     def test_too_few_powers_are_refused_before_any_measurement(self, route):
-        # both string routes share assemble_moments' check: H^1, H^2 cannot
-        # give K_4, and no string is measured or sampled first
+        # both string routes share assemble_moments' checks: H^1, H^2 cannot
+        # give K_4, no order is below 1, and no string is measured or
+        # sampled first
         h, state = siam_sum(1.0), basis_state("0110")
         powers = hamiltonian_powers(h, 2)
         nm = NoiseModel(p00=0.97, p11=0.96, shots=512, seed=3)
@@ -325,6 +326,9 @@ class TestAssembleMoments:
         provider = mock.Mock(side_effect={"pauli": exact, "noisy": sampled}[route])
         with pytest.raises(InsufficientMomentsError, match="2 powers cannot serve order 4"):
             assemble_moments(powers, 4, provider)
+        assert provider.call_count == 0
+        with pytest.raises(ValueError, match="max_order must be >= 1, got 0"):
+            assemble_moments(powers, 0, provider)
         assert provider.call_count == 0
         table, _ = assemble_moments(powers, 2, provider)
         assert table.max_order == 2 and provider.call_count == 1
