@@ -22,9 +22,10 @@ from .pauli import PauliSum, group_keys
 from .statevector import (
     StateVector,
     apply_pauli_sum,
-    check_sizes,
+    check_trial,
     pauli_expectation,
     require_dense,
+    scaled_norm,
 )
 
 _IMAG_TOL = 1e-10
@@ -94,8 +95,8 @@ def string_expectations(xs: np.ndarray, zs: np.ndarray, state: StateVector) -> n
 class PauliExpectationCache:
     """The exact <Phi|P|Phi> of every distinct string one moment
     table measured, as aligned arrays in ascending (x_mask, z_mask) order,
-    the order in which they were measured: uint64 masks ``x`` and ``z`` and
-    float ``values``.
+    the order in which they were measured: masks ``x`` and ``z`` of the
+    sum's width (see `cmxlab.pauli`) and float ``values``.
 
     ``misses`` counts the measured strings, one kernel call each; ``hits``
     counts the other non-identity terms, which reuse a measured value.  The
@@ -158,13 +159,14 @@ def assemble_moments(
     """K_l = sum over the terms c P of H^l of c * <P>, with <P> from one
     batch provider call.
 
-    `values(xs, zs)` is called exactly once per table, with the uint64 masks
-    of every distinct non-identity string of H^1..H^max_order in ascending
-    (x, z) order, and returns one float per string; each string stands for
-    one measured circuit.  The identity term contributes c itself.  Each
-    K_l is summed from 0.0 in the power's canonical term order, so the
-    result is bit for bit that of adding the terms one by one and depends
-    only on the powers' term sets.  Also returns the number of non-identity
+    `values(xs, zs)` is called exactly once per table, with the masks of
+    every distinct non-identity string of H^1..H^max_order in ascending
+    (x, z) order, in the powers' own width (see `cmxlab.pauli`), and
+    returns one float per string; each string stands for one measured
+    circuit.  The identity term contributes c itself.  Each K_l is summed
+    from 0.0 in the power's canonical term order, so the result is bit for
+    bit that of adding the terms one by one and depends only on the powers'
+    term sets.  Also returns the number of non-identity
     terms, so hits = terms - distinct strings.  A max_order below 1 raises
     ValueError, and fewer than max_order powers InsufficientMomentsError.
     """
@@ -204,9 +206,10 @@ def raw_moments_pauli(
 
     K_l = sum over collected terms c * <Phi|P|Phi>, each distinct
     string measured once.  Precomputed powers can be passed when sweeping
-    many states against one Hamiltonian.
+    many states against one Hamiltonian.  The trial must have unit norm
+    (see `check_trial`).
     """
-    check_sizes(h, state)
+    check_trial(h, state)
     if powers is None:
         powers = hamiltonian_powers(h, max_order)
     measured: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -222,7 +225,9 @@ def raw_moments_pauli(
 
 def raw_moments_dense(h: PauliSum, state: StateVector, max_order: int) -> MomentTable:
     """Raw moments K_n = <Phi|v_n> on the Krylov chain |v_n> = H^n|Phi>;
-    the independent oracle route."""
+    the independent oracle route.  The trial must have unit norm (see
+    `check_trial`)."""
+    check_trial(h, state)
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     require_dense(h.n_qubits)
@@ -253,15 +258,6 @@ def hw_energy_series(table: MomentTable, tau: float, order: int) -> float:
     )
 
 
-def _scaled_norm(v: np.ndarray) -> float:
-    """The 2-norm of v, taken after scaling by the power of two nearest
-    its largest modulus, so squaring cannot overflow; scaling by a power of
-    two is exact, so the bits are those of np.linalg.norm wherever that
-    does not overflow."""
-    _, exponent = np.frexp(np.abs(v).max(initial=0.0))
-    return float(np.ldexp(np.linalg.norm(v * np.ldexp(1.0, -exponent)), exponent))
-
-
 def lanczos(
     h: PauliSum, state: StateVector, max_steps: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -284,8 +280,8 @@ def lanczos(
         w = v
         for _pass in range(2):
             w = w - basis.T @ (basis.conj() @ w)
-        norm = _scaled_norm(w)
-        if norm < SATURATION_TOLERANCE * max(1.0, _scaled_norm(v)):
+        norm = scaled_norm(w)
+        if norm < SATURATION_TOLERANCE * max(1.0, scaled_norm(v)):
             break
         norms.append(norm)
         basis = np.vstack([basis, w / norm])

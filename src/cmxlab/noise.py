@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .moments import MomentTable, assemble_moments, hamiltonian_powers, string_expectations
-from .pauli import PauliString, PauliSum
-from .statevector import StateVector, check_sizes
+from .pauli import PauliString, PauliSum, find_string
+from .statevector import StateVector, check_trial
 
 
 # the largest count Generator.binomial accepts: np.int64's maximum
@@ -81,13 +81,14 @@ class SampledStrings(Mapping[PauliString, ShotEstimate]):
     """The distinct strings one noisy moment table sampled, as aligned
     arrays in sampling order, which is ascending (x, z) mask order.
 
-    ``x`` and ``z`` are the uint64 masks, ``true`` the exact expectation of
-    each string and ``batch`` the `ShotEstimate` of arrays from the table's
-    one `hadamard_test_estimate` call.  As a mapping, a measured
-    `PauliString` on ``n_qubits`` qubits gives its scalar `ShotEstimate`,
-    whose floats are the batch's elements; any other key, the identity
-    included, raises KeyError.  Iteration yields the strings in sampling
-    order.
+    ``x`` and ``z`` are the masks, in the width of the sum they came from
+    (see `cmxlab.pauli`), ``true`` the exact expectation of each string and
+    ``batch`` the `ShotEstimate` of arrays from the table's one
+    `hadamard_test_estimate` call.  As a mapping, a measured `PauliString`
+    on ``n_qubits`` qubits gives its scalar `ShotEstimate`, whose floats
+    are the batch's elements; any other key, the identity included, raises
+    KeyError.  Lookups go through `find_string`.  Iteration yields the
+    strings in sampling order.
     """
 
     n_qubits: int
@@ -102,10 +103,8 @@ class SampledStrings(Mapping[PauliString, ShotEstimate]):
 
     def _index(self, p: object) -> int:
         if isinstance(p, PauliString) and p.n_qubits == self.n_qubits:
-            x, z = np.uint64(p.x_mask), np.uint64(p.z_mask)
-            lo, hi = np.searchsorted(self.x, x, "left"), np.searchsorted(self.x, x, "right")
-            i = lo + int(np.searchsorted(self.z[lo:hi], z))
-            if i < hi and self.z[i] == z:
+            i = find_string(self.x, self.z, p.x_mask, p.z_mask)
+            if i is not None:
                 return i
         raise KeyError(p)
 
@@ -232,9 +231,10 @@ def noisy_moments(
     order `assemble_moments` hands them over, so the table does not depend
     on the order of H's terms; a string's estimate does depend on which
     strings the table measures.  The sampled strings are returned as one
-    `SampledStrings` record in that sampling order.
+    `SampledStrings` record in that sampling order.  The trial must have
+    unit norm (see `check_trial`).
     """
-    check_sizes(h, state)
+    check_trial(h, state)
     powers = hamiltonian_powers(h, max_order)
     sampled: list[SampledStrings] = []
 

@@ -8,18 +8,23 @@ strings is a string times a sign +-1 (from Y = i*X*Z), which is folded into
 the real coefficient of its term.
 
 `PauliString` is the scalar API, used for parsing, labels and lookups.  A
-`PauliSum` keeps its terms as arrays instead: uint64 x and z masks and
-float64 coefficients, so it is limited to MAX_SUM_QUBITS = 64 qubits.  A sum
-is Hermitian from the moment it is built: complex coefficients are accepted
-only when their imaginary parts are rounding-sized, and only the real parts
-are kept.  Its terms are always in ascending (x_mask, z_mask) order, so a
-sum's arrays, and every product and moment built from them, depend on its
-term set alone and not on the order the terms were written in.  The one
-product of sums, `PauliSum.symmetric_product`, builds Hamiltonian powers: it
-keeps the commuting string pairs, whose products have real signs, and forms
-masks, signs and coefficients for those pairs alone, each collected
-coefficient bit-identical to a scalar string-product loop accumulating a
-dict.
+`PauliSum` keeps its terms as arrays instead: x and z masks and float64
+coefficients.  The width rule: the masks of an n-qubit sum have the
+narrowest unsigned dtype that holds n bits (see `_key_type`), uint8 up to 8
+qubits, uint16 up to 16, uint32 up to 32 and uint64 up to MAX_SUM_QUBITS =
+64, the limit of a sum.  Every array of masks built from a sum (its
+products, the strings a moment table measures, the sampled strings of a
+noisy table) keeps that width.  A sum is Hermitian from the moment it is
+built: complex coefficients are accepted only when their imaginary parts
+are rounding-sized, and only the real parts are kept.  Its terms are
+always in ascending (x_mask, z_mask) order, so a sum's arrays, and every
+product and moment built from them, depend on its term set alone and not
+on the order the terms were written in, and `find_string` finds a string
+in them by binary search.  The one product of sums,
+`PauliSum.symmetric_product`, builds Hamiltonian powers: it keeps the
+commuting string pairs, whose products have real signs, and forms masks,
+signs and coefficients for those pairs alone, each collected coefficient
+bit-identical to a scalar string-product loop accumulating a dict.
 
 Labels are read left to right as qubit 0..n-1, e.g. "XIZ" puts X on qubit 0.
 """
@@ -105,9 +110,20 @@ _MIN_BLOCK = 1 << 14
 
 
 def _key_type(n_qubits: int) -> np.dtype:
-    """Smallest unsigned dtype that holds an n-qubit mask.  Narrow keys make
-    products cheaper, and 8- or 16-bit keys get numpy's radix sort."""
+    """The mask dtype of an n-qubit sum: the smallest unsigned dtype that
+    holds n bits.  Narrow keys make products cheaper, and 8- or 16-bit keys
+    get numpy's radix sort when terms are grouped."""
     return np.min_scalar_type((1 << n_qubits) - 1)
+
+
+def find_string(x, z, x_mask: int, z_mask: int) -> int | None:
+    """Position of the string (x_mask, z_mask) in mask arrays held in
+    ascending (x, z) order, or None when it is absent.  The masks must fit
+    the arrays' dtype.  One binary search finds the run of x_mask in x, and
+    a second finds z_mask within that run of z."""
+    lo, hi = (int(np.searchsorted(x, x_mask, side)) for side in ("left", "right"))
+    i = lo + int(np.searchsorted(z[lo:hi], z_mask))
+    return i if i < hi and z[i] == z_mask else None
 
 
 def group_keys(x, z) -> tuple[np.ndarray, np.ndarray]:
@@ -151,9 +167,10 @@ class PauliSum:
     """A Hamiltonian H = sum_j h_j P_j over Pauli strings, on at most
     MAX_SUM_QUBITS qubits.
 
-    The terms live in three aligned read-only arrays: uint64 ``x`` and ``z``
-    masks and float64 ``coeff``.  Repeated keys are merged, the terms are
-    kept in ascending (x, z) order, and coefficients with magnitude below
+    The terms live in three aligned read-only arrays: ``x`` and ``z`` masks
+    of dtype `_key_type(n_qubits)` (the module's width rule) and float64
+    ``coeff``.  Repeated keys are merged, the terms are kept in ascending
+    (x, z) order, and coefficients with magnitude below
     DEFAULT_PRUNE_THRESHOLD are dropped.  Coefficients must be finite, and
     the merged ones Hermitian: each |Im c| at most HERMITIAN_TOLERANCE *
     max(1, largest |c|), else ContractViolationError names the first
@@ -207,16 +224,11 @@ class PauliSum:
         ``coeff`` is cast to float64, which an empty `np.bincount` is not."""
         self.n_qubits = n_qubits
         keep = np.abs(coeff) >= DEFAULT_PRUNE_THRESHOLD
-        self.x = x[keep].astype(np.uint64)
-        self.z = z[keep].astype(np.uint64)
+        self.x = x[keep]
+        self.z = z[keep]
         self.coeff = coeff[keep].astype(np.float64, copy=False)
         for array in (self.x, self.z, self.coeff):
             array.setflags(write=False)
-
-    def _keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """The x and z masks in the narrowest dtype that holds them."""
-        key = _key_type(self.n_qubits)
-        return self.x.astype(key, copy=False), self.z.astype(key, copy=False)
 
     @classmethod
     def from_label_terms(
@@ -247,8 +259,7 @@ class PauliSum:
     def _index(self, p: PauliString) -> int | None:
         if p.n_qubits != self.n_qubits:
             return None
-        hits = np.flatnonzero((self.x == p.x_mask) & (self.z == p.z_mask))
-        return int(hits[0]) if len(hits) else None
+        return find_string(self.x, self.z, p.x_mask, p.z_mask)
 
     def __len__(self) -> int:
         return len(self.coeff)
@@ -291,7 +302,7 @@ class PauliSum:
         """
         if self.n_qubits != other.n_qubits:
             raise DimensionMismatchError("cannot multiply sums on different qubit counts")
-        (ax, az), (bx, bz) = self._keys(), other._keys()
+        ax, az, bx, bz = self.x, self.z, other.x, other.z
         ay, by = np.bitwise_count(ax & az), np.bitwise_count(bx & bz)
         x, z, coeff = ax[:0], az[:0], other.coeff[:0]
         start = 0

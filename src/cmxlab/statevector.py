@@ -50,9 +50,10 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
+    @cached_property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """The 2-norm of the amplitudes (see `scaled_norm`), taken once."""
+        return scaled_norm(self.amplitudes)
 
     @cached_property
     def _basis(self) -> tuple[int, float] | None:
@@ -71,6 +72,17 @@ class StateVector:
         state, or None when the state is not one."""
         basis = self._basis
         return None if basis is None else basis[0]
+
+
+def scaled_norm(v: np.ndarray) -> float:
+    """The 2-norm of v, taken after scaling by the power of two nearest
+    its largest modulus, so squaring cannot overflow; scaling by a power of
+    two is exact, so the bits are those of np.linalg.norm wherever that
+    does not overflow.  A norm past float64 is inf and a non-finite entry
+    gives a non-finite norm, without warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, exponent = np.frexp(np.abs(v).max(initial=0.0))
+        return float(np.ldexp(np.linalg.norm(v * np.ldexp(1.0, -exponent)), exponent))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +172,22 @@ def check_sizes(op: PauliString | PauliSum, s: StateVector) -> None:
         raise DimensionMismatchError(
             f"operator acts on {op.n_qubits} qubits, state on {s.n_qubits}"
         )
+
+
+def _require_unit(s: StateVector, name: str) -> None:
+    # a NaN norm fails the comparison too
+    if not abs(s.norm - 1.0) <= _NORM_TOL:
+        raise ContractViolationError(f"{name} norm {s.norm:.12g} is not 1")
+
+
+def check_trial(h: PauliSum, s: StateVector) -> None:
+    """The entry check of every moment route: DimensionMismatchError unless
+    H acts on the state's qubit count, and ContractViolationError unless
+    the trial has unit norm to within _NORM_TOL.  Every route reads
+    K_0 = 1, so an unnormalised trial would give moments that are not
+    <Phi|H^n|Phi>, and a different wrong answer on each route."""
+    check_sizes(h, s)
+    _require_unit(s, "trial")
 
 
 def _pauli_image(x_mask: int, z_mask: int, s: StateVector) -> np.ndarray:
@@ -256,8 +284,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     if a.n_qubits != b.n_qubits:
         raise DimensionMismatchError("states act on different qubit counts")
     for s in (a, b):
-        if abs(s.norm - 1.0) > _NORM_TOL:
-            raise ContractViolationError(f"state norm {s.norm:.12g} is not 1")
+        _require_unit(s, "state")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 

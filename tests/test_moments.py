@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmxlab import moments
+from cmxlab import moments, statevector
 from cmxlab.cmx import cmx_cioslowski, cmx_knowles, singularity_report
 from cmxlab.errors import (
     ContractViolationError,
@@ -30,7 +30,13 @@ from cmxlab.moments import (
 )
 from cmxlab.noise import NoiseModel, hadamard_test_estimate, noisy_moments
 from cmxlab.pauli import DEFAULT_PRUNE_THRESHOLD, PauliString, PauliSum
-from cmxlab.statevector import DENSE_QUBIT_LIMIT, StateVector, apply_pauli_sum, basis_state
+from cmxlab.statevector import (
+    DENSE_QUBIT_LIMIT,
+    StateVector,
+    apply_pauli_sum,
+    basis_state,
+    pauli_expectation,
+)
 
 from conftest import (
     basis_vector,
@@ -132,6 +138,34 @@ class TestRawMomentsPauli:
         match = f"operator acts on 4 qubits, state on {len(bits)}"
         with pytest.raises(DimensionMismatchError, match=match):
             ROUTES[route](siam_sum(1.0), basis_state(bits), 4)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("scale", [2.0, 0.0, 1.0 + 1e-6, 1e160, math.nan])
+    def test_trial_must_have_unit_norm(self, route, scale):
+        # every route reads K_0 = 1, so each refuses an unnormalised trial at
+        # its entry, without warnings; on 2|0110> the Pauli route would
+        # weigh the identity term 1 and every other string 4 (K_1 = -10),
+        # the dense route every term 4 (K_1 = -16)
+        trial = StateVector(4, scale * basis_state("0110").amplitudes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match=r"^trial norm .* is not 1$"):
+                ROUTES[route](siam_sum(1.0), trial, 4)
+
+    @pytest.mark.parametrize("route", ["pauli", "dense"])
+    def test_trial_norm_within_tolerance_is_accepted(self, route):
+        trial = StateVector(4, (1.0 + 1e-9) * basis_state("0110").amplitudes)
+        exact = raw_moments_dense(siam_sum(1.0), basis_state("0110"), 2).raw
+        assert ROUTES[route](siam_sum(1.0), trial, 2).raw == pytest.approx(exact, rel=1e-8)
+
+    def test_trial_norm_is_taken_once(self):
+        # a sweep over many Hamiltonians pays for one norm of its trial
+        trial = basis_state("0110")
+        with mock.patch("cmxlab.statevector.scaled_norm", wraps=statevector.scaled_norm) as norm:
+            for v in (0.5, 1.0, 2.0):
+                for route in ROUTES.values():
+                    route(siam_sum(v), trial, 2)
+        assert norm.call_count == 1
 
     def test_non_hermitian_rejected(self):
         # refused when the sum is built, before any moment route sees it
@@ -592,14 +626,17 @@ class TestMomentTableValidation:
                     ROUTES[route](h, basis_state("01"), 3)
 
     def test_overflowing_dense_trial_is_rejected_without_warnings(self):
-        # amplitude products overflow float64 in the Walsh-Hadamard tables,
-        # which stay as silent as the dense chain, and K_1 is the first
-        # non-finite order
+        # both routes refuse the trial at entry by its norm, which is taken
+        # without overflow; the Walsh-Hadamard tables, whose amplitude
+        # products overflow float64, stay as silent and give a non-finite
+        # value
         rng = np.random.default_rng(3)
         state = StateVector(3, 1e160 * (rng.normal(size=8) + 1j * rng.normal(size=8)))
         h = PauliSum.from_label_terms([(0.5, "XZI"), (0.25, "ZZY")])
-        for route in ("pauli", "dense"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ContractViolationError, match="^raw moment K_1 = .* is not finite$"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in ("pauli", "dense"):
+                with pytest.raises(ContractViolationError, match="^trial norm .* is not 1$"):
                     ROUTES[route](h, state, 2)
+            for p, _ in h.items():
+                assert not math.isfinite(pauli_expectation(p.x_mask, p.z_mask, state))

@@ -1,6 +1,8 @@
 """Pauli string algebra and Hamiltonian text format."""
 
 import math
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,11 +15,15 @@ from cmxlab.errors import (
     DimensionMismatchError,
     HamiltonianParseError,
 )
+from cmxlab.moments import assemble_moments, hamiltonian_powers, raw_moments_pauli
+from cmxlab.noise import NoiseModel, noisy_moments
 from cmxlab.pauli import (
     DEFAULT_PRUNE_THRESHOLD,
     HERMITIAN_TOLERANCE,
     PauliString,
     PauliSum,
+    _key_type,
+    find_string,
     parse_pauli_sum,
     serialize_pauli_sum,
 )
@@ -373,8 +379,10 @@ class TestArrayProduct:
     @staticmethod
     def assert_empty(product, n_qubits):
         assert product.n_qubits == n_qubits and len(product) == 0
+        # an empty product keeps the mask width of a non-empty sum of its size
+        key = PauliSum.from_label_terms([(1.0, "Z" * n_qubits)]).x.dtype
         assert (product.x.dtype, product.z.dtype, product.coeff.dtype) == (
-            np.uint64, np.uint64, np.float64)
+            key, key, np.float64)
         assert not any(a.flags.writeable for a in (product.x, product.z, product.coeff))
 
     def test_64_qubit_product(self):
@@ -428,6 +436,90 @@ class TestOrderIndependentQueries:
         assert h != PauliSum.from_label_terms([(1.0, "XZ"), (0.5, "ZY")])
         assert h != PauliSum.from_label_terms([(1.0, "XZ")])
         assert h != PauliSum.from_label_terms([(1.0, "XZI"), (0.5, "ZZI")])
+
+
+# the mask dtype of an n-qubit sum at each edge of the width rule
+MASK_WIDTHS = {1: np.uint8, 8: np.uint8, 9: np.uint16, 16: np.uint16, 17: np.uint32,
+               32: np.uint32, 33: np.uint64, 64: np.uint64}
+
+
+def top_bit_sum(n):
+    """An n-qubit sum whose strings reach qubit n - 1, the masks' top bit,
+    and qubit 0, and whose square holds the identity."""
+    top = 1 << (n - 1)
+    masks = [(top, 0), (0, top | 1), (1, 1), (top | 1, top), (top, top)]
+    return PauliSum(n, [(PauliString(n, x, z), 0.5 + k) for k, (x, z) in enumerate(masks)])
+
+
+def stand_in_kernel() -> ExitStack:
+    """Replace the trial check and the expectation kernel of both Pauli
+    routes with a zero for every string: the masks' path does not read the
+    state, and no dense trial fits in memory past about 30 qubits."""
+    stack = ExitStack()
+    for module in ("cmxlab.moments", "cmxlab.noise"):
+        stack.enter_context(mock.patch.multiple(
+            module, check_trial=mock.DEFAULT,
+            string_expectations=lambda xs, zs, state: np.zeros(len(xs))))
+    return stack
+
+
+class TestMaskWidth:
+    @pytest.mark.parametrize("n, key", sorted(MASK_WIDTHS.items()))
+    def test_every_mask_array_has_the_sum_width(self, n, key):
+        assert _key_type(n) == key
+        h = top_bit_sum(n)
+        top = 1 << (n - 1)
+        x_top = PauliSum(n, [(PauliString(n, top, 0), 1.0)])
+        z_top = PauliSum(n, [(PauliString(n, 0, top), 1.0)])
+        empty = x_top.symmetric_product(z_top)
+        assert len(empty) == 0
+        powers = hamiltonian_powers(h, 3)
+        received = []
+
+        def provider(xs, zs):
+            received.append((xs, zs))
+            return np.zeros(len(xs))
+
+        assemble_moments(powers, 3, provider)
+        with stand_in_kernel():
+            _, cache = raw_moments_pauli(h, None, 3)
+            _, sampled = noisy_moments(h, None, 3, NoiseModel(shots=64))
+        assert len(received[0][0]) == len(cache) == len(sampled) > 0
+        for masks in (h, x_top, empty, PauliSum(n), *powers, cache, sampled):
+            assert (masks.x.dtype, masks.z.dtype) == (key, key)
+        (xs, zs), = received
+        assert (xs.dtype, zs.dtype) == (key, key)
+
+    @pytest.mark.parametrize("n", [8, 9, 33, 64])
+    def test_lookups(self, n):
+        top = 1 << (n - 1)
+        h = top_bit_sum(n)
+        square = h.symmetric_product(h)
+        with stand_in_kernel():
+            _, sampled = noisy_moments(h, None, 2, NoiseModel(shots=64))
+        identity = PauliString.identity(n)
+        # strings with an X or Z part on qubit 2, which no string of h or
+        # its square has: one in the run of a present x-mask, one not
+        absent = [PauliString(n, top, 4), PauliString(n, 4 | top, top)]
+        other_size = [PauliString(n - 1, 1, 1), PauliString(n + 1, 1, 1)]
+        present = [PauliString(n, top | 1, top), PauliString(n, top, 0)]
+        assert all(p in h for p in present)
+        assert all(p in square for p, _ in square.items())
+        assert all(p not in h and p not in square for p in absent + other_size)
+        assert identity in square and identity not in h
+        assert [sampled[p] for p in sampled] == list(sampled.values())
+        assert all(p in sampled for p in present)
+        for p in absent + other_size + [identity]:
+            with pytest.raises(KeyError):
+                sampled[p]
+
+    def test_find_string_matches_a_linear_scan(self, rng):
+        h = random_hermitian_sum(rng, 5, 20)
+        h = h.symmetric_product(h)
+        for x in range(1 << 5):
+            for z in range(1 << 5):
+                hits = np.flatnonzero((h.x == x) & (h.z == z))
+                assert find_string(h.x, h.z, x, z) == (int(hits[0]) if len(hits) else None)
 
 
 class TestTextFormat:
