@@ -19,7 +19,7 @@ from .errors import (
     SingularScanError,
     UsageError,
 )
-from .methods import MethodSpec, evaluate_method, parse_method, parse_method_list
+from .methods import MethodSpec, evaluate_method, evaluate_rows, parse_method, parse_method_list
 from .models import (
     H2Coefficients,
     SiamParams,

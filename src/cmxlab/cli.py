@@ -28,9 +28,11 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from .cmx import cmx_cioslowski, cmx_knowles, denominator_findings
 from .errors import CmxlabError, UsageError
-from .methods import evaluate_method, parse_method_list
+from .methods import evaluate_method, evaluate_rows, parse_method_list
 from .models import (
     H2Coefficients,
     SiamParams,
@@ -278,15 +280,17 @@ def _sweep(args: argparse.Namespace) -> Report:
     """
     methods = parse_method_list(args.methods)
     max_order = max(spec.required_max_order for spec in methods)
+    points = list(_prepare(args, max_order, sweep=True, reference=True))
+    raw = np.array([prep.table.raw for prep in points])
+    # each method once over all points: (energy, singular, condition, pinv) lists
+    values = [[column.tolist() for column in evaluate_rows(spec, raw)] for spec in methods]
     rows = [SWEEP_HEADER]
-    for prep in _prepare(args, max_order, sweep=True, reference=True):
-        for spec in methods:
-            value = evaluate_method(spec, prep.table)
+    for i, prep in enumerate(points):
+        for spec, (energy, singular, condition, pinv) in zip(methods, values):
             rows.append(_row(
                 prep.sweep_value, spec.name, spec.order,
-                value.energy, prep.reference, value.energy - prep.reference,
-                _fmt_flag(value.singular_flag), value.condition_number,
-                _fmt_flag(value.used_pseudo_inverse),
+                energy[i], prep.reference, energy[i] - prep.reference,
+                _fmt_flag(singular[i]), condition[i], _fmt_flag(pinv[i]),
             ))
     yield rows
     if args.output:

@@ -18,6 +18,8 @@ import numpy as np
 
 from ._linalg import (
     SINGULARITY_TOLERANCE,
+    float_powers,
+    hankel_index,
     kept_eigenvalues,
     spectral_condition,
     spectral_solve,
@@ -52,106 +54,144 @@ def _connected_values(moments: MomentTable | Sequence[float]) -> list[float]:
     return [float(v) for v in moments]
 
 
-def _require(values: list[float], count: int, order: int) -> None:
-    if len(values) < count:
+def _rows(ivals: np.ndarray, order: int) -> np.ndarray:
+    """The connected-moment rows as float64, checked to serve `order`."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    ivals = np.asarray(ivals, dtype=float)
+    count = 2 * order - 1
+    if ivals.shape[1] < count:
         raise InsufficientMomentsError(
-            f"order {order} needs I_1..I_{count}, have {len(values)}"
+            f"order {order} needs I_1..I_{count}, have {ivals.shape[1]}"
         )
+    return ivals
 
 
-def _unit_free(ivals: list[float], order: int) -> tuple[float, list[float]]:
-    """Scale r and the unit-free I_1..I_(2K-1) (I_1 -> 0, I_k -> I_k / r^k)
-    that order K reads, as `_linalg.unit_free` makes them: for an eigenstate,
-    or at first order, r = 1 and every unit-free moment is 0."""
-    scale, values = unit_free(ivals[0], [1.0, 0.0, *ivals[1 : 2 * order - 1]])
-    return scale, values[1:].tolist()
+def _unit_free(ivals: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scales r and the unit-free I_1..I_(2K-1) (I_1 -> 0, I_k -> I_k / r^k)
+    of each row that order K reads, as `_linalg.unit_free` makes them: for
+    an eigenstate, or at first order, r = 1 and every unit-free moment is 0."""
+    rows = len(ivals)
+    centred = np.concatenate(
+        [np.ones((rows, 1)), np.zeros((rows, 1)), ivals[:, 1 : 2 * order - 1]], axis=1
+    )
+    scale, values = unit_free(ivals[:, 0], centred)
+    return scale, values[:, 1:]
 
 
-def _hankel_dets(ivals: list[float], k: int, count: int) -> list[float]:
-    """S[k,m] = det[I_(k+i+j)] over i, j = 0..m-1, for m = 1..count."""
-    return [
-        float(np.linalg.det([[ivals[k + i + j - 1] for j in range(m)] for i in range(m)]))
-        for m in range(1, count + 1)
-    ]
+def _hankel_dets(ivals: np.ndarray, k: int, count: int) -> np.ndarray:
+    """S[k,m] = det[I_(k+i+j)] over i, j = 0..m-1, for m = 1..count, of each
+    row: one stacked determinant call per m."""
+    dets = np.empty((len(ivals), count))
+    for m in range(1, count + 1):
+        dets[:, m - 1] = np.linalg.det(ivals[:, k - 1 + hankel_index(m)])
+    return dets
 
 
-def cmx_cioslowski(moments: MomentTable | Sequence[float], order: int) -> CmxResult:
-    """Cioslowski CMX(K) from the Hankel determinants S[k,m] = det[I_(k+i+j)].
+@dataclass(frozen=True)
+class CmxRows:
+    """One CMX variant of every row of a stack of connected moments:
+    the partial expansions E(1..K), one row each, their singular flags and,
+    for Knowles, the condition numbers and det(A[K-1]) of the unit-free A."""
+
+    energies: np.ndarray
+    denominators: np.ndarray
+    singular_flag: np.ndarray
+    condition_number: np.ndarray | None = None
+
+
+def cioslowski_rows(ivals: np.ndarray, order: int) -> CmxRows:
+    """Cioslowski CMX(K) of each row of connected moments I_1, I_2, ...,
+    from the Hankel determinants S[k,m] = det[I_(k+i+j)].
 
     The nested expansion telescopes to
 
         E(K) = I_1 - sum_{m=1}^{K-1} S[2,m]^2 / (S[3,m-1] S[3,m]),  S[3,0] = 1,
 
     which equals Knowles' I_1 - b^T A^-1 b, so the denominators that can
-    poison the expansion are exactly the S[3,m] = det(A[m]).  They are taken
-    on the unit-free moments (see `_linalg.unit_free`), where
-    SINGULARITY_TOLERANCE is dimensionless; an eigenstate trial is singular
-    at every order >= 2 and all S[3,m] are reported as 0.
+    poison the expansion are exactly the S[3,m] = det(A[m]); they are
+    returned as the columns of `denominators`.  They are taken on the
+    unit-free moments (see `_linalg.unit_free`), where SINGULARITY_TOLERANCE
+    is dimensionless; an eigenstate trial is singular at every order >= 2
+    and all its S[3,m] are 0.  On a singular denominator a row's expansion
+    freezes at its last finite partial sum.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    ivals = _connected_values(moments)
-    _require(ivals, 2 * order - 1, order)
+    ivals = _rows(ivals, order)
     scale, unit = _unit_free(ivals, order)
     s2 = _hankel_dets(unit, 2, order - 1)
-    s3 = [1.0, *_hankel_dets(unit, 3, order - 1)]
-
-    energies = [ivals[0]]
-    denominators: list[tuple[str, float]] = []
-    singular = False
-    correction = 0.0
-    for m in range(1, order):
-        denominators.append((f"S[3,{m}]", s3[m]))
-        if singular or abs(s3[m]) < SINGULARITY_TOLERANCE:
-            singular = True
-            energies.append(energies[-1])
-            continue
-        correction -= s2[m - 1] ** 2 / (s3[m - 1] * s3[m])
-        energies.append(ivals[0] + scale * correction)
-    return CmxResult(
-        method="cioslowski",
-        order=order,
-        energy=energies[-1],
-        energies=tuple(energies),
-        denominators=tuple(denominators),
-        singular_flag=singular,
-    )
+    s3 = np.concatenate([np.ones((len(ivals), 1)), _hankel_dets(unit, 3, order - 1)], axis=1)
+    # the telescoped terms, with -0.0, which adds nothing, from the first
+    # singular S[3,m] on: there the expansion freezes at its last partial sum
+    frozen = np.logical_or.accumulate(np.abs(s3[:, 1:]) < SINGULARITY_TOLERANCE, axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        terms = -(float_powers(s2.ravel(), (2,)).reshape(s2.shape) / (s3[:, :-1] * s3[:, 1:]))
+    terms[frozen] = -0.0
+    # summed in the recursion's order; the + 0.0 turns a -0.0 sum into the
+    # 0.0 of a sum started from 0
+    correction = np.cumsum(terms, axis=1) + 0.0
+    # a row frozen from m = 1 on keeps I_1 itself
+    partial = np.where(frozen[:, :1], ivals[:, :1], ivals[:, :1] + scale[:, None] * correction)
+    return CmxRows(np.concatenate([ivals[:, :1], partial], axis=1), s3[:, 1:], frozen.any(axis=1))
 
 
-def cmx_knowles(moments: MomentTable | Sequence[float], order: int) -> CmxResult:
-    """Knowles generalized-Pade CMX(K): E = I_1 - b^T A^-1 b with
-    b_i = I_(i+1) and A_ij = I_(i+j+1) for i,j = 1..K-1.
+def knowles_rows(ivals: np.ndarray, order: int) -> CmxRows:
+    """Knowles generalized-Pade CMX(K) of each row of connected moments:
+    E = I_1 - b^T A^-1 b with b_i = I_(i+1) and A_ij = I_(i+j+1) for
+    i,j = 1..K-1, one stacked eigensolve per partial order.
 
     The solve runs in float64 on the unit-free moments (see
     `_linalg.unit_free`), so the reported condition number and det(A) are
     those of the unit-free A.  Eigenvalues at or below `_linalg.PINV_CUTOFF`
-    times max(1, max|lambda|) are truncated and flag the result singular; the
+    times max(1, max|lambda|) are truncated and flag the row singular; the
     1 is the moment scale, because a uniformly tiny A has a perfect condition
     number yet still poisons the quadratic form.  An eigenstate trial is
     singular at every order >= 2, with E = I_1 and det(A) reported as 0.
+    First order reads no matrix: E = I_1, with no flag or condition number.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    ivals = _connected_values(moments)
-    _require(ivals, 2 * order - 1, order)
+    ivals = _rows(ivals, order)
     if order == 1:
-        return CmxResult("knowles", 1, ivals[0], (ivals[0],), (), False)
+        return CmxRows(ivals[:, :1], np.empty((len(ivals), 0)), np.zeros(len(ivals), bool))
     scale, unit = _unit_free(ivals, order)
-
-    energies: list[float] = [ivals[0]]
+    energies = np.empty((len(ivals), order))
+    energies[:, 0] = ivals[:, 0]
     for k in range(2, order + 1):
-        b = np.array(unit[1:k])
-        a = np.array([[unit[i + j + 2] for j in range(k - 1)] for i in range(k - 1)])
-        w, v = symmetric_spectrum(a)
-        energies.append(ivals[0] - scale * float(b @ spectral_solve(w, v, b)))
+        b = unit[:, 1:k]
+        w, v = symmetric_spectrum(unit[:, 2 + hankel_index(k - 1)])
+        quadratic = (b[:, None, :] @ spectral_solve(w, v, b)[:, :, None])[:, 0, 0]
+        energies[:, k - 1] = ivals[:, 0] - scale * quadratic
+    return CmxRows(
+        energies,
+        np.prod(w, axis=1)[:, None],
+        ~kept_eigenvalues(w).all(axis=1),
+        spectral_condition(w),
+    )
+
+
+def cmx_cioslowski(moments: MomentTable | Sequence[float], order: int) -> CmxResult:
+    """Cioslowski CMX(K) of one moment table: the one-row case of
+    `cioslowski_rows`, with its S[3,m] as the denominators."""
+    rows = cioslowski_rows(np.array([_connected_values(moments)]), order)
+    return _one_row("cioslowski", order, rows, [f"S[3,{m}]" for m in range(1, order)])
+
+
+def cmx_knowles(moments: MomentTable | Sequence[float], order: int) -> CmxResult:
+    """Knowles CMX(K) of one moment table: the one-row case of
+    `knowles_rows`, with det(A[K-1]) as its denominator from order 2 on."""
+    rows = knowles_rows(np.array([_connected_values(moments)]), order)
+    return _one_row("knowles", order, rows, [f"det(A[{order - 1}])"])
+
+
+def _one_row(method: str, order: int, rows: CmxRows, labels: list[str]) -> CmxResult:
+    energies = rows.energies[0].tolist()
+    condition = rows.condition_number
     return CmxResult(
-        method="knowles",
+        method=method,
         order=order,
         energy=energies[-1],
         energies=tuple(energies),
-        denominators=((f"det(A[{order - 1}])", float(np.prod(w))),),
-        singular_flag=not kept_eigenvalues(w).all(),
-        condition_number=spectral_condition(w),
+        denominators=tuple(zip(labels, rows.denominators[0].tolist())),
+        singular_flag=bool(rows.singular_flag[0]),
+        condition_number=None if condition is None else float(condition[0]),
     )
 
 

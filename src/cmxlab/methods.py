@@ -1,15 +1,18 @@
 """Uniform method selection: parse "pds:3"-style specs and evaluate any
-supported estimator on a moment table."""
+supported estimator on a moment table, or on a stack of raw-moment rows at
+once."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .cmx import cmx_cioslowski, cmx_knowles
-from .errors import DegenerateRootsError, UsageError
-from .moments import MomentTable, hw_energy_series
-from .pds import solve_pds
+import numpy as np
+
+from .cmx import cioslowski_rows, knowles_rows
+from .errors import UsageError
+from .moments import MomentTable, connected_rows, hw_energy_rows
+from .pds import solve_pds_rows
 
 _CANONICAL_NAMES = {
     "cmx": "cmx-cioslowski",
@@ -102,29 +105,61 @@ class MethodValue:
     used_pseudo_inverse: bool = False
 
 
+def evaluate_rows(
+    spec: MethodSpec, raw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate one estimator on every row of a stack of raw moments.
+
+    `raw` has one row per moment table, K_0..K_max with K_0 = 1, all rows
+    of one length.  Returns four arrays over the rows: energies, singular
+    flags, condition numbers (NaN where the method has none) and
+    pseudo-inverse flags, each row bit for bit what `evaluate_method` gives
+    on `MomentTable(row)`.  A row whose PDS roots are all complex gets a
+    NaN energy and the singular flag, as in `evaluate_method`.
+
+    Raises what building a `MomentTable` of each row, then evaluating it,
+    would raise: ValueError for a row that does not start with K_0 = 1,
+    ContractViolationError for the first row with a non-finite raw or
+    connected moment, and InsufficientMomentsError (or ValueError, for a
+    negative tau) when the rows are too short for the method.
+    """
+    raw = np.asarray(raw, dtype=float)
+    return _evaluate(spec, raw, connected_rows(raw))
+
+
 def evaluate_method(spec: MethodSpec, table: MomentTable) -> MethodValue:
-    """Evaluate one estimator on a moment table."""
-    if spec.name == "expectation":
-        return MethodValue(energy=table.connected[0])
-    if spec.name == "cmx-cioslowski":
-        result = cmx_cioslowski(table, spec.order)
-        return MethodValue(result.energy, result.singular_flag)
-    if spec.name == "cmx-knowles":
-        result = cmx_knowles(table, spec.order)
-        condition = result.condition_number if result.condition_number is not None else math.nan
-        return MethodValue(result.energy, result.singular_flag, condition)
-    if spec.name == "hw-series":
-        return MethodValue(energy=hw_energy_series(table, spec.tau, spec.order))
-    try:
-        result = solve_pds(table, spec.order)
-    except DegenerateRootsError as err:
-        # all roots complex: the row survives with the flag set
-        condition = float(err.diagnostics.get("condition_number", math.nan))
-        pinv = bool(err.diagnostics.get("used_pseudo_inverse", False))
-        return MethodValue(math.nan, True, condition, pinv)
-    return MethodValue(
-        result.ground_energy,
-        singular_flag=False,
-        condition_number=result.condition_number,
-        used_pseudo_inverse=result.used_pseudo_inverse,
+    """Evaluate one estimator on a moment table: the one-row case of
+    `evaluate_rows`."""
+    energy, singular, condition, pinv = _evaluate(
+        spec, np.array([table.raw]), np.array([table.connected])
     )
+    return MethodValue(energy.item(), singular.item(), condition.item(), pinv.item())
+
+
+def _evaluate(
+    spec: MethodSpec, raw: np.ndarray, connected: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four arrays of `evaluate_rows` from raw rows and their connected
+    rows."""
+    rows = len(raw)
+    singular = np.zeros(rows, dtype=bool)
+    condition = np.full(rows, math.nan)
+    pinv = np.zeros(rows, dtype=bool)
+    if spec.name == "expectation":
+        energy = connected[:, 0]
+    elif spec.name == "cmx-cioslowski":
+        result = cioslowski_rows(connected, spec.order)
+        energy, singular = result.energies[:, -1], result.singular_flag
+    elif spec.name == "cmx-knowles":
+        result = knowles_rows(connected, spec.order)
+        energy, singular = result.energies[:, -1], result.singular_flag
+        if result.condition_number is not None:
+            condition = result.condition_number
+    elif spec.name == "hw-series":
+        energy = hw_energy_rows(connected, spec.tau, spec.order)
+    else:
+        # a row whose roots are all complex stays a row, flagged
+        result = solve_pds_rows(raw, spec.order)
+        energy, singular = result.ground_energy, result.degenerate
+        condition, pinv = result.condition_number, result.used_pseudo_inverse
+    return energy, singular, condition, pinv

@@ -56,21 +56,56 @@ class MomentTable:
             raise ValueError("raw moments must start with K_0 = 1")
         for k, value in enumerate(raw):
             if not isfinite(value):
-                raise ContractViolationError(f"raw moment K_{k} = {value} is not finite")
-        connected: list[float] = []
-        for k in range(1, len(raw)):
-            value = raw[k]
-            for i in range(0, k - 1):
-                value -= comb(k - 1, i) * connected[i] * raw[k - i - 1]
-            connected.append(value)
+                raise _not_finite("raw moment K", k, value)
+        connected = _connected(raw)
         for k, value in enumerate(connected, start=1):
             if not isfinite(value):
-                raise ContractViolationError(f"connected moment I_{k} = {value} is not finite")
+                raise _not_finite("connected moment I", k, value)
         object.__setattr__(self, "connected", tuple(connected))
 
     @property
     def max_order(self) -> int:
         return len(self.raw) - 1
+
+
+def _not_finite(name: str, k: int, value: float) -> ContractViolationError:
+    return ContractViolationError(f"{name}_{k} = {value} is not finite")
+
+
+def _connected(raw):
+    """I_1..I_max from K_0..K_max by the recursion `MomentTable` states,
+    summed in the same order whether each K_k is a float or a column of
+    rows."""
+    connected = []
+    for k in range(1, len(raw)):
+        value = raw[k]
+        for i in range(0, k - 1):
+            value = value - comb(k - 1, i) * connected[i] * raw[k - i - 1]
+        connected.append(value)
+    return connected
+
+
+def connected_rows(raw: np.ndarray) -> np.ndarray:
+    """The connected moments I_1..I_max of each row of raw moments
+    K_0..K_max, bit for bit those of `MomentTable`, with its checks: a row
+    that does not start with K_0 = 1 raises ValueError, and the first row
+    with a non-finite moment raises its ContractViolationError."""
+    raw = np.asarray(raw, dtype=float)
+    if raw.ndim != 2 or raw.shape[1] < 2 or (raw[:, 0] != 1.0).any():
+        raise ValueError("raw moments must start with K_0 = 1")
+    # overflow and inf - inf leave non-finite values, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        connected = np.array(_connected(list(raw.T))).T
+    bad_raw, bad_connected = ~np.isfinite(raw), ~np.isfinite(connected)
+    bad = bad_raw.any(axis=1) | bad_connected.any(axis=1)
+    if bad.any():
+        row = int(bad.argmax())
+        if bad_raw[row].any():
+            k = int(bad_raw[row].argmax())
+            raise _not_finite("raw moment K", k, raw[row, k].item())
+        k = int(bad_connected[row].argmax())
+        raise _not_finite("connected moment I", k + 1, connected[row, k].item())
+    return connected
 
 
 def string_expectations(xs: np.ndarray, zs: np.ndarray, state: StateVector) -> np.ndarray:
@@ -242,20 +277,26 @@ def raw_moments_dense(h: PauliSum, state: StateVector, max_order: int) -> Moment
     return MomentTable(tuple(raw))
 
 
-def hw_energy_series(table: MomentTable, tau: float, order: int) -> float:
-    """Truncated Horn-Weinstein series sum_{k=0}^{order} (-tau)^k/k! I_{k+1}."""
+def hw_energy_rows(connected: np.ndarray, tau: float, order: int) -> np.ndarray:
+    """Truncated Horn-Weinstein series sum_{k=0}^{order} (-tau)^k/k! I_{k+1}
+    of each row of connected moments I_1, I_2, ..., summed from 0 in
+    ascending k."""
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    if order < 0 or order > len(table.connected) - 1:
+    if order < 0 or order > connected.shape[1] - 1:
         raise InsufficientMomentsError(
-            f"order {order} needs I_{order + 1}, have I_1..I_{len(table.connected)}"
+            f"order {order} needs I_{order + 1}, have I_1..I_{connected.shape[1]}"
         )
-    return float(
-        sum(
-            (-tau) ** k / factorial(k) * table.connected[k]
-            for k in range(order + 1)
-        )
-    )
+    total = 0
+    for k in range(order + 1):
+        total = total + (-tau) ** k / factorial(k) * connected[:, k]
+    return total
+
+
+def hw_energy_series(table: MomentTable, tau: float, order: int) -> float:
+    """Truncated Horn-Weinstein series of one table: the one-row case of
+    `hw_energy_rows`."""
+    return float(hw_energy_rows(np.array([table.connected]), tau, order)[0])
 
 
 def lanczos(

@@ -33,8 +33,11 @@ import numpy as np
 from .errors import ContractViolationError
 from .moments import MomentTable, assemble_moments, hamiltonian_powers, string_expectations
 from .pauli import PauliString, PauliSum, find_string
-from .statevector import StateVector, check_trial
+from .statevector import _NORM_TOL, StateVector, check_trial
 
+# every trial that `check_trial` admits has <s|s> <= (1 + _NORM_TOL)^2, so
+# |<s|P|s>| stays below this limit, with room left for rounding
+EXPECTATION_LIMIT = 1.0 + 3.0 * _NORM_TOL
 
 # the largest count Generator.binomial accepts: np.int64's maximum
 MAX_SHOTS = 2**63 - 1
@@ -178,7 +181,8 @@ def hadamard_test_estimate(
     zeros read from true zeros, then the zeros read from true ones.  A
     scalar gives a ShotEstimate of floats, bit for bit element 0 of the
     size-1 array call; an array gives one whose estimate and error fields
-    are arrays of its length.  Non-finite values and |x| > 1 are rejected.
+    are arrays of its length.  Non-finite values and |x| > EXPECTATION_LIMIT
+    are rejected; values past 1 within it are sampled as +-1.
 
     depth_proxy counts (1q, 2q) gate equivalents: state-preparation flips
     plus one controlled operation per test.  Mitigation inverts the readout
@@ -186,11 +190,12 @@ def hadamard_test_estimate(
     cleared) when the channel is singular or the signal fully depolarized.
     """
     x = np.asarray(true_expectation, dtype=float)
-    # NaN fails every comparison, so it lands outside with |x| > 1
-    outside = ~(np.abs(x) <= 1.0 + 1e-12)
+    # NaN fails every comparison, so it lands outside
+    outside = ~(np.abs(x) <= EXPECTATION_LIMIT)
     if outside.any():
         raise ContractViolationError(
-            f"expectation must be finite with |x| <= 1, got {x[outside].flat[0]}"
+            f"expectation must be finite with |x| <= {EXPECTATION_LIMIT:.10g}, "
+            f"got {x[outside].flat[0]}"
         )
     x = np.clip(x, -1.0, 1.0)
     rng = np.random.default_rng(nm.seed)

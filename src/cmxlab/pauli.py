@@ -119,11 +119,15 @@ def _key_type(n_qubits: int) -> np.dtype:
 def find_string(x, z, x_mask: int, z_mask: int) -> int | None:
     """Position of the string (x_mask, z_mask) in mask arrays held in
     ascending (x, z) order, or None when it is absent.  The masks must fit
-    the arrays' dtype.  One binary search finds the run of x_mask in x, and
-    a second finds z_mask within that run of z."""
-    lo, hi = (int(np.searchsorted(x, x_mask, side)) for side in ("left", "right"))
-    i = lo + int(np.searchsorted(z[lo:hi], z_mask))
-    return i if i < hi and z[i] == z_mask else None
+    the arrays' dtype.  Two binary searches find the run of x_mask in x, and
+    a third finds z_mask within that run of z.  The needles are cast to the
+    arrays' scalar type first: numpy resolves a Python-int needle's type on
+    every call, which costs several times the search."""
+    x_mask, z_mask = x.dtype.type(x_mask), z.dtype.type(z_mask)
+    lo = x.searchsorted(x_mask)
+    hi = x.searchsorted(x_mask, "right")
+    i = lo + z[lo:hi].searchsorted(z_mask)
+    return int(i) if i < hi and z[i] == z_mask else None
 
 
 def group_keys(x, z) -> tuple[np.ndarray, np.ndarray]:

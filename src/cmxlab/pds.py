@@ -15,6 +15,7 @@ to the units of H.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,6 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import (
+    float_powers,
+    hankel_index,
     kept_eigenvalues,
     spectral_condition,
     spectral_solve,
@@ -69,13 +72,21 @@ def _raw_values(moments: MomentTable | Sequence[float]) -> list[float]:
     return values
 
 
-def _require(raw: list[float], order: int) -> None:
+def _require(count: int, order: int) -> None:
+    """Check that `count` raw moments K_0.. serve PDS(order)."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if len(raw) < 2 * order:
+    if count < 2 * order:
         raise InsufficientMomentsError(
-            f"PDS({order}) needs K_0..K_{2 * order - 1}, have K_0..K_{len(raw) - 1}"
+            f"PDS({order}) needs K_0..K_{2 * order - 1}, have K_0..K_{count - 1}"
         )
+
+
+def _hankel(raw: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """M_ij = K_(2n-(i+j)) and b_i = K_(2n-i), i, j = 1..n, for a row of
+    moments or for each row of a stack: b is column j = 0 of one gather."""
+    system = raw[..., 2 * order - hankel_index(order + 1)[1:]]
+    return system[..., 1:], system[..., 0]
 
 
 def build_pds_system(
@@ -83,26 +94,42 @@ def build_pds_system(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The Hankel matrix M_ij = K_(2n-(i+j)) and vector b_i = K_(2n-i)."""
     raw = _raw_values(moments)
-    _require(raw, order)
-    m = np.array(
-        [[raw[2 * order - (i + j)] for j in range(1, order + 1)] for i in range(1, order + 1)]
-    )
-    b = np.array([raw[2 * order - i] for i in range(1, order + 1)])
-    return m, b
+    _require(len(raw), order)
+    return _hankel(np.array(raw), order)
 
 
-def solve_pds(moments: MomentTable | Sequence[float], order: int) -> PdsResult:
-    """Solve M a = -b, root the polynomial, and apply the complex-root policy.
+@dataclass(frozen=True)
+class PdsRows:
+    """PDS(order) of every row of a stack of raw moments, as arrays over
+    the rows (see `solve_pds_rows`).
 
-    The system is built from the unit-free central moments (see
+    Row r has `nodes[r]` roots from its solve, in `roots[r, :nodes[r]]`,
+    and padding roots at its mean energy K_1 after them; `real` marks the
+    roots the complex-root policy keeps, padding included.  A row none of
+    whose solved roots is real is `degenerate`, with a NaN ground energy.
+    """
+
+    roots: np.ndarray
+    nodes: np.ndarray
+    real: np.ndarray
+    degenerate: np.ndarray
+    ground_energy: np.ndarray
+    condition_number: np.ndarray
+    used_pseudo_inverse: np.ndarray
+
+
+def solve_pds_rows(raw: np.ndarray, order: int) -> PdsRows:
+    """PDS(order) of each row of raw moments K_0, K_1, ... (K_0 = 1), with
+    each LAPACK step taken once for the whole stack.
+
+    Each row's system is built from its unit-free central moments (see
     `_linalg.unit_free`) and solved in float64; its roots x map back to
-    K_1 + r x, and `coefficients` are those of the mapped roots, in the units
-    of H.  The reported condition number is that of the unit-free M.  A
+    K_1 + r x.  The reported condition number is that of the unit-free M.  A
     condition number beyond CONDITION_THRESHOLD means the Krylov chain
-    saturated below the requested order; the system is then reduced to its
-    numerical rank (the eigenvalues `_linalg.kept_eigenvalues` keeps), whose
-    roots are the genuine nodes, and the polynomial is padded with roots at
-    the mean energy K_1.  The padding is deterministic,
+    saturated below the requested order; the row's system is then reduced to
+    its numerical rank (the eigenvalues `_linalg.kept_eigenvalues` keeps),
+    whose roots are the genuine nodes, and the polynomial is padded with
+    roots at the mean energy K_1.  The padding is deterministic,
     shift-covariant, and always inside the node hull, unlike the arbitrary
     extra root a raw minimal-norm solve would add.  An eigenstate trial, and
     every first-order solve, takes the same path: `unit_free` encodes it as a
@@ -111,53 +138,133 @@ def solve_pds(moments: MomentTable | Sequence[float], order: int) -> PdsResult:
 
     A root counts as real when its unit-free node x has
     |Im x| <= IMAG_ROOT_TOLERANCE * (1 + |Re x|), so the policy, like the
-    rest of the solve, does not depend on the units of H.
+    rest of the solve, does not depend on the units of H.  The ground energy
+    is the lowest real root.
     """
-    raw = _raw_values(moments)
-    _require(raw, order)
-    mean = raw[1]
-    central = [
-        sum(math.comb(n, j) * raw[j] * (-mean) ** (n - j) for j in range(n + 1))
-        for n in range(2 * order)
-    ]
-    scale, unit = unit_free(mean, central)
-    unit_nodes, condition, used_pinv = _unit_nodes(unit, order)
-    nodes = [complex(mean + scale * x) for x in unit_nodes]
-    is_real = [abs(x.imag) <= IMAG_ROOT_TOLERANCE * (1.0 + abs(x.real)) for x in unit_nodes]
-    real_nodes = [r.real for r, real in zip(nodes, is_real) if real]
-    if not real_nodes:
+    raw = np.asarray(raw, dtype=float)
+    _require(raw.shape[1], order)
+    mean = raw[:, 1]
+    scale, unit = unit_free(mean, _central(raw, 2 * order))
+    x, nodes, condition, used_pinv = _unit_nodes(unit, order)
+    solved = np.arange(order) < nodes[:, None]
+    real = ~solved | (np.abs(x.imag) <= IMAG_ROOT_TOLERANCE * (1.0 + np.abs(x.real)))
+    degenerate = ~(real & solved).any(axis=1)
+    roots = np.where(solved, mean[:, None] + scale[:, None] * x, mean[:, None])
+    # the first lowest real root, which a stable sort of them puts first
+    candidates = np.where(real, roots.real, np.inf)
+    ground = candidates[np.arange(len(raw)), candidates.argmin(axis=1)]
+    ground[degenerate] = np.nan
+    return PdsRows(roots, nodes, real, degenerate, ground, condition, used_pinv)
+
+
+def solve_pds(moments: MomentTable | Sequence[float], order: int) -> PdsResult:
+    """Solve M a = -b, root the polynomial, and apply the complex-root
+    policy: the one-row case of `solve_pds_rows`.
+
+    `coefficients` are those of the mapped roots, in the units of H.  A
+    solve none of whose roots is real raises DegenerateRootsError with the
+    roots, condition number and pseudo-inverse flag as diagnostics.
+    """
+    rows = solve_pds_rows(np.array([_raw_values(moments)]), order)
+    roots = rows.roots[0].tolist()
+    nodes, real = int(rows.nodes[0]), rows.real[0].tolist()
+    condition = float(rows.condition_number[0])
+    used_pinv = bool(rows.used_pseudo_inverse[0])
+    if rows.degenerate[0]:
         raise DegenerateRootsError(
-            f"PDS({len(nodes)}) produced no real roots within the policy tolerance",
+            f"PDS({nodes}) produced no real roots within the policy tolerance",
             diagnostics={
-                "roots": tuple(nodes),
+                "roots": tuple(roots[:nodes]),
                 "condition_number": condition,
                 "used_pseudo_inverse": used_pinv,
             },
         )
-    padding = order - len(nodes)
-    roots = tuple(nodes) + (complex(mean),) * padding
-    retained = sorted(real_nodes + [mean] * padding)
     return PdsResult(
         order=order,
-        roots=roots,
-        real_roots_sorted=tuple(retained),
-        ground_energy=retained[0],
+        roots=tuple(roots),
+        real_roots_sorted=tuple(sorted(r.real for r, keep in zip(roots, real) if keep)),
+        ground_energy=float(rows.ground_energy[0]),
         condition_number=condition,
         used_pseudo_inverse=used_pinv,
-        complex_roots=tuple(r for r, real in zip(nodes, is_real) if not real),
+        complex_roots=tuple(r for r, keep in zip(roots, real) if not keep),
     )
 
 
-def _unit_nodes(unit: np.ndarray, order: int) -> tuple[np.ndarray, float, bool]:
-    """Roots of PDS at the numerical rank (at most order) on unit-free
-    moments, with the order-`order` condition number and pseudo-inverse flag.
-    M's corner is the unit-free K_0 = 1, so max|lambda| >= 1 and, below
-    CONDITION_THRESHOLD, `spectral_solve` keeps every eigenvalue."""
-    m, b = build_pds_system(unit, order)
+@functools.cache
+def _central_plan(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(n, j) and the power n - j of -K_1 that term j of central moment n
+    reads, for n, j < count (0 where j > n), read-only."""
+    n, j = np.indices((count, count))
+    binomial = np.array([[math.comb(a, b) for b in range(count)] for a in range(count)],
+                        dtype=float)
+    power = np.maximum(n - j, 0)
+    for table in (binomial, power):
+        table.setflags(write=False)
+    return binomial, power
+
+
+def _central(raw: np.ndarray, count: int) -> np.ndarray:
+    """Central moments m_n = sum_j C(n, j) K_j (-K_1)^(n-j), n < count, of
+    each row, added in ascending j from 0 (with Python's power), as the
+    scalar formula added them."""
+    binomial, power = _central_plan(count)
+    shift = float_powers(-raw[:, 1], range(count))
+    terms = binomial * raw[:, None, :count] * shift[:, power]
+    # partial sum n stops before the terms with j > n; the + 0.0 turns a
+    # -0.0 sum into the 0.0 of a sum started from 0
+    return np.cumsum(terms, axis=2).diagonal(axis1=1, axis2=2) + 0.0
+
+
+def _unit_nodes(
+    unit: np.ndarray, order: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of PDS at each row's numerical rank (at most order) on
+    unit-free moments, the number of them, and the order-`order` condition
+    numbers and pseudo-inverse flags.  Rows that saturate are solved again,
+    grouped by rank.  M's corner is the unit-free K_0 = 1, so
+    max|lambda| >= 1 and, below CONDITION_THRESHOLD, `spectral_solve` keeps
+    every eigenvalue."""
+    m, b = _hankel(unit, order)
     w, v = symmetric_spectrum(m)
     condition = spectral_condition(w)
-    used_pinv = not condition <= CONDITION_THRESHOLD
-    rank = int(kept_eigenvalues(w).sum()) if used_pinv else order
-    if rank < order:
-        return _unit_nodes(unit, rank)[0], condition, True
-    return np.roots(np.concatenate([[1.0], spectral_solve(w, v, -b)])), condition, used_pinv
+    used_pinv = ~(condition <= CONDITION_THRESHOLD)
+    rank = np.full(len(unit), order)
+    if used_pinv.any():
+        rank[used_pinv] = kept_eigenvalues(w[used_pinv]).sum(axis=1)
+    full = rank == order
+    if full.all():
+        return _roots(spectral_solve(w, v, -b)), rank, condition, used_pinv
+    x = np.zeros((len(unit), order), dtype=complex)
+    if full.any():
+        x[full] = _roots(spectral_solve(w[full], v[full], -b[full]))
+    for reduced in sorted(set(rank[~full].tolist())):
+        rows = rank == reduced
+        x[rows, :reduced], rank[rows] = _unit_nodes(unit[rows], reduced)[:2]
+    return x, rank, condition, used_pinv
+
+
+def _roots(coefficients: np.ndarray) -> np.ndarray:
+    """Roots of each monic x^n + c_1 x^(n-1) + ... + c_n as `np.roots` finds
+    them: eigenvalues of the companion matrix of the polynomial with its
+    trailing zero coefficients stripped, then one exact 0 per stripped
+    coefficient.  Rows of one degree share one stacked `eigvals` call."""
+    count, n = coefficients.shape
+    if n and (coefficients[:, -1] != 0.0).all():
+        return _companion_roots(coefficients).astype(complex)
+    roots = np.zeros((count, n), dtype=complex)
+    nonzero = coefficients != 0.0
+    degree = np.where(nonzero.any(axis=1), n - nonzero[:, ::-1].argmax(axis=1), 0)
+    for d in sorted(set(degree.tolist()) - {0}):
+        rows = degree == d
+        roots[rows, :d] = _companion_roots(coefficients[rows, :d])
+    return roots
+
+
+def _companion_roots(coefficients: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the companion matrix `np.roots` builds for each
+    monic x^n + c_1 x^(n-1) + ... + c_n."""
+    count, n = coefficients.shape
+    companion = np.zeros((count, n, n))
+    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    companion[:, 0, :] = -coefficients / 1.0
+    return np.linalg.eigvals(companion)

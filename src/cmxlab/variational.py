@@ -11,7 +11,10 @@ raw moment is then exactly
 with alpha the moments of |base>, beta those of G|base> and
 gamma_l = -2 Im <base|H^l G|base>.  So a scan measures three states once,
 with the Pauli expansion of each power computed once and shared, and every
-angle after that costs only the estimator's solve.
+angle after that costs only the estimator's solve.  The whole grid is one
+(grid, K) array of moment rows, solved in one stacked call
+(`methods.evaluate_rows`); only the sequential refinement probes are solved
+one table at a time.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SingularScanError
-from .methods import MethodSpec, evaluate_method, parse_method
-from .moments import MomentTable, hamiltonian_powers, raw_moments_pauli
+from .methods import MethodSpec, evaluate_method, evaluate_rows, parse_method
+from .moments import MomentTable, connected_rows, hamiltonian_powers, raw_moments_pauli
 from .pauli import PauliString, PauliSum
 from .statevector import StateVector, apply_generator_rotation, apply_pauli
 
@@ -104,7 +107,12 @@ def energy_vs_theta(
     `moments_at_opt` then comes from K_l(theta) = c^2 alpha_l + s^2 beta_l
     + s c gamma_l (see the module docstring), which holds for any base and
     any generator string G.  At theta = 0 it gives the base's moments bit
-    for bit.
+    for bit.  The grid's rows are built in one array expression; its
+    energies and flags come from one stacked `evaluate_rows` call and its
+    I_1..I_3 from one `connected_rows` call, each row bit for bit what one
+    `MomentTable` and `evaluate_method` give at that angle.  The
+    golden-section probes depend on each other, so each is one
+    `evaluate_method` call.
 
     Singular grid points are recorded with their flag and excluded from the
     minimum; if every point is singular the full diagnostic sweep is raised.
@@ -129,55 +137,49 @@ def energy_vs_theta(
     c_a, s_a = np.cos(ANCHOR_THETA), np.sin(ANCHOR_THETA)
     gamma = (measured(anchor) - c_a * c_a * alpha - s_a * s_a * beta) / (s_a * c_a)
 
-    def table_at(theta: float) -> MomentTable:
-        c, s = np.cos(theta), np.sin(theta)
+    def rows_at(theta: np.ndarray) -> np.ndarray:
+        c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
         raw = c * c * alpha + s * s * beta + s * c * gamma
-        raw[0] = 1.0
-        return MomentTable(tuple(raw.tolist()))
+        raw[:, 0] = 1.0
+        return raw
 
-    def value_at(theta: float) -> tuple[float, MomentTable, bool]:
-        table = table_at(theta)
-        value = evaluate_method(spec, table)
-        bad = value.singular_flag or not math.isfinite(value.energy)
-        return value.energy, table, bad
+    def table_at(theta: float) -> MomentTable:
+        return MomentTable(tuple(rows_at(np.array([theta]))[0].tolist()))
 
-    energies, i1s, i2s, i3s, flags = [], [], [], [], []
-    for theta in grid:
-        energy, table, bad = value_at(float(theta))
-        energies.append(energy)
-        i1s.append(table.connected[0])
-        i2s.append(table.connected[1])
-        i3s.append(table.connected[2])
-        flags.append(bad)
+    raw = rows_at(grid)
+    energies, singular, _, _ = evaluate_rows(spec, raw)
+    flags = singular | ~np.isfinite(energies)
+    i1, i2, i3 = connected_rows(raw[:, :4]).T[:3]
 
-    usable = [i for i, bad in enumerate(flags) if not bad]
-    if not usable:
+    if flags.all():
         raise SingularScanError(
             f"{spec} is singular at every grid point",
-            diagnostics={"theta_grid": tuple(map(float, grid)), "flags": tuple(flags)},
+            diagnostics={"theta_grid": tuple(grid.tolist()), "flags": tuple(flags.tolist())},
         )
-    best = min(usable, key=lambda i: energies[i])
-    theta_opt, energy_opt = float(grid[best]), energies[best]
+    # the first lowest usable energy
+    best = int(np.where(flags, np.inf, energies).argmin())
+    theta_opt, energy_opt = float(grid[best]), float(energies[best])
 
     if refine and grid.size > 1:
         lo = float(grid[max(best - 1, 0)])
         hi = float(grid[min(best + 1, grid.size - 1)])
 
         def objective(theta: float) -> float:
-            energy, _, bad = value_at(theta)
-            return math.inf if bad else energy
+            value = evaluate_method(spec, table_at(theta))
+            bad = value.singular_flag or not math.isfinite(value.energy)
+            return math.inf if bad else value.energy
 
         theta_ref, energy_ref = _golden_section(objective, lo, hi)
         if energy_ref <= energy_opt:
             theta_opt, energy_opt = theta_ref, energy_ref
 
     return ScanResult(
-        theta_grid=tuple(map(float, grid)),
-        energies=tuple(energies),
-        i1=tuple(i1s),
-        i2=tuple(i2s),
-        i3=tuple(i3s),
-        singular_flags=tuple(flags),
+        theta_grid=tuple(grid.tolist()),
+        energies=tuple(energies.tolist()),
+        i1=tuple(i1.tolist()),
+        i2=tuple(i2.tolist()),
+        i3=tuple(i3.tolist()),
+        singular_flags=tuple(flags.tolist()),
         theta_opt=theta_opt,
         energy_opt=energy_opt,
         moments_at_opt=table_at(theta_opt),

@@ -257,6 +257,29 @@ class TestSinglePointCommands:
         assert run_cli("cmx", "--order", "3", "--variant", variant)[0] == 0
         assert len(calls) == 2
 
+    def test_sweep_solves_each_method_once_over_all_points(self, monkeypatch):
+        # every method is one stacked call over the sweep's points, and its
+        # rows equal the one-table evaluation of each point
+        calls = []
+        evaluate_rows = cli.evaluate_rows
+
+        def counted(spec, raw):
+            calls.append((spec, raw.shape))
+            return evaluate_rows(spec, raw)
+
+        monkeypatch.setattr(cli, "evaluate_rows", counted)
+        with mock.patch.object(cli, "evaluate_method", side_effect=AssertionError):
+            code, stacked = run_cli("sweep", "--methods", "cmx-knowles:2,pds:3,expectation",
+                                    "--sweep-values", "0.1,1,3")
+        assert code == 0
+        assert [(str(spec), shape) for spec, shape in calls] == [
+            ("cmx-knowles:2", (3, 6)), ("pds:3", (3, 6)), ("expectation:1", (3, 6))
+        ]
+        rows = [line.split(",") for line in stacked.splitlines()[1:]]
+        for v, row in zip(("0.1", "1", "3"), rows[1::3]):
+            _, text = run_cli("pds", "--order", "3", "--V", v)
+            assert f"ground={row[3]} " in text
+
     def test_pds_report(self):
         code, text = run_cli("pds", "--order", "2", "--V", "1")
         assert code == 0

@@ -12,9 +12,15 @@ from cmxlab.errors import ContractViolationError
 from cmxlab.methods import evaluate_method, parse_method
 from cmxlab.models import H2Coefficients, SiamParams, h2_bk_hamiltonian, siam_hamiltonian
 from cmxlab.moments import raw_moments_pauli
-from cmxlab.noise import NoiseModel, damping_factor, hadamard_test_estimate, noisy_moments
+from cmxlab.noise import (
+    EXPECTATION_LIMIT,
+    NoiseModel,
+    damping_factor,
+    hadamard_test_estimate,
+    noisy_moments,
+)
 from cmxlab.pauli import PauliString, PauliSum
-from cmxlab.statevector import StateVector, basis_state, pauli_expectation
+from cmxlab.statevector import _NORM_TOL, StateVector, basis_state, pauli_expectation
 
 from conftest import sum_and_trial
 
@@ -90,6 +96,19 @@ class TestHadamardTestEstimate:
     def test_out_of_range_rejected(self):
         with pytest.raises(ContractViolationError):
             hadamard_test_estimate(1.5, NoiseModel())
+
+    def test_norm_tolerance_is_the_limit(self):
+        # the value of a string on a trial at the edge of the norm check is
+        # sampled as +-1; anything past the limit is refused
+        nm = NoiseModel(p00=0.97, p11=0.96, shots=512, seed=3)
+        edge = (1.0 + _NORM_TOL) ** 2
+        assert edge <= EXPECTATION_LIMIT
+        for sign in (1.0, -1.0):
+            at_edge = hadamard_test_estimate(np.array([sign * edge, 0.3]), nm)
+            at_one = hadamard_test_estimate(np.array([sign, 0.3]), nm)
+            assert at_edge.raw_estimate.tolist() == at_one.raw_estimate.tolist()
+            with pytest.raises(ContractViolationError, match=r"\|x\| <= 1"):
+                hadamard_test_estimate(sign * np.nextafter(EXPECTATION_LIMIT, 2.0), nm)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):

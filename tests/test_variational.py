@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from cmxlab import variational
 from cmxlab.errors import SingularScanError
+from cmxlab.methods import evaluate_method, parse_method
 from cmxlab.models import SiamParams, siam_fci_energy, siam_hamiltonian
-from cmxlab.moments import raw_moments_dense
+from cmxlab.moments import MomentTable, hamiltonian_powers, raw_moments_dense, raw_moments_pauli
 from cmxlab.pauli import PauliString, PauliSum
 from cmxlab.statevector import (
     StateVector,
     apply_generator_rotation,
+    apply_pauli,
     basis_state,
     exact_diagonalize,
     fidelity,
@@ -157,6 +159,90 @@ class TestThreeStateIdentity:
         )
         want, _ = variational.raw_moments_pauli(h, base, 5)
         assert scan.moments_at_opt.raw == want.raw
+
+
+def per_angle_scan(h, base, generator, method, grid):
+    """The scan angle by angle: one `MomentTable` and one `evaluate_method`
+    per grid point and per refinement probe, from the same three measured
+    states."""
+    spec = parse_method(method)
+    max_order = max(spec.required_max_order, 3)
+    powers = hamiltonian_powers(h, max_order)
+
+    def measured(state):
+        return np.array(raw_moments_pauli(h, state, max_order, powers=powers)[0].raw)
+
+    alpha = measured(base)
+    beta = measured(apply_pauli(generator, base))
+    anchor = apply_generator_rotation(variational.ANCHOR_THETA, generator, base)
+    c_a, s_a = np.cos(variational.ANCHOR_THETA), np.sin(variational.ANCHOR_THETA)
+    gamma = (measured(anchor) - c_a * c_a * alpha - s_a * s_a * beta) / (s_a * c_a)
+
+    def table_at(theta):
+        c, s = np.cos(theta), np.sin(theta)
+        raw = c * c * alpha + s * s * beta + s * c * gamma
+        raw[0] = 1.0
+        return MomentTable(tuple(raw.tolist()))
+
+    def value_at(theta):
+        value = evaluate_method(spec, table_at(theta))
+        return value.energy, value.singular_flag or not math.isfinite(value.energy)
+
+    tables = [table_at(float(t)) for t in grid]
+    values = [value_at(float(t)) for t in grid]
+    usable = [i for i, (_, bad) in enumerate(values) if not bad]
+    best = min(usable, key=lambda i: values[i][0])
+    theta_opt, energy_opt = float(grid[best]), values[best][0]
+    lo, hi = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, len(grid) - 1)])
+    theta_ref, energy_ref = variational._golden_section(
+        lambda t: math.inf if value_at(t)[1] else value_at(t)[0], lo, hi
+    )
+    if energy_ref <= energy_opt:
+        theta_opt, energy_opt = theta_ref, energy_ref
+    return variational.ScanResult(
+        theta_grid=tuple(float(t) for t in grid),
+        energies=tuple(e for e, _ in values),
+        i1=tuple(t.connected[0] for t in tables),
+        i2=tuple(t.connected[1] for t in tables),
+        i3=tuple(t.connected[2] for t in tables),
+        singular_flags=tuple(bad for _, bad in values),
+        theta_opt=theta_opt,
+        energy_opt=energy_opt,
+        moments_at_opt=table_at(theta_opt),
+    )
+
+
+def hex_fields(scan):
+    """Every field of a scan, floats as their exact hex strings."""
+    def exact(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, tuple):
+            return tuple(exact(v) for v in value)
+        return value
+
+    return {name: exact(getattr(scan, name)) for name in (
+        "theta_grid", "energies", "i1", "i2", "i3", "singular_flags", "theta_opt",
+        "energy_opt")} | {"raw_at_opt": exact(scan.moments_at_opt.raw),
+                          "connected_at_opt": exact(scan.moments_at_opt.connected)}
+
+
+class TestStackedGridOracle:
+    """The grid is solved in one stacked call; every field of the result
+    equals the angle-by-angle scan bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("method", ["pds:3", "pds:2", "cmx-cioslowski:3",
+                                        "cmx-knowles:3", "hw-series:3:0.5", "expectation"])
+    def test_scan_equals_the_per_angle_loop(self, seed, method):
+        rng = np.random.default_rng(seed)
+        n = 3 + seed % 4
+        h = random_hermitian_sum(rng, n, 6 + 3 * n)
+        base = basis_state("".join(rng.choice(["0", "1"], size=n)))
+        generator = PauliString.from_label("Y" + "".join(rng.choice(list("XZI"), size=n - 1)))
+        grid = default_theta_grid(41)
+        scan = energy_vs_theta(h, base, generator, method, theta_grid=grid)
+        assert hex_fields(scan) == hex_fields(per_angle_scan(h, base, generator, method, grid))
 
 
 class TestAlternativeGenerators:
