@@ -64,9 +64,6 @@ def unit_free(mean: np.ndarray, centred: np.ndarray) -> tuple[np.ndarray, np.nda
         return scale, unit
     eigenstate = np.abs(m[:, 2]) <= SINGULARITY_TOLERANCE * float_powers(mean, (2,))[:, 0]
     k = np.arange(m.shape[1])
-    if not eigenstate.any():
-        scale = np.max(np.abs(m[:, 2:]) ** (1.0 / k[2:]), axis=1)
-        return scale, m / scale[:, None] ** k
     spread = ~eigenstate
     scale[spread] = np.max(np.abs(m[spread, 2:]) ** (1.0 / k[2:]), axis=1)
     unit = m / scale[:, None] ** k

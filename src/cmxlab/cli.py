@@ -28,8 +28,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
-import numpy as np
-
 from .cmx import cmx_cioslowski, cmx_knowles, denominator_findings
 from .errors import CmxlabError, UsageError
 from .methods import evaluate_method, evaluate_rows, parse_method_list
@@ -281,7 +279,7 @@ def _sweep(args: argparse.Namespace) -> Report:
     methods = parse_method_list(args.methods)
     max_order = max(spec.required_max_order for spec in methods)
     points = list(_prepare(args, max_order, sweep=True, reference=True))
-    raw = np.array([prep.table.raw for prep in points])
+    raw = [prep.table.raw for prep in points]
     # each method once over all points: (energy, singular, condition, pinv) lists
     values = [[column.tolist() for column in evaluate_rows(spec, raw)] for spec in methods]
     rows = [SWEEP_HEADER]

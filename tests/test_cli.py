@@ -264,7 +264,7 @@ class TestSinglePointCommands:
         evaluate_rows = cli.evaluate_rows
 
         def counted(spec, raw):
-            calls.append((spec, raw.shape))
+            calls.append((spec, (len(raw), len(raw[0]))))
             return evaluate_rows(spec, raw)
 
         monkeypatch.setattr(cli, "evaluate_rows", counted)
