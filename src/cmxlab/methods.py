@@ -117,11 +117,12 @@ def evaluate_rows(
     on `MomentTable(row)`.  A row whose PDS roots are all complex gets a
     NaN energy and the singular flag, as in `evaluate_method`.
 
-    Raises what building a `MomentTable` of each row, then evaluating it,
-    would raise: ValueError for a row that does not start with K_0 = 1,
-    ContractViolationError for the first row with a non-finite raw or
-    connected moment, and InsufficientMomentsError (or ValueError, for a
-    negative tau) when the rows are too short for the method.
+    Raises the errors of building each row's `MomentTable` and evaluating
+    it: first, for the first row that fails its table's checks, ValueError
+    when it does not start with K_0 = 1 or ContractViolationError naming
+    its first non-finite raw or connected moment; then
+    InsufficientMomentsError when the rows are too short for the method,
+    or ValueError for a negative hw-series tau.
     """
     raw = np.asarray(raw, dtype=float)
     return _evaluate(spec, raw, connected_rows(raw))

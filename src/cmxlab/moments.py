@@ -87,19 +87,23 @@ def _connected(raw):
 
 def connected_rows(raw: np.ndarray) -> np.ndarray:
     """The connected moments I_1..I_max of each row of raw moments
-    K_0..K_max, bit for bit those of `MomentTable`, with its checks: a row
-    that does not start with K_0 = 1 raises ValueError, and the first row
-    with a non-finite moment raises its ContractViolationError."""
+    K_0..K_max, bit for bit those of `MomentTable`, with its checks: the
+    first row that fails one raises what its `MomentTable` raises, a
+    ValueError when it does not start with K_0 = 1 and a
+    ContractViolationError naming its first non-finite moment."""
     raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2 or raw.shape[1] < 2 or (raw[:, 0] != 1.0).any():
+    if raw.ndim != 2 or raw.shape[1] < 2:
         raise ValueError("raw moments must start with K_0 = 1")
     # overflow and inf - inf leave non-finite values, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         connected = np.array(_connected(list(raw.T))).T
-    bad_raw, bad_connected = ~np.isfinite(raw), ~np.isfinite(connected)
-    bad = bad_raw.any(axis=1) | bad_connected.any(axis=1)
+    bad_start, bad_raw = raw[:, 0] != 1.0, ~np.isfinite(raw)
+    bad_connected = ~np.isfinite(connected)
+    bad = bad_start | bad_raw.any(axis=1) | bad_connected.any(axis=1)
     if bad.any():
         row = int(bad.argmax())
+        if bad_start[row]:
+            raise ValueError("raw moments must start with K_0 = 1")
         if bad_raw[row].any():
             k = int(bad_raw[row].argmax())
             raise _not_finite("raw moment K", k, raw[row, k].item())

@@ -164,6 +164,9 @@ class TestRowErrors:
     def test_rows_must_start_with_one(self):
         with pytest.raises(ValueError, match="K_0 = 1"):
             evaluate_rows(parse_method("pds:1"), [[1.0, 0.5], [0.9, 0.5]])
+        # a non-finite row before it is reported first, as in table order
+        with pytest.raises(ContractViolationError, match="K_1 = inf"):
+            evaluate_rows(parse_method("pds:1"), [[1.0, math.inf], [0.9, 0.5]])
 
     def test_short_rows_raise_what_the_solvers_raise(self):
         rows = [saturated_row()[:4]] * 2
