@@ -1,13 +1,7 @@
 """Classical emulation of connected-moments expansions (CMX and PDS) for
 qubit-encoded many-body Hamiltonians."""
 
-from .cmx import (
-    CmxResult,
-    SingularityFinding,
-    cmx_cioslowski,
-    cmx_knowles,
-    singularity_report,
-)
+from .cmx import CmxResult, SingularityFinding, cmx_cioslowski, cmx_knowles
 from .errors import (
     CapacityError,
     CmxlabError,
@@ -32,7 +26,6 @@ from .moments import (
     MomentTable,
     PauliExpectationCache,
     hamiltonian_powers,
-    hw_energy_series,
     krylov_rank,
     lanczos,
     raw_moments_dense,

@@ -202,32 +202,18 @@ class SingularityFinding:
     affected: str
 
 
-def singularity_report(
-    moments: MomentTable | Sequence[float],
-    tolerance: float = SINGULARITY_TOLERANCE,
-) -> tuple[SingularityFinding, ...]:
-    """Near-zero denominators and the methods/orders each would poison.
-
-    The denominators are those `cmx_cioslowski` reports at the highest
-    order the moments allow: the S[3,m] on the unit-free moments, which are
-    also Knowles' det(A[m]) (S[3,1] = I_3 for the closed forms),
-    so the tolerance is dimensionless.  Feeds the CLI hint for choosing an
-    expansion that avoids small denominators; automatic selection stays off.
-    """
-    ivals = _connected_values(moments)
-    max_order = (len(ivals) + 1) // 2
-    if max_order < 2:
-        return ()
-    return denominator_findings(cmx_cioslowski(ivals, max_order).denominators, tolerance)
-
-
 def denominator_findings(
     denominators: Sequence[tuple[str, float]],
     tolerance: float = SINGULARITY_TOLERANCE,
 ) -> tuple[SingularityFinding, ...]:
-    """The findings of `singularity_report` from the S[3,m] denominators of
-    a `CmxResult` of `cmx_cioslowski`, so a caller that already holds one
-    need not take the determinants again."""
+    """Near-zero denominators and the methods/orders each would poison,
+    from the S[3,m] denominators of a `CmxResult` of `cmx_cioslowski`.
+
+    They are taken on the unit-free moments and are also Knowles' det(A[m])
+    (S[3,1] = I_3 for the closed forms), so the tolerance is dimensionless.
+    Feeds the CLI hint for choosing an expansion that avoids small
+    denominators; automatic selection stays off.
+    """
     findings = []
     for m, (label, value) in enumerate(denominators, start=1):
         if abs(value) < tolerance:

@@ -2,10 +2,10 @@
 Horn-Weinstein energy series.
 
 Two independent routes compute the raw moments: the Pauli route expands H^n
-as a collected Pauli sum and measures each distinct Pauli string once,
-while the dense route repeatedly applies H to the state.  They must agree;
-tests enforce it.  Both read the same real coefficients, since every
-`PauliSum` is Hermitian from the moment it is built.
+as a collected Pauli sum and measures once each distinct Pauli string the
+trial can see, while the dense route repeatedly applies H to the state.
+They must agree; tests enforce it.  Both read the same real coefficients,
+since every `PauliSum` is Hermitian from the moment it is built.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .statevector import (
     pauli_expectation,
     require_dense,
     scaled_norm,
+    visible_strings,
 )
 
 _IMAG_TOL = 1e-10
@@ -117,13 +118,15 @@ def string_expectations(xs: np.ndarray, zs: np.ndarray, state: StateVector) -> n
     order: one `pauli_expectation` kernel call per string.
 
     Each call stands for one Hadamard-test circuit, so the call count is
-    the number of measured strings, although the kernel computes little per
-    call: on a computational-basis trial it answers in O(1) from the state's
-    `basis_index`, and on any other state it reads the state's table for the
-    string's X part, which it builds once per run of equal x-masks.  Strings
-    in ascending (x, z) order, as `assemble_moments` gives them, build each
-    table once.  The kernel reads the masks themselves, so neither moment
-    route builds a per-string object."""
+    the number of measured strings: on the exact route the strings the
+    trial can see, on the noisy route every distinct string.  The kernel
+    computes little per call: on a computational-basis trial it answers in
+    O(1) from the state's `basis_index`, and on any other state it reads
+    the state's table for the string's X part, which it builds once per run
+    of equal x-masks.  Strings in ascending (x, z) order, as
+    `assemble_moments` gives them, build each table once.  The kernel reads
+    the masks themselves, so neither moment route builds a per-string
+    object."""
     return np.fromiter(
         map(pauli_expectation, xs.tolist(), zs.tolist(), repeat(state, len(xs))),
         float, len(xs),
@@ -132,22 +135,27 @@ def string_expectations(xs: np.ndarray, zs: np.ndarray, state: StateVector) -> n
 
 @dataclass(frozen=True, eq=False)
 class PauliExpectationCache:
-    """The exact <Phi|P|Phi> of every distinct string one moment
-    table measured, as aligned arrays in ascending (x_mask, z_mask) order,
-    the order in which they were measured: masks ``x`` and ``z`` of the
-    sum's width (see `cmxlab.pauli`) and float ``values``.
+    """The exact <Phi|P|Phi> of every string one moment table measured, as
+    aligned arrays in ascending (x_mask, z_mask) order, the order in which
+    they were measured: masks ``x`` and ``z`` of the sum's width (see
+    `cmxlab.pauli`) and float ``values``.
 
-    ``misses`` counts the measured strings, one kernel call each; ``hits``
-    counts the other non-identity terms, which reuse a measured value.  The
-    identity string is never measured: its expectation is exactly 1.  No
-    per-string object is built or kept: the kernel reads each string's
-    masks (see `string_expectations`).
+    Only the strings the trial can see (see `statevector.visible_strings`)
+    are measured.  ``misses`` counts them, one kernel call each: the number
+    of Hadamard-test circuits.  ``unseen`` counts the other distinct
+    non-identity strings, each a known +0.0 that costs no circuit, so
+    ``misses + unseen`` is the number of distinct strings.  ``hits``
+    counts the remaining non-identity terms, which reuse the value of a
+    string counted in either.  The identity string is never measured: its
+    expectation is exactly 1.  No per-string object is built or kept: the
+    kernel reads each string's masks (see `string_expectations`).
     """
 
     x: np.ndarray
     z: np.ndarray
     values: np.ndarray
     hits: int
+    unseen: int
 
     @property
     def misses(self) -> int:
@@ -243,23 +251,31 @@ def raw_moments_pauli(
 ) -> tuple[MomentTable, PauliExpectationCache]:
     """Raw moments via the Pauli-product expansion.
 
-    K_l = sum over collected terms c * <Phi|P|Phi>, each distinct
-    string measured once.  Precomputed powers can be passed when sweeping
-    many states against one Hamiltonian.  The trial must have unit norm
-    (see `check_trial`).
+    K_l = sum over collected terms c * <Phi|P|Phi>.  Each distinct string
+    the trial can see (see `statevector.visible_strings`) is measured once,
+    one kernel call and one Hadamard-test circuit each.  Every other string
+    is filled with +0.0, the bits the kernel would return for it, so the
+    moments are bit for bit those of measuring every string.  Precomputed
+    powers can be passed when sweeping many states against one
+    Hamiltonian.  The trial must have unit norm (see `check_trial`).
     """
     check_trial(h, state)
     if powers is None:
         powers = hamiltonian_powers(h, max_order)
-    measured: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    measured: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
 
     def measure(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        measured.append((xs, zs, string_expectations(xs, zs, state)))
-        return measured[0][2]
+        seen = visible_strings(xs, state)
+        xs, zs = xs[seen], zs[seen]
+        found = string_expectations(xs, zs, state)
+        measured.append((xs, zs, found, len(seen) - len(found)))
+        values = np.zeros(len(seen))
+        values[seen] = found
+        return values
 
     table, terms = assemble_moments(powers, max_order, measure)
-    xs, zs, values = measured[0]
-    return table, PauliExpectationCache(xs, zs, values, terms - len(values))
+    xs, zs, values, unseen = measured[0]
+    return table, PauliExpectationCache(xs, zs, values, terms - len(values) - unseen, unseen)
 
 
 def raw_moments_dense(h: PauliSum, state: StateVector, max_order: int) -> MomentTable:
@@ -295,12 +311,6 @@ def hw_energy_rows(connected: np.ndarray, tau: float, order: int) -> np.ndarray:
     for k in range(order + 1):
         total = total + (-tau) ** k / factorial(k) * connected[:, k]
     return total
-
-
-def hw_energy_series(table: MomentTable, tau: float, order: int) -> float:
-    """Truncated Horn-Weinstein series of one table: the one-row case of
-    `hw_energy_rows`."""
-    return float(hw_energy_rows(np.array([table.connected]), tau, order)[0])
 
 
 def lanczos(

@@ -14,6 +14,16 @@ tables are bit-reproducible and, like the exact routes, do not depend on
 the order of the Hamiltonian's terms, but a string's estimate depends on
 the set of strings its table measures.
 
+Unlike the exact route, which skips the strings the trial cannot see
+(`statevector.visible_strings`), this route samples every distinct string,
+the known zeros included.  The readout and damping model here maps a zero
+expectation to zero, so skipping them would remove variance, not bias
+(a device with coherent errors would not guarantee that).  But it would
+move every seeded value, because the generator draws the strings as one
+batch, and the golden noisy CSV and the noisy benchmark's check read an
+estimate for every string of H.  Sampling fewer strings therefore waits
+for a change that moves those references with it.
+
 `noisy_moments` returns the measured strings as one `SampledStrings`
 record of aligned arrays in that sampling order: the masks, the exact
 expectations and the batch of shot estimates.  The record is also a

@@ -32,8 +32,9 @@ class StateVector:
     ``(x_mask, table)``: the values of every string with that X part,
     indexed by the string's z-mask, which `pauli_expectation` builds when
     asked for a new x-mask and replaces when the x-mask changes, so a state
-    holds O(2**n) floats at most.  The amplitudes are a read-only copy, so
-    neither cache can go stale.
+    holds O(2**n) floats at most; it also keeps, once asked, the table of
+    the x-masks it can see (see `visible_strings`).  The amplitudes are a
+    read-only copy, so no cache can go stale.
     """
 
     n_qubits: int
@@ -72,6 +73,29 @@ class StateVector:
         state, or None when the state is not one."""
         basis = self._basis
         return None if basis is None else basis[0]
+
+    @cached_property
+    def _visible(self) -> np.ndarray:
+        """Entry x_mask says whether some nonzero amplitude b has b ^ X
+        nonzero too, X the x-mask's amplitude-index bits (see
+        `visible_strings`).
+
+        The count of such b is the XOR autocorrelation of the support
+        indicator u: the Walsh-Hadamard transform of U**2, U the transform
+        of u, is 2**n times it.  Both transforms take the Sylvester factors
+        of `_walsh_table`.  Every value is an integer below 2**53 up to 17
+        qubits, and the half-count threshold decides "count >= 1" beyond
+        any rounding.
+        """
+        n = self.n_qubits
+        hi = n // 2
+        h_hi, h_lo = _sylvester(hi), _sylvester(n - hi)
+        support = (self.amplitudes != 0).astype(complex).reshape(1 << hi, -1)
+        spectrum = h_hi @ support @ h_lo
+        counts = (h_hi @ (spectrum * spectrum) @ h_lo).real.ravel()
+        table = (counts >= 0.5 * len(counts))[_index_tables(n)[1]]
+        table.setflags(write=False)
+        return table
 
 
 def scaled_norm(v: np.ndarray) -> float:
@@ -223,9 +247,10 @@ def pauli_expectation(x_mask: int, z_mask: int, s: StateVector) -> float:
     unnormalised ones `apply_pauli_sum` returns.  Masks that reach past the
     state's qubits, negative ones included, raise DimensionMismatchError.
 
-    Moment assembly calls this once per distinct string, straight from the
-    power's mask arrays with no per-string object, so its call count is the
-    number of Hadamard-test circuits.
+    The exact moment route calls this once per distinct string the trial
+    can see (see `visible_strings`), straight from the power's mask arrays
+    with no per-string object, so its call count is the number of
+    Hadamard-test circuits.
 
     On a computational basis state |k> of weight w (see
     `StateVector.basis_index`) the value costs O(1): 0.0 when P flips any
@@ -260,6 +285,24 @@ def pauli_expectation(x_mask: int, z_mask: int, s: StateVector) -> float:
         # the frozen dataclass's own __dict__, as cached_property writes it
         slot = s.__dict__["_walsh"] = (x_mask, _walsh_table(s, x_mask))
     return slot[1].item(z_mask)
+
+
+def visible_strings(x_masks: np.ndarray, s: StateVector) -> np.ndarray:
+    """Whether the state can see each string with these X parts (bit q =
+    qubit q, each mask within the state's qubits): True when some nonzero
+    amplitude b has b ^ X nonzero too, X the mask's amplitude-index bits.
+
+    An invisible string has <s|P|s> = +0.0 exactly: for finite amplitudes
+    every product of `pauli_expectation` is then +-0, and the kernel's
+    + 0.0 makes the value +0.0.  On a basis state (see
+    `StateVector.basis_index`) the visible strings are those with no X
+    part.  On any other state the rule reads one table per state,
+    built once in O(2**n * 2**(n/2)) (see `StateVector._visible`).
+    A visible string may still have the value 0.
+    """
+    if s._basis is not None:
+        return x_masks == 0
+    return s._visible.take(x_masks)
 
 
 def expectation(h: PauliSum, s: StateVector) -> float:

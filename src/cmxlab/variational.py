@@ -11,7 +11,11 @@ raw moment is then exactly
 with alpha the moments of |base>, beta those of G|base> and
 gamma_l = -2 Im <base|H^l G|base>.  So a scan measures three states once,
 with the Pauli expansion of each power computed once and shared, and every
-angle after that costs only the estimator's solve.  The whole grid is one
+angle after that costs only the estimator's solve.  On a basis state |k>,
+the trial the CLI scans from, the states see few strings (see
+`statevector.visible_strings`): |k> and G|k> only those with x-mask 0, and
+the anchor rotation only those with x-mask 0 or x(G), so the anchor reads
+at most two Walsh-Hadamard tables.  The whole grid is one
 (grid, K) array of moment rows, solved in one stacked call
 (`methods.evaluate_rows`); only the sequential refinement probes are solved
 one table at a time.

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from cmxlab.cmx import cmx_cioslowski, cmx_knowles, singularity_report
+from cmxlab._linalg import SINGULARITY_TOLERANCE
+from cmxlab.cmx import cmx_cioslowski, cmx_knowles, denominator_findings
 from cmxlab.errors import InsufficientMomentsError
 from cmxlab.models import H2Coefficients, h2_bk_hamiltonian
 from cmxlab.moments import raw_moments_dense, raw_moments_pauli
@@ -185,33 +186,46 @@ class TestShiftCovariance:
                     assert b.singular_flag == a.singular_flag
 
 
+def findings(ivals, tolerance=SINGULARITY_TOLERANCE):
+    """The denominator findings of Cioslowski CMX at the highest order the
+    connected moments serve."""
+    order = (len(ivals) + 1) // 2
+    return denominator_findings(cmx_cioslowski(ivals, order).denominators, tolerance)
+
+
 class TestSingularityReport:
     def test_tiny_i3_flags_second_order(self):
-        findings = singularity_report([1.0, 0.5, 1e-15, 0.2, 0.3])
-        affected = {f.affected for f in findings}
+        affected = {f.affected for f in findings([1.0, 0.5, 1e-15, 0.2, 0.3])}
         assert any("cmx-cioslowski(2)" in a for a in affected)
         assert any("closed forms" in a for a in affected)
 
     def test_clean_moments_empty_report(self, rng):
         ivals = random_connected(rng, 5)
-        report = singularity_report(ivals, tolerance=1e-12)
-        assert report == ()
+        assert findings(ivals, tolerance=1e-12) == ()
 
     def test_report_is_unit_free(self):
         ivals = [1.0, 0.5, 1e-15, 0.2, 0.3]
         scale = 1e3
         scaled = [scale * ivals[0] + 2.0] + [v * scale ** (k + 1) for k, v in enumerate(ivals) if k]
-        base = singularity_report(ivals)
-        moved = singularity_report(scaled)
+        base = findings(ivals)
+        moved = findings(scaled)
         assert [(f.label, f.affected) for f in moved] == [(f.label, f.affected) for f in base]
         for a, b in zip(base, moved):
             assert b.value == pytest.approx(a.value, rel=1e-9, abs=1e-20)
 
     def test_report_reads_the_cioslowski_denominators(self, rng):
+        # every denominator below the tolerance is a finding, in order,
+        # naming the orders it poisons; only S[3,1] poisons the closed forms
         ivals = random_connected(rng, 7)
-        report = singularity_report(ivals, tolerance=np.inf)
         denominators = cmx_cioslowski(ivals, 4).denominators
+        report = denominator_findings(denominators, tolerance=np.inf)
         assert [(f.label, f.value) for f in report] == list(denominators)
+        assert [f.affected for f in report] == [
+            "cmx-cioslowski(2), cmx-knowles(2), cmx closed forms (2, 3)",
+            "cmx-cioslowski(3), cmx-knowles(3)",
+            "cmx-cioslowski(4), cmx-knowles(4)",
+        ]
+        assert denominator_findings(denominators, tolerance=0.0) == ()
 
     def test_stretched_two_qubit_model_shrinks_i3(self):
         # shrinking the diagonal gap of the {|01>,|10>} block mixes the trial
@@ -222,11 +236,9 @@ class TestSingularityReport:
             table = raw_moments_dense(h2_bk_hamiltonian(c), basis_state("01"), 3)
             values.append(abs(table.connected[2]))
         assert values == sorted(values, reverse=True)
-        report = singularity_report(
-            raw_moments_dense(
-                h2_bk_hamiltonian(H2Coefficients(0.0, 0.0, 0.0, 0.0, 0.1, 0.1)),
-                basis_state("01"),
-                3,
-            )
+        table = raw_moments_dense(
+            h2_bk_hamiltonian(H2Coefficients(0.0, 0.0, 0.0, 0.0, 0.1, 0.1)),
+            basis_state("01"),
+            3,
         )
-        assert any("cmx-cioslowski(2)" in f.affected for f in report)
+        assert any("cmx-cioslowski(2)" in f.affected for f in findings(table.connected))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmxlab import moments, statevector
-from cmxlab.cmx import cmx_cioslowski, cmx_knowles, singularity_report
+from cmxlab.cmx import cmx_cioslowski, cmx_knowles
 from cmxlab.errors import (
     ContractViolationError,
     DimensionMismatchError,
@@ -22,7 +22,7 @@ from cmxlab.moments import (
     MomentTable,
     assemble_moments,
     hamiltonian_powers,
-    hw_energy_series,
+    hw_energy_rows,
     krylov_rank,
     lanczos,
     raw_moments_dense,
@@ -33,6 +33,7 @@ from cmxlab.pauli import DEFAULT_PRUNE_THRESHOLD, PauliString, PauliSum
 from cmxlab.statevector import (
     DENSE_QUBIT_LIMIT,
     StateVector,
+    apply_generator_rotation,
     apply_pauli_sum,
     basis_state,
     pauli_expectation,
@@ -45,6 +46,7 @@ from conftest import (
     dense_of_sum,
     dense_reachable_spectrum,
     random_hermitian_sum,
+    random_label,
     siam_caption_terms,
     sum_and_trial,
 )
@@ -106,7 +108,8 @@ class TestRawMomentsPauli:
         h = PauliSum.from_label_terms([(0.8, "XY")])
         table, cache = raw_moments_pauli(h, basis_state("00"), 2)
         assert table.raw[2] == pytest.approx(0.64, abs=1e-15)
-        assert cache.misses == 1  # only K1 touched the state
+        # K1's XY flips both bits of |00>, a known zero: no circuit at all
+        assert (cache.misses, cache.unseen) == (0, 1)
 
     def test_cache_reuse_and_bound(self):
         h = siam_sum(1.0)
@@ -273,18 +276,24 @@ def assembly_inputs():
 class TestKernelCalls:
     @pytest.mark.parametrize("dense", [False, True])
     def test_one_kernel_call_per_measured_string(self, rng, dense):
-        # a basis trial takes the kernel's O(1) path but still one call per
-        # string, so the call count stays the number of Hadamard tests
+        # the exact route calls the kernel once per string the trial can
+        # see, so the call count stays the number of Hadamard tests; the
+        # noisy route samples, and so calls the kernel for, every string
         h = random_hermitian_sum(rng, 4, 8)
         state = random_state(rng, 4) if dense else basis_state("0110")
         assert (state.basis_index is None) == dense
         kernel = mock.Mock(wraps=moments.pauli_expectation)
         with mock.patch.object(moments, "pauli_expectation", kernel):
             _, cache = raw_moments_pauli(h, state, 4)
-            assert kernel.call_count == cache.misses > 0
-            kernel.reset_mock()
             _, estimates = noisy_moments(h, state, 4, NoiseModel(seed=1))
-            assert kernel.call_count == len(estimates) == cache.misses
+        calls = [call.args[:2] for call in kernel.call_args_list]
+        assert len(calls) == cache.misses + len(estimates)
+        exact = calls[: cache.misses]
+        assert exact == list(zip(cache.x.tolist(), cache.z.tolist()))
+        seen = statevector.visible_strings(estimates.x, state)
+        assert exact == list(zip(estimates.x[seen].tolist(), estimates.z[seen].tolist()))
+        assert cache.misses + cache.unseen == len(estimates)
+        assert cache.misses > 0 and (cache.unseen > 0) != dense
 
 
     @pytest.mark.parametrize("dense", [False, True])
@@ -306,6 +315,87 @@ class TestKernelCalls:
             got = both_routes()
         assert built.call_count == 0
         assert got == want
+
+
+def trial_kinds(max_qubits: int):
+    """Strategy for a random 1..max_qubits-qubit sum, an order 1-4 and a
+    trial of each kind the visibility rule tells apart: a basis state, a
+    basis state rotated by a random generator, 2-4 random nonzero
+    amplitudes, and a dense state."""
+
+    def build(n, n_terms, order, seed, kind):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian_sum(rng, n, n_terms)
+        base = basis_state("".join(rng.choice(["0", "1"], size=n)))
+        if kind == "basis":
+            return h, base, order
+        if kind == "rotated":
+            generator = PauliString.from_label(random_label(rng, n))
+            return h, apply_generator_rotation(rng.uniform(-np.pi, np.pi), generator, base), order
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        if kind == "sparse":
+            kept = rng.choice(1 << n, size=min(int(rng.integers(2, 5)), 1 << n), replace=False)
+            amps[np.setdiff1d(np.arange(1 << n), kept)] = 0.0
+        return h, StateVector(n, amps / np.linalg.norm(amps)), order
+
+    return st.builds(
+        build,
+        st.integers(1, max_qubits),
+        st.integers(1, 10),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["basis", "rotated", "sparse", "dense"]),
+    )
+
+
+class TestVisibleStrings:
+    @given(trial_kinds(6))
+    @settings(max_examples=150, deadline=None)
+    def test_skipping_invisible_strings_keeps_the_bits(self, case):
+        # the parent provider measured every distinct string; the exact
+        # route now calls the kernel on the visible ones only, and every
+        # string it skips has the kernel value +0.0 it fills in
+        h, state, order = case
+        powers = hamiltonian_powers(h, order)
+        every = []
+
+        def measure_all(xs, zs):
+            every.append((xs, zs, moments.string_expectations(xs, zs, state)))
+            return every[-1][2]
+
+        want, _ = assemble_moments(powers, order, measure_all)
+        kernel = mock.Mock(wraps=moments.pauli_expectation)
+        with mock.patch.object(moments, "pauli_expectation", kernel):
+            got, cache = raw_moments_pauli(h, state, order, powers=powers)
+        assert [k.hex() for k in got.raw] == [k.hex() for k in want.raw]
+        assert kernel.call_count == cache.misses
+        (xs, zs, values), = every
+        seen = statevector.visible_strings(xs, state)
+        assert (cache.misses, cache.unseen) == (seen.sum(), (~seen).sum())
+        assert cache.x.tobytes() == xs[seen].tobytes()
+        assert cache.z.tobytes() == zs[seen].tobytes()
+        assert cache.values.tobytes() == values[seen].tobytes()
+        assert all(v.hex() == "0x0.0p+0" for v in values[~seen].tolist())
+
+    def test_overflowing_powers_fail_as_before(self):
+        # H^2 overflows on strings that flip bits of the trial as well as
+        # on diagonal ones: an inf * 0.0 term gives the same NaN moment,
+        # and so the same error, whether its string is measured or skipped
+        h = siam_sum(1e160)
+        state = basis_state("0110")
+        powers = hamiltonian_powers(h, 3)
+        with pytest.raises(ContractViolationError) as want:
+            assemble_moments(powers, 3, lambda xs, zs: moments.string_expectations(xs, zs, state))
+        with pytest.raises(ContractViolationError) as got:
+            raw_moments_pauli(h, state, 3, powers=powers)
+        assert str(got.value) == str(want.value)
+
+    def test_siam_basis_trial_measures_only_diagonal_strings(self):
+        # to K_7 from |0110>, 23 distinct strings, of which the 7 with no X
+        # part are measured
+        _, cache = raw_moments_pauli(siam_sum(1.0), basis_state("0110"), 7)
+        assert (cache.misses, cache.misses + cache.unseen) == (7, 23)
+        assert not cache.x.any()
 
 
 class TestAssembleMoments:
@@ -515,8 +605,7 @@ class TestConnectedMoments:
         ivals = list(table.connected)
         assert cmx_cioslowski(table, 3) == cmx_cioslowski(ivals, 3)
         assert cmx_knowles(table, 3) == cmx_knowles(ivals, 3)
-        assert singularity_report(table) == singularity_report(ivals)
-        assert hw_energy_series(table, 0.5, 4) == pytest.approx(
+        assert hw_energy_rows(np.array([table.connected]), 0.5, 4)[0] == pytest.approx(
             sum((-0.5) ** k / math.factorial(k) * ivals[k] for k in range(5))
         )
         for text in ("cmx-cioslowski:3", "cmx-knowles:3", "pds:3", "hw-series:4:0.5"):
@@ -543,29 +632,42 @@ class TestConnectedMoments:
         assert max(abs(v) for v in table.connected[1:]) < 1e-9 * max(1.0, abs(e) ** 6)
 
 
+def hw_series(table: MomentTable, tau: float, order: int) -> float:
+    """The Horn-Weinstein series of one table: a one-row `hw_energy_rows`."""
+    return float(hw_energy_rows(np.array([table.connected]), tau, order)[0])
+
+
 class TestHwSeries:
     def test_tau_zero(self, rng):
         h = random_hermitian_sum(rng, 2, 4)
         table = raw_moments_dense(h, random_state(rng, 2), 5)
         for order in range(5):
-            assert hw_energy_series(table, 0.0, order) == table.connected[0]
+            assert hw_series(table, 0.0, order) == table.connected[0]
 
     def test_small_tau_decreases_when_i2_positive(self):
         table = raw_moments_dense(siam_sum(1.0), basis_state("0110"), 4)
         assert table.connected[1] > 0
-        assert hw_energy_series(table, 1e-3, 1) < table.connected[0]
+        assert hw_series(table, 1e-3, 1) < table.connected[0]
 
     def test_eigenstate_flat(self):
         raw = tuple((-1.3) ** l for l in range(6))
         table = MomentTable(raw)
         for tau in (0.0, 0.5, 2.0):
             for order in range(5):
-                assert hw_energy_series(table, tau, order) == pytest.approx(-1.3, abs=1e-9)
+                assert hw_series(table, tau, order) == pytest.approx(-1.3, abs=1e-9)
 
     def test_order_out_of_range(self):
         table = MomentTable((1.0, 0.5, 0.3))
         with pytest.raises(InsufficientMomentsError):
-            hw_energy_series(table, 0.1, 2)
+            hw_series(table, 0.1, 2)
+
+    def test_rows_are_summed_one_by_one(self, rng):
+        # each row of a stack is bit for bit its own one-row series
+        tables = [raw_moments_dense(random_hermitian_sum(rng, 2, 4), random_state(rng, 2), 5)
+                  for _ in range(4)]
+        stacked = hw_energy_rows(np.array([t.connected for t in tables]), 0.7, 4)
+        assert [v.hex() for v in stacked.tolist()] == [
+            hw_series(t, 0.7, 4).hex() for t in tables]
 
 
 class TestKrylov:

@@ -453,13 +453,16 @@ def top_bit_sum(n):
 
 def stand_in_kernel() -> ExitStack:
     """Replace the trial check and the expectation kernel of both Pauli
-    routes with a zero for every string: the masks' path does not read the
+    routes with a zero for every string, and the exact route's visibility
+    rule with one that sees every string: the masks' path does not read the
     state, and no dense trial fits in memory past about 30 qubits."""
     stack = ExitStack()
     for module in ("cmxlab.moments", "cmxlab.noise"):
         stack.enter_context(mock.patch.multiple(
             module, check_trial=mock.DEFAULT,
             string_expectations=lambda xs, zs, state: np.zeros(len(xs))))
+    stack.enter_context(mock.patch(
+        "cmxlab.moments.visible_strings", lambda xs, state: np.ones(len(xs), bool)))
     return stack
 
 

@@ -18,6 +18,7 @@ from cmxlab.statevector import (
     expectation,
     fidelity,
     pauli_expectation,
+    visible_strings,
 )
 
 from conftest import (
@@ -212,6 +213,58 @@ class TestExpectation:
         # ever reads one
         with pytest.raises(ContractViolationError, match="not Hermitian"):
             PauliSum.from_label_terms([(1.0j, "X")])
+
+
+def masked_state(n, seed, density):
+    """A unit-norm n-qubit state whose nonzero amplitudes sit on a random
+    support of about the given density, of random sizes down to 1e-300."""
+    rng = np.random.default_rng(seed)
+    amps = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)) * 10.0 ** -rng.integers(
+        0, 300, size=1 << n)
+    amps[rng.random(1 << n) >= density] = 0.0
+    amps[rng.integers(1 << n)] = 1.0
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+class TestVisibleStrings:
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_support_check_for_every_x_mask(self, n, seed, density):
+        # a string is visible when its X part maps some nonzero amplitude
+        # onto another: the support of P|s> meets the support of |s>
+        s = masked_state(n, seed, density)
+        support = s.amplitudes != 0
+        want = [bool((support & (apply_pauli(PauliString(n, x, 0), s).amplitudes != 0)).any())
+                for x in range(1 << n)]
+        masks = PauliSum(n).x.dtype.type
+        got = visible_strings(np.arange(1 << n, dtype=masks), s)
+        assert got.dtype == bool and got.tolist() == want
+        assert got[0] and (s.basis_index is None or got.sum() == 1)
+
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.01, np.pi / 2 - 0.01))
+    @settings(max_examples=100, deadline=None)
+    def test_rotated_basis_trial_sees_its_generator(self, n, seed, theta):
+        # exp(i theta G)|k> = cos(theta)|k> + i sin(theta) G|k> has support
+        # {k, k ^ x(G)}, so it sees exactly the x-masks 0 and x(G)
+        rng = np.random.default_rng(seed)
+        g = PauliString.from_label(random_label(rng, n))
+        base = basis_state("".join(rng.choice(["0", "1"], size=n)))
+        s = apply_generator_rotation(theta, g, base)
+        seen = visible_strings(np.arange(1 << n, dtype=np.uint64), s)
+        assert np.flatnonzero(seen).tolist() == sorted({0, g.x_mask})
+        assert (s.basis_index is None) == (g.x_mask != 0)
+
+    def test_invisible_strings_read_exactly_zero(self, rng):
+        # every string the rule calls invisible has the kernel value +0.0,
+        # on a sparse and a rotated trial
+        n = 4
+        rotated = apply_generator_rotation(0.3, PauliString.from_label("YXZI"), basis_state("0110"))
+        for s in (masked_state(n, 7, 0.3), rotated):
+            seen = visible_strings(np.arange(1 << n, dtype=np.uint8), s)
+            assert not seen.all()
+            for x in np.flatnonzero(~seen).tolist():
+                for z in range(1 << n):
+                    assert pauli_expectation(x, z, s).hex() == "0x0.0p+0"
 
 
 class TestGeneratorRotation:
