@@ -54,10 +54,10 @@ def main() -> int:
         noisy = noisy_moments(h, state, 3, nm, depth_proxy=(2, 1))[0]
         print(
             f"{v:g},{siam_fci_energy(8.0, v):.8f},"
-            f"{cmx_cioslowski(ideal, 2).energy:.8f},"
-            f"{cmx_cioslowski(noisy, 2).energy:.8f},"
-            f"{solve_pds(ideal, 2).ground_energy:.8f},"
-            f"{solve_pds(noisy, 2).ground_energy:.8f}"
+            f"{cmx_cioslowski(ideal.connected, 2).energy:.8f},"
+            f"{cmx_cioslowski(noisy.connected, 2).energy:.8f},"
+            f"{solve_pds(ideal.raw, 2).ground_energy:.8f},"
+            f"{solve_pds(noisy.raw, 2).ground_energy:.8f}"
         )
 
     print()
@@ -67,8 +67,8 @@ def main() -> int:
     c = H2Coefficients(0.0, 0.3, 0.3, -0.1, 0.25, 0.25)
     h2 = h2_bk_hamiltonian(c)
     state = basis_state("01")
-    clean = cmx_cioslowski(raw_moments_pauli(h2, state, 3)[0], 2)
-    noisy = cmx_cioslowski(noisy_moments(h2, state, 3, nm, depth_proxy=(1, 1))[0], 2)
+    clean = cmx_cioslowski(raw_moments_pauli(h2, state, 3)[0].connected, 2)
+    noisy = cmx_cioslowski(noisy_moments(h2, state, 3, nm, depth_proxy=(1, 1))[0].connected, 2)
     print(f"noiseless: energy={clean.energy:.8f} singular={clean.singular_flag}")
     print(f"noisy:     energy={noisy.energy:.8f} singular={noisy.singular_flag}")
     print(f"exact:     ground={exact_diagonalize(h2).ground_energy:.8f}")

@@ -23,6 +23,7 @@ from .models import (
     siam_hamiltonian,
 )
 from .moments import (
+    MomentRows,
     MomentTable,
     PauliExpectationCache,
     hamiltonian_powers,

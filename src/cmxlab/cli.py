@@ -39,7 +39,7 @@ from .models import (
     siam_fci_energy,
     siam_hamiltonian,
 )
-from .moments import MomentTable, krylov_rank, raw_moments_pauli
+from .moments import MomentRows, MomentTable, krylov_rank, raw_moments_pauli
 from .noise import MAX_SHOTS, NoiseModel, SampledStrings, noisy_moments
 from .pauli import PauliString, PauliSum, parse_pauli_sum
 from .pds import solve_pds
@@ -236,9 +236,9 @@ def _cmx(args: argparse.Namespace) -> Report:
     cioslowski = None
     for variant in variants:
         if variant == "cioslowski":
-            result = cioslowski = cmx_cioslowski(prep.table, args.order)
+            result = cioslowski = cmx_cioslowski(prep.table.connected, args.order)
         else:
-            result = cmx_knowles(prep.table, args.order)
+            result = cmx_knowles(prep.table.connected, args.order)
         orders = " ".join(_fmt(e) for e in result.energies)
         yield (f"cmx-{variant}({args.order}): energy={_fmt(result.energy)} "
                f"singular={_fmt_flag(result.singular_flag)} E(1..K)=[{orders}]")
@@ -246,7 +246,7 @@ def _cmx(args: argparse.Namespace) -> Report:
             yield f"  denominator {label} = {_fmt(value)}"
     # the report reads the Cioslowski denominators at the printed order
     if cioslowski is None:
-        cioslowski = cmx_cioslowski(prep.table, args.order)
+        cioslowski = cmx_cioslowski(prep.table.connected, args.order)
     findings = denominator_findings(cioslowski.denominators)
     for finding in findings:
         yield (f"warning: {finding.label} = {_fmt(finding.value)} "
@@ -257,7 +257,7 @@ def _cmx(args: argparse.Namespace) -> Report:
 
 def _pds(args: argparse.Namespace) -> Report:
     [prep] = _prepare(args, 2 * args.order - 1, reference=True)
-    result = solve_pds(prep.table, args.order)
+    result = solve_pds(prep.table.raw, args.order)
     yield None
     yield (f"model point: sweep_value={_fmt(prep.sweep_value)} "
            f"reference={_fmt(prep.reference)}")
@@ -279,9 +279,9 @@ def _sweep(args: argparse.Namespace) -> Report:
     methods = parse_method_list(args.methods)
     max_order = max(spec.required_max_order for spec in methods)
     points = list(_prepare(args, max_order, sweep=True, reference=True))
-    raw = [prep.table.raw for prep in points]
+    rows = MomentRows([prep.table.raw for prep in points])
     # each method once over all points: (energy, singular, condition, pinv) lists
-    values = [[column.tolist() for column in evaluate_rows(spec, raw)] for spec in methods]
+    values = [[column.tolist() for column in evaluate_rows(spec, rows)] for spec in methods]
     rows = [SWEEP_HEADER]
     for i, prep in enumerate(points):
         for spec, (energy, singular, condition, pinv) in zip(methods, values):

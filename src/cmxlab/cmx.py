@@ -7,6 +7,11 @@ are equal at every order whose denominators are usable.  Both solve on
 unit-free moments, so scaling H by c and shifting it by d maps every energy
 to c E + d with the same flags, as long as the shift leaves the spread above
 the eigenstate floor of `_linalg.unit_free`.
+
+Both read connected moments I_1, I_2, ... only: the row solvers a stack of
+rows, such as `MomentRows.connected`, and `cmx_cioslowski` and `cmx_knowles`
+one sequence, such as `MomentTable.connected`.  A non-finite value is
+rejected with the record's error.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from ._linalg import (
     symmetric_spectrum,
     unit_free,
 )
+from ._record import require_finite
 from .errors import InsufficientMomentsError
-from .moments import MomentTable
 
 
 @dataclass(frozen=True)
@@ -48,14 +53,9 @@ class CmxResult:
     condition_number: float | None = None
 
 
-def _connected_values(moments: MomentTable | Sequence[float]) -> list[float]:
-    if isinstance(moments, MomentTable):
-        return list(moments.connected)
-    return [float(v) for v in moments]
-
-
 def _rows(ivals: np.ndarray, order: int) -> np.ndarray:
-    """The connected-moment rows as float64, checked to serve `order`."""
+    """The connected-moment rows as float64, checked to serve `order` and
+    to be finite."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     ivals = np.asarray(ivals, dtype=float)
@@ -64,6 +64,7 @@ def _rows(ivals: np.ndarray, order: int) -> np.ndarray:
         raise InsufficientMomentsError(
             f"order {order} needs I_1..I_{count}, have {ivals.shape[1]}"
         )
+    require_finite("connected moment I", ivals, 1)
     return ivals
 
 
@@ -167,17 +168,19 @@ def knowles_rows(ivals: np.ndarray, order: int) -> CmxRows:
     )
 
 
-def cmx_cioslowski(moments: MomentTable | Sequence[float], order: int) -> CmxResult:
-    """Cioslowski CMX(K) of one moment table: the one-row case of
-    `cioslowski_rows`, with its S[3,m] as the denominators."""
-    rows = cioslowski_rows(np.array([_connected_values(moments)]), order)
+def cmx_cioslowski(ivals: Sequence[float], order: int) -> CmxResult:
+    """Cioslowski CMX(K) of one sequence of connected moments I_1, I_2, ...:
+    the one-row case of `cioslowski_rows`, with its S[3,m] as the
+    denominators."""
+    rows = cioslowski_rows([ivals], order)
     return _one_row("cioslowski", order, rows, [f"S[3,{m}]" for m in range(1, order)])
 
 
-def cmx_knowles(moments: MomentTable | Sequence[float], order: int) -> CmxResult:
-    """Knowles CMX(K) of one moment table: the one-row case of
-    `knowles_rows`, with det(A[K-1]) as its denominator from order 2 on."""
-    rows = knowles_rows(np.array([_connected_values(moments)]), order)
+def cmx_knowles(ivals: Sequence[float], order: int) -> CmxResult:
+    """Knowles CMX(K) of one sequence of connected moments I_1, I_2, ...:
+    the one-row case of `knowles_rows`, with det(A[K-1]) as its denominator
+    from order 2 on."""
+    rows = knowles_rows([ivals], order)
     return _one_row("knowles", order, rows, [f"det(A[{order - 1}])"])
 
 

@@ -1,6 +1,11 @@
 """Uniform method selection: parse "pds:3"-style specs and evaluate any
-supported estimator on a moment table, or on a stack of raw-moment rows at
-once."""
+supported estimator on a checked moment record.
+
+`evaluate_rows` takes a `MomentRows` record and hands each solver the view it
+reads: PDS the raw rows K_0..K_max, every other method the connected rows
+I_1..I_max.  `evaluate_method` takes a `MomentTable` and evaluates its
+one-row record.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ import numpy as np
 
 from .cmx import cioslowski_rows, knowles_rows
 from .errors import UsageError
-from .moments import MomentTable, connected_rows, hw_energy_rows
+from .moments import MomentRows, MomentTable, hw_energy_rows
 from .pds import solve_pds_rows
 
 _CANONICAL_NAMES = {
@@ -106,46 +111,22 @@ class MethodValue:
 
 
 def evaluate_rows(
-    spec: MethodSpec, raw: np.ndarray
+    spec: MethodSpec, rows: MomentRows
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate one estimator on every row of a stack of raw moments.
+    """Evaluate one estimator on every row of a checked moment record.
 
-    `raw` has one row per moment table, K_0..K_max with K_0 = 1, all rows
-    of one length.  Returns four arrays over the rows: energies, singular
-    flags, condition numbers (NaN where the method has none) and
-    pseudo-inverse flags, each row bit for bit what `evaluate_method` gives
-    on `MomentTable(row)`.  A row whose PDS roots are all complex gets a
-    NaN energy and the singular flag, as in `evaluate_method`.
-
-    Raises the errors of building each row's `MomentTable` and evaluating
-    it: first, for the first row that fails its table's checks, ValueError
-    when it does not start with K_0 = 1 or ContractViolationError naming
-    its first non-finite raw or connected moment; then
-    InsufficientMomentsError when the rows are too short for the method,
-    or ValueError for a negative hw-series tau.
+    Returns four arrays over the rows: energies, singular flags, condition
+    numbers (NaN where the method has none) and pseudo-inverse flags, each
+    row bit for bit what `evaluate_method` gives on `MomentTable(row)`.  A
+    row whose PDS roots are all complex gets a NaN energy and the singular
+    flag, as in `evaluate_method`.  The record has checked every moment;
+    this raises InsufficientMomentsError when the rows are too short for the
+    method, or ValueError for a negative hw-series tau.
     """
-    raw = np.asarray(raw, dtype=float)
-    return _evaluate(spec, raw, connected_rows(raw))
-
-
-def evaluate_method(spec: MethodSpec, table: MomentTable) -> MethodValue:
-    """Evaluate one estimator on a moment table: the one-row case of
-    `evaluate_rows`."""
-    energy, singular, condition, pinv = _evaluate(
-        spec, np.array([table.raw]), np.array([table.connected])
-    )
-    return MethodValue(energy.item(), singular.item(), condition.item(), pinv.item())
-
-
-def _evaluate(
-    spec: MethodSpec, raw: np.ndarray, connected: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four arrays of `evaluate_rows` from raw rows and their connected
-    rows."""
-    rows = len(raw)
-    singular = np.zeros(rows, dtype=bool)
-    condition = np.full(rows, math.nan)
-    pinv = np.zeros(rows, dtype=bool)
+    raw, connected = rows.raw, rows.connected
+    singular = np.zeros(len(raw), dtype=bool)
+    condition = np.full(len(raw), math.nan)
+    pinv = np.zeros(len(raw), dtype=bool)
     if spec.name == "expectation":
         energy = connected[:, 0]
     elif spec.name == "cmx-cioslowski":
@@ -164,3 +145,10 @@ def _evaluate(
         energy, singular = result.ground_energy, result.degenerate
         condition, pinv = result.condition_number, result.used_pseudo_inverse
     return energy, singular, condition, pinv
+
+
+def evaluate_method(spec: MethodSpec, table: MomentTable) -> MethodValue:
+    """Evaluate one estimator on a moment table: `evaluate_rows` on the
+    table's one-row record."""
+    energy, singular, condition, pinv = evaluate_rows(spec, table.rows)
+    return MethodValue(energy.item(), singular.item(), condition.item(), pinv.item())

@@ -6,17 +6,24 @@ as a collected Pauli sum and measures once each distinct Pauli string the
 trial can see, while the dense route repeatedly applies H to the state.
 They must agree; tests enforce it.  Both read the same real coefficients,
 since every `PauliSum` is Hermitian from the moment it is built.
+
+Every route returns a `MomentTable`, the one-row view of the checked
+`MomentRows` record, which derives the connected moments I_k and rejects a
+sequence that does not start with K_0 = 1 or holds a non-finite moment.
+Both are defined in `cmxlab._record` and exported here.  `hw_energy_rows`
+reads a stack of connected rows, such as `MomentRows.connected`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
-from math import comb, factorial, isfinite
+from math import factorial
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._record import MomentRows, MomentTable
 from .errors import ContractViolationError, InsufficientMomentsError
 from .pauli import PauliSum, group_keys
 from .statevector import (
@@ -31,86 +38,6 @@ from .statevector import (
 
 _IMAG_TOL = 1e-10
 SATURATION_TOLERANCE = 1e-8
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """Raw moments K_0..K_max (K_0 = 1) and the connected moments I_1..I_max
-    they determine.
-
-    The connected moments are derived once, when the table is built, by
-
-        I_k = K_k - sum_{i=0}^{k-2} C(k-1, i) I_{i+1} K_{k-i-1},
-
-    computed ascending with exact integer binomials, so every table carries
-    both the K_n that PDS reads and the I_k that CMX reads.  Every moment
-    must be finite: a Hamiltonian whose powers overflow float64 is rejected
-    here, naming the first non-finite order, before any solver reads it.
-    """
-
-    raw: tuple[float, ...]
-    connected: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self):
-        raw = self.raw
-        if len(raw) < 2 or raw[0] != 1.0:
-            raise ValueError("raw moments must start with K_0 = 1")
-        for k, value in enumerate(raw):
-            if not isfinite(value):
-                raise _not_finite("raw moment K", k, value)
-        connected = _connected(raw)
-        for k, value in enumerate(connected, start=1):
-            if not isfinite(value):
-                raise _not_finite("connected moment I", k, value)
-        object.__setattr__(self, "connected", tuple(connected))
-
-    @property
-    def max_order(self) -> int:
-        return len(self.raw) - 1
-
-
-def _not_finite(name: str, k: int, value: float) -> ContractViolationError:
-    return ContractViolationError(f"{name}_{k} = {value} is not finite")
-
-
-def _connected(raw):
-    """I_1..I_max from K_0..K_max by the recursion `MomentTable` states,
-    summed in the same order whether each K_k is a float or a column of
-    rows."""
-    connected = []
-    for k in range(1, len(raw)):
-        value = raw[k]
-        for i in range(0, k - 1):
-            value = value - comb(k - 1, i) * connected[i] * raw[k - i - 1]
-        connected.append(value)
-    return connected
-
-
-def connected_rows(raw: np.ndarray) -> np.ndarray:
-    """The connected moments I_1..I_max of each row of raw moments
-    K_0..K_max, bit for bit those of `MomentTable`, with its checks: the
-    first row that fails one raises what its `MomentTable` raises, a
-    ValueError when it does not start with K_0 = 1 and a
-    ContractViolationError naming its first non-finite moment."""
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2 or raw.shape[1] < 2:
-        raise ValueError("raw moments must start with K_0 = 1")
-    # overflow and inf - inf leave non-finite values, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        connected = np.array(_connected(list(raw.T))).T
-    bad_start, bad_raw = raw[:, 0] != 1.0, ~np.isfinite(raw)
-    bad_connected = ~np.isfinite(connected)
-    bad = bad_start | bad_raw.any(axis=1) | bad_connected.any(axis=1)
-    if bad.any():
-        row = int(bad.argmax())
-        if bad_start[row]:
-            raise ValueError("raw moments must start with K_0 = 1")
-        if bad_raw[row].any():
-            k = int(bad_raw[row].argmax())
-            raise _not_finite("raw moment K", k, raw[row, k].item())
-        k = int(bad_connected[row].argmax())
-        raise _not_finite("connected moment I", k + 1, connected[row, k].item())
-    return connected
 
 
 def string_expectations(xs: np.ndarray, zs: np.ndarray, state: StateVector) -> np.ndarray:

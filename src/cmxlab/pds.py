@@ -11,6 +11,11 @@ M is a Gram matrix of Krylov vectors, so once the Krylov chain saturates it
 is rank-deficient by construction; the solve must survive that.  It runs on
 the unit-free central moments of `_linalg.unit_free`, whose roots map back
 to the units of H.
+
+Every solve reads raw moments K_0, K_1, ... only: `solve_pds_rows` a stack of
+rows, such as `MomentRows.raw`, and `solve_pds` and `build_pds_system` one
+sequence, such as `MomentTable.raw`, which they check through `MomentRows`
+and so reject with its errors.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from ._linalg import (
     symmetric_spectrum,
     unit_free,
 )
+from ._record import MomentRows
 from .errors import DegenerateRootsError, InsufficientMomentsError
-from .moments import MomentTable
 
 CONDITION_THRESHOLD = 1e10
 IMAG_ROOT_TOLERANCE = 1e-8
@@ -63,15 +68,6 @@ class PdsResult:
         return tuple(float(c) for c in np.poly(self.roots).real)
 
 
-def _raw_values(moments: MomentTable | Sequence[float]) -> list[float]:
-    if isinstance(moments, MomentTable):
-        return list(moments.raw)
-    values = [float(v) for v in moments]
-    if not values or values[0] != 1.0:
-        raise ValueError("raw moments must start with K_0 = 1")
-    return values
-
-
 def _require(count: int, order: int) -> None:
     """Check that `count` raw moments K_0.. serve PDS(order)."""
     if order < 1:
@@ -89,13 +85,12 @@ def _hankel(raw: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return system[..., 1:], system[..., 0]
 
 
-def build_pds_system(
-    moments: MomentTable | Sequence[float], order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The Hankel matrix M_ij = K_(2n-(i+j)) and vector b_i = K_(2n-i)."""
-    raw = _raw_values(moments)
-    _require(len(raw), order)
-    return _hankel(np.array(raw), order)
+def build_pds_system(raw: Sequence[float], order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Hankel matrix M_ij = K_(2n-(i+j)) and vector b_i = K_(2n-i) of
+    one sequence of raw moments K_0, K_1, ..., checked by `MomentRows`."""
+    row = MomentRows([raw]).raw[0]
+    _require(len(row), order)
+    return _hankel(row, order)
 
 
 @dataclass(frozen=True)
@@ -157,15 +152,16 @@ def solve_pds_rows(raw: np.ndarray, order: int) -> PdsRows:
     return PdsRows(roots, nodes, real, degenerate, ground, condition, used_pinv)
 
 
-def solve_pds(moments: MomentTable | Sequence[float], order: int) -> PdsResult:
+def solve_pds(raw: Sequence[float], order: int) -> PdsResult:
     """Solve M a = -b, root the polynomial, and apply the complex-root
-    policy: the one-row case of `solve_pds_rows`.
+    policy to one sequence of raw moments K_0, K_1, ..., checked by
+    `MomentRows`: the one-row case of `solve_pds_rows`.
 
     `coefficients` are those of the mapped roots, in the units of H.  A
     solve none of whose roots is real raises DegenerateRootsError with the
     roots, condition number and pseudo-inverse flag as diagnostics.
     """
-    rows = solve_pds_rows(np.array([_raw_values(moments)]), order)
+    rows = solve_pds_rows(MomentRows([raw]).raw, order)
     roots = rows.roots[0].tolist()
     nodes, real = int(rows.nodes[0]), rows.real[0].tolist()
     condition = float(rows.condition_number[0])

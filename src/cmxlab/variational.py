@@ -15,10 +15,9 @@ angle after that costs only the estimator's solve.  On a basis state |k>,
 the trial the CLI scans from, the states see few strings (see
 `statevector.visible_strings`): |k> and G|k> only those with x-mask 0, and
 the anchor rotation only those with x-mask 0 or x(G), so the anchor reads
-at most two Walsh-Hadamard tables.  The whole grid is one
-(grid, K) array of moment rows, solved in one stacked call
-(`methods.evaluate_rows`); only the sequential refinement probes are solved
-one table at a time.
+at most two Walsh-Hadamard tables.  The whole grid is one `MomentRows`
+record, solved in one stacked call (`methods.evaluate_rows`); only the
+sequential refinement probes are solved one table at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import SingularScanError
 from .methods import MethodSpec, evaluate_method, evaluate_rows, parse_method
-from .moments import MomentTable, connected_rows, hamiltonian_powers, raw_moments_pauli
+from .moments import MomentRows, MomentTable, hamiltonian_powers, raw_moments_pauli
 from .pauli import PauliString, PauliSum
 from .statevector import StateVector, apply_generator_rotation, apply_pauli
 
@@ -111,10 +110,10 @@ def energy_vs_theta(
     `moments_at_opt` then comes from K_l(theta) = c^2 alpha_l + s^2 beta_l
     + s c gamma_l (see the module docstring), which holds for any base and
     any generator string G.  At theta = 0 it gives the base's moments bit
-    for bit.  The grid's rows are built in one array expression; its
-    energies and flags come from one stacked `evaluate_rows` call and its
-    I_1..I_3 from one `connected_rows` call, each row bit for bit what one
-    `MomentTable` and `evaluate_method` give at that angle.  The
+    for bit.  The grid's rows are built in one array expression and checked
+    as one `MomentRows` record; its energies and flags come from one stacked
+    `evaluate_rows` call and its I_1..I_3 from the record, each row bit for
+    bit what one `MomentTable` and `evaluate_method` give at that angle.  The
     golden-section probes depend on each other, so each is one
     `evaluate_method` call.
 
@@ -150,10 +149,10 @@ def energy_vs_theta(
     def table_at(theta: float) -> MomentTable:
         return MomentTable(tuple(rows_at(np.array([theta]))[0].tolist()))
 
-    raw = rows_at(grid)
-    energies, singular, _, _ = evaluate_rows(spec, raw)
+    rows = MomentRows(rows_at(grid))
+    energies, singular, _, _ = evaluate_rows(spec, rows)
     flags = singular | ~np.isfinite(energies)
-    i1, i2, i3 = connected_rows(raw[:, :4]).T[:3]
+    i1, i2, i3 = rows.connected[:, :3].T
 
     if flags.all():
         raise SingularScanError(

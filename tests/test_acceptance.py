@@ -69,10 +69,10 @@ def test_2_pds_saturation():
         for v in V_SWEEP:
             table, _ = raw_moments_pauli(half_filling(v), basis_state("0110"), 7)
             fci = siam_fci_energy(8.0, v)
-            assert solve_pds(table, 3).ground_energy == pytest.approx(fci, abs=1e-8)
-            assert solve_pds(table, 4).ground_energy == pytest.approx(fci, abs=1e-8)
+            assert solve_pds(table.raw, 3).ground_energy == pytest.approx(fci, abs=1e-8)
+            assert solve_pds(table.raw, 4).ground_energy == pytest.approx(fci, abs=1e-8)
         table, _ = raw_moments_pauli(half_filling(1.0), basis_state("0110"), 3)
-        assert solve_pds(table, 2).ground_energy == pytest.approx(
+        assert solve_pds(table.raw, 2).ground_energy == pytest.approx(
             -2.0 - math.sqrt(6.0), abs=1e-10
         )
 
@@ -89,7 +89,7 @@ def test_3_two_qubit_block_exactness():
             h = h2_bk_hamiltonian(H2Coefficients(*g))
             table, _ = raw_moments_pauli(h, basis_state("01"), 3)
             low, _high = h2_block_eigenvalues(g)
-            assert solve_pds(table, 2).ground_energy == pytest.approx(low, abs=1e-12)
+            assert solve_pds(table.raw, 2).ground_energy == pytest.approx(low, abs=1e-12)
 
 
 def test_4_cmx_internal_consistency():
@@ -178,18 +178,18 @@ def test_7_shift_covariance():
                 )
             for order in (2, 3):
                 delta = (
-                    cmx_cioslowski(moved, order).energy
-                    - cmx_cioslowski(base, order).energy
+                    cmx_cioslowski(moved.connected, order).energy
+                    - cmx_cioslowski(base.connected, order).energy
                 )
                 assert delta == pytest.approx(shift, abs=1e-9)
                 delta = (
-                    cmx_knowles(moved, order).energy
-                    - cmx_knowles(base, order).energy
+                    cmx_knowles(moved.connected, order).energy
+                    - cmx_knowles(base.connected, order).energy
                 )
                 assert delta == pytest.approx(shift, abs=1e-9)
             for order in (1, 2, 3):
-                before = solve_pds(base, order)
-                after = solve_pds(moved, order)
+                before = solve_pds(base.raw, order)
+                after = solve_pds(moved.raw, order)
                 assert len(before.real_roots_sorted) == len(after.real_roots_sorted)
                 for rb, ra in zip(before.real_roots_sorted, after.real_roots_sorted):
                     assert ra - rb == pytest.approx(shift, abs=1e-9)
@@ -238,11 +238,11 @@ def test_8_noise_statistics():
         c = H2Coefficients(0.0, 0.3, 0.3, -0.1, 0.25, 0.25)
         h2 = h2_bk_hamiltonian(c)
         clean = cmx_cioslowski(
-            raw_moments_pauli(h2, basis_state("01"), 3)[0], 2
+            raw_moments_pauli(h2, basis_state("01"), 3)[0].connected, 2
         )
         assert clean.singular_flag
         noisy_table, _ = noisy_moments(h2, basis_state("01"), 3, nm, depth_proxy=(1, 1))
-        noisy = cmx_cioslowski(noisy_table, 2)
+        noisy = cmx_cioslowski(noisy_table.connected, 2)
         assert math.isfinite(noisy.energy)
 
 

@@ -263,9 +263,9 @@ class TestSinglePointCommands:
         calls = []
         evaluate_rows = cli.evaluate_rows
 
-        def counted(spec, raw):
-            calls.append((spec, (len(raw), len(raw[0]))))
-            return evaluate_rows(spec, raw)
+        def counted(spec, rows):
+            calls.append((spec, rows.raw.shape))
+            return evaluate_rows(spec, rows)
 
         monkeypatch.setattr(cli, "evaluate_rows", counted)
         with mock.patch.object(cli, "evaluate_method", side_effect=AssertionError):

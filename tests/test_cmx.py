@@ -1,11 +1,14 @@
 """CMX solvers: S-recursion vs closed forms, Knowles system, diagnostics."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from cmxlab._linalg import SINGULARITY_TOLERANCE
 from cmxlab.cmx import cmx_cioslowski, cmx_knowles, denominator_findings
-from cmxlab.errors import InsufficientMomentsError
+from cmxlab.errors import ContractViolationError, InsufficientMomentsError
 from cmxlab.models import H2Coefficients, h2_bk_hamiltonian
 from cmxlab.moments import raw_moments_dense, raw_moments_pauli
 from cmxlab.pauli import PauliSum
@@ -57,7 +60,7 @@ class TestCioslowski:
 
     def test_siam_cmx2(self):
         table = raw_moments_dense(siam_sum(1.0), basis_state("0110"), 3)
-        result = cmx_cioslowski(table, 2)
+        result = cmx_cioslowski(table.connected, 2)
         assert result.energy == pytest.approx(-4.5, abs=1e-12)
 
     def test_per_order_energies_nested(self, rng):
@@ -88,6 +91,20 @@ class TestCioslowski:
     def test_insufficient_moments(self):
         with pytest.raises(InsufficientMomentsError):
             cmx_cioslowski([1.0, 2.0], 2)
+
+    @pytest.mark.parametrize(("ivals", "message"), [
+        ([math.nan, 1.0, 1.0], "connected moment I_1 = nan"),
+        ([1.0, math.inf, 1.0], "connected moment I_2 = inf"),
+        ([1.0, 1.0, 1.0, 1.0, -math.inf], "connected moment I_5 = -inf"),
+    ])
+    def test_non_finite_moment_raises_the_record_error(self, ivals, message):
+        # the text a MomentTable gives a non-finite I_k, with no NaN energy
+        # and no warning first
+        for solver in (cmx_cioslowski, cmx_knowles):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ContractViolationError, match=f"^{message} is not finite$"):
+                    solver(ivals, 2)
 
 
 class TestClosedForm:
@@ -129,10 +146,10 @@ class TestKnowles:
         for v in (0.1, 0.5, 1.0, 2.0, 3.0, 6.0, 10.0):
             table = raw_moments_dense(siam_sum(v), basis_state("0110"), 7)
             for order in (2, 3, 4):
-                result = cmx_knowles(table, order)
+                result = cmx_knowles(table.connected, order)
                 assert np.isfinite(result.energy)
                 assert not result.singular_flag
-            cio = cmx_cioslowski(table, 2)
+            cio = cmx_cioslowski(table.connected, 2)
             worst_cioslowski = max(worst_cioslowski, abs(cio.energy - (-4.0)))
         # the plain second-order expansion wanders tens of units off at V=10
         assert worst_cioslowski > 10.0
@@ -147,7 +164,7 @@ class TestKnowles:
 
     def test_condition_number_recorded(self):
         table = raw_moments_dense(siam_sum(1.0), basis_state("0110"), 5)
-        result = cmx_knowles(table, 3)
+        result = cmx_knowles(table.connected, 3)
         assert result.condition_number is not None
         assert result.condition_number > 0
 
@@ -178,8 +195,8 @@ class TestShiftCovariance:
                 )
             for order in (1, 2, 3):
                 for solver in (cmx_cioslowski, cmx_knowles):
-                    a = solver(base, order)
-                    b = solver(moved, order)
+                    a = solver(base.connected, order)
+                    b = solver(moved.connected, order)
                     assert b.energy - scale * a.energy == pytest.approx(
                         1.5 * scale, abs=1e-9 * scale
                     )

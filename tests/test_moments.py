@@ -30,6 +30,7 @@ from cmxlab.moments import (
 )
 from cmxlab.noise import NoiseModel, hadamard_test_estimate, noisy_moments
 from cmxlab.pauli import DEFAULT_PRUNE_THRESHOLD, PauliString, PauliSum
+from cmxlab.pds import solve_pds
 from cmxlab.statevector import (
     DENSE_QUBIT_LIMIT,
     StateVector,
@@ -603,8 +604,12 @@ class TestConnectedMoments:
         table = ROUTES[route](siam_sum(1.0), basis_state("0110"), 5)
         assert len(table.connected) == table.max_order == 5
         ivals = list(table.connected)
-        assert cmx_cioslowski(table, 3) == cmx_cioslowski(ivals, 3)
-        assert cmx_knowles(table, 3) == cmx_knowles(ivals, 3)
+        for solver, text in ((cmx_cioslowski, "cmx-cioslowski:3"), (cmx_knowles, "cmx-knowles:3")):
+            energy = solver(table.connected, 3).energy
+            assert energy == solver(ivals, 3).energy
+            assert energy == evaluate_method(parse_method(text), table).energy
+        assert solve_pds(table.raw, 3).ground_energy == evaluate_method(
+            parse_method("pds:3"), table).energy
         assert hw_energy_rows(np.array([table.connected]), 0.5, 4)[0] == pytest.approx(
             sum((-0.5) ** k / math.factorial(k) * ivals[k] for k in range(5))
         )

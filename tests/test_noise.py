@@ -259,12 +259,12 @@ class TestNoisyMoments:
         h = siam(1.0)
         state = basis_state("0110")
         exact_table = raw_moments_pauli(h, state, 3)[0]
-        exact = cmx_cioslowski(exact_table, 2).energy
+        exact = cmx_cioslowski(exact_table.connected, 2).energy
         energies = []
         for seed in range(50):
             nm = NoiseModel(shots=10**6, seed=seed)
             table, _ = noisy_moments(h, state, 3, nm)
-            energies.append(cmx_cioslowski(table, 2).energy)
+            energies.append(cmx_cioslowski(table.connected, 2).energy)
         mean = float(np.mean(energies))
         spread = float(np.std(energies, ddof=1))
         assert abs(mean - exact) <= 5.0 * spread / math.sqrt(len(energies))
@@ -285,12 +285,12 @@ class TestNoisyMoments:
         h = h2_bk_hamiltonian(c)
         state = basis_state("01")
         clean = cmx_cioslowski(
-            raw_moments_pauli(h, state, 3)[0], 2
+            raw_moments_pauli(h, state, 3)[0].connected, 2
         )
         assert clean.singular_flag
         nm = NoiseModel(p00=0.97, p11=0.97, shots=8192, seed=5)
         noisy_table, _ = noisy_moments(h, state, 3, nm)
-        noisy = cmx_cioslowski(noisy_table, 2)
+        noisy = cmx_cioslowski(noisy_table.connected, 2)
         assert math.isfinite(noisy.energy)
 
     def test_estimates_do_not_depend_on_term_order(self):

@@ -1,5 +1,5 @@
-"""Row solvers: every estimator on a stack of moment rows at once, bit for
-bit the one-table evaluation of each row."""
+"""Row solvers: every estimator on a checked record of moment rows at once,
+bit for bit the one-table evaluation of each row."""
 
 import math
 from unittest import mock
@@ -13,7 +13,7 @@ from cmxlab import cmx, pds
 from cmxlab.errors import ContractViolationError, InsufficientMomentsError
 from cmxlab.methods import evaluate_method, evaluate_rows, parse_method
 from cmxlab.models import H2Coefficients, SiamParams, h2_bk_hamiltonian, siam_hamiltonian
-from cmxlab.moments import MomentTable, connected_rows, raw_moments_dense, raw_moments_pauli
+from cmxlab.moments import MomentRows, MomentTable, raw_moments_dense, raw_moments_pauli
 from cmxlab.statevector import basis_state
 
 from conftest import sum_and_trial
@@ -66,7 +66,7 @@ def same(a: float, b: float) -> bool:
 
 
 def assert_rows_match_tables(spec, rows):
-    energy, singular, condition, pinv = evaluate_rows(spec, np.array(rows))
+    energy, singular, condition, pinv = evaluate_rows(spec, MomentRows(rows))
     for i, r in enumerate(rows):
         one = evaluate_method(spec, MomentTable(r))
         assert same(energy[i].item(), one.energy)
@@ -84,7 +84,7 @@ class TestRowsEqualTables:
 
     def test_the_stack_mixes_every_kind_of_row(self):
         # the fixed rows take the branches the property relies on
-        rows = [saturated_row(), eigenstate_row(), COMPLEX_ROW]
+        rows = MomentRows([saturated_row(), eigenstate_row(), COMPLEX_ROW])
         energy, singular, condition, pinv = evaluate_rows(parse_method("pds:4"), rows)
         assert pinv[:2].all() and math.isfinite(energy[0])
         assert condition[1] == math.inf
@@ -111,7 +111,7 @@ class TestRowsEqualTables:
                                     (cmx.knowles_rows, cmx.cmx_knowles)):
                 stacked = rows_fn(ivals, order)
                 for i, table in enumerate(tables):
-                    one = one_fn(table, order)
+                    one = one_fn(table.connected, order)
                     assert stacked.energies[i].tolist() == list(one.energies)
                     assert bool(stacked.singular_flag[i]) is one.singular_flag
 
@@ -119,7 +119,7 @@ class TestRowsEqualTables:
 class TestOneCallPerStack:
     @pytest.mark.parametrize("size", [1, 2, 17])
     def test_lapack_steps_do_not_grow_with_the_stack(self, size):
-        rows = np.array([saturated_row()] * size)
+        rows = MomentRows([saturated_row()] * size)
         calls = {}
         for module, name in ((pds, "symmetric_spectrum"), (cmx, "symmetric_spectrum")):
             counted = mock.Mock(wraps=getattr(module, name))
@@ -135,6 +135,60 @@ class TestOneCallPerStack:
         assert det.call_count == 6
 
 
+SPECIAL = (math.inf, -math.inf, math.nan, 0.5, 1e200, -1e200, 1e300)
+
+
+@st.composite
+def moment_stacks(draw):
+    """Stacks of 1-12 rows of 2-10 moments K_0 = 1, K_1, ...; in a damaged
+    stack each row may have a few entries replaced by an infinity, a NaN, a
+    value whose connected moments overflow, or a K_0 other than 1."""
+    width = draw(st.integers(2, 10))
+    damaged = draw(st.booleans())
+    stack = []
+    for _ in range(draw(st.integers(1, 12))):
+        row = [1.0, *draw(st.lists(st.floats(-1e3, 1e3), min_size=width - 1,
+                                   max_size=width - 1))]
+        if damaged:
+            for k, value in draw(st.lists(st.tuples(st.integers(0, width - 1),
+                                                    st.sampled_from(SPECIAL)), max_size=2)):
+                row[k] = value
+        stack.append(row)
+    return stack
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestMomentRows:
+    @given(moment_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_the_record_is_the_tables_built_row_by_row(self, stack):
+        try:
+            tables = [MomentTable(tuple(row)) for row in stack]
+        except (ValueError, ContractViolationError) as error:
+            with pytest.raises(type(error)) as record_error:
+                MomentRows(stack)
+            assert str(record_error.value) == str(error)
+            return
+        rows = MomentRows(stack)
+        assert rows.raw.dtype == rows.connected.dtype == np.float64
+        assert rows.raw.shape == (len(stack), len(stack[0]))
+        assert rows.connected.shape == (len(stack), len(stack[0]) - 1)
+        assert not rows.raw.flags.writeable and not rows.connected.flags.writeable
+        for r, table in enumerate(tables):
+            assert hexes(rows.raw[r]) == hexes(table.raw)
+            assert hexes(rows.connected[r]) == hexes(table.connected)
+            assert hexes(table.rows.connected[0]) == hexes(table.connected)
+
+    def test_the_record_keeps_no_reference_to_its_input(self):
+        stack = np.array([saturated_row()] * 2)
+        rows = MomentRows(stack)
+        stack[0, 1] = math.inf
+        assert math.isfinite(rows.raw[0, 1])
+
+
 class TestRowErrors:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_row_raises_what_moment_table_raises(self, bad):
@@ -142,11 +196,10 @@ class TestRowErrors:
         rows[1][4] = bad
         with pytest.raises(ContractViolationError) as table_error:
             MomentTable(tuple(rows[1]))
-        for text in ("pds:2", "cmx-knowles:2", "expectation"):
-            with pytest.raises(ContractViolationError) as rows_error:
-                evaluate_rows(parse_method(text), rows)
-            assert str(rows_error.value) == str(table_error.value)
-            assert str(rows_error.value) == f"raw moment K_4 = {bad} is not finite"
+        with pytest.raises(ContractViolationError) as rows_error:
+            MomentRows(rows)
+        assert str(rows_error.value) == str(table_error.value)
+        assert str(rows_error.value) == f"raw moment K_4 = {bad} is not finite"
 
     def test_first_bad_row_is_reported(self):
         # row 1 overflows only in its connected moments, row 2 in a raw one:
@@ -158,18 +211,18 @@ class TestRowErrors:
             MomentTable(tuple(rows[1]))
         assert "connected moment" in str(table_error.value)
         with pytest.raises(ContractViolationError) as rows_error:
-            connected_rows(np.array(rows))
+            MomentRows(np.array(rows))
         assert str(rows_error.value) == str(table_error.value)
 
     def test_rows_must_start_with_one(self):
         with pytest.raises(ValueError, match="K_0 = 1"):
-            evaluate_rows(parse_method("pds:1"), [[1.0, 0.5], [0.9, 0.5]])
+            MomentRows([[1.0, 0.5], [0.9, 0.5]])
         # a non-finite row before it is reported first, as in table order
         with pytest.raises(ContractViolationError, match="K_1 = inf"):
-            evaluate_rows(parse_method("pds:1"), [[1.0, math.inf], [0.9, 0.5]])
+            MomentRows([[1.0, math.inf], [0.9, 0.5]])
 
     def test_short_rows_raise_what_the_solvers_raise(self):
-        rows = [saturated_row()[:4]] * 2
+        rows = MomentRows([saturated_row()[:4]] * 2)
         with pytest.raises(InsufficientMomentsError, match=r"PDS\(3\) needs K_0..K_5"):
             evaluate_rows(parse_method("pds:3"), rows)
         with pytest.raises(InsufficientMomentsError, match="order 3 needs I_1..I_5, have 3"):

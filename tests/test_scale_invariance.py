@@ -64,19 +64,19 @@ class TestBaselineScaleFailures:
     def test_cmx2_at_scale_100(self):
         table = siam_table(1.0, 100.0)
         for solver in (cmx_cioslowski, cmx_knowles):
-            result = solver(table, 2)
+            result = solver(table.connected, 2)
             assert not result.singular_flag
             assert result.energy == pytest.approx(-450.0, rel=1e-12)
 
     def test_pds3_at_scale_100_reaches_fci(self):
-        result = solve_pds(siam_table(1.0, 100.0), 3)
+        result = solve_pds(siam_table(1.0, 100.0).raw, 3)
         assert result.ground_energy == pytest.approx(100.0 * siam_fci_energy(8.0, 1.0), rel=1e-10)
 
     def test_cioslowski3_at_scale_one_hundredth(self):
         table = siam_table(1.0, 1e-2)
-        result = cmx_cioslowski(table, 3)
+        result = cmx_cioslowski(table.connected, 3)
         assert not result.singular_flag
-        unscaled = cmx_cioslowski(siam_table(1.0), 3)
+        unscaled = cmx_cioslowski(siam_table(1.0).connected, 3)
         assert result.energy == pytest.approx(1e-2 * unscaled.energy, rel=1e-10)
 
 
@@ -84,15 +84,15 @@ class TestCioslowskiEqualsKnowles:
     def test_siam_order_four(self):
         for v in (0.1, 0.5, 1.0, 3.0, 10.0):
             table = siam_table(v)
-            assert cmx_cioslowski(table, 4).energy == pytest.approx(
-                cmx_knowles(table, 4).energy, rel=1e-10
+            assert cmx_cioslowski(table.connected, 4).energy == pytest.approx(
+                cmx_knowles(table.connected, 4).energy, rel=1e-10
             )
 
     def test_cioslowski_singular_where_knowles_stays_finite(self):
         # at weak hybridization S[3,3] vanishes on the unit-free moments
         table = siam_table(0.06)
-        cioslowski = cmx_cioslowski(table, 4)
-        knowles = cmx_knowles(table, 4)
+        cioslowski = cmx_cioslowski(table.connected, 4)
+        knowles = cmx_knowles(table.connected, 4)
         assert cioslowski.singular_flag
         assert np.isfinite(cioslowski.energy)
         assert not knowles.singular_flag
