@@ -55,9 +55,10 @@ class MomentRows:
     are bit for bit those of the recursion on that row alone.  Every row must
     start with K_0 = 1 and every moment must be finite: a Hamiltonian whose
     powers overflow float64 is rejected here, before any solver reads it.
-    The first row that fails raises ValueError when it does not start with
-    K_0 = 1, else ContractViolationError naming its first non-finite raw
-    moment, else its first non-finite connected moment.
+    Input that is not a 2-d array of at least two columns raises ValueError
+    naming its shape.  The first row that fails raises ValueError when it
+    does not start with K_0 = 1, else ContractViolationError naming its
+    first non-finite raw moment, else its first non-finite connected moment.
     """
 
     raw: np.ndarray
@@ -66,7 +67,9 @@ class MomentRows:
     def __post_init__(self):
         raw = np.array(self.raw, dtype=float)
         if raw.ndim != 2 or raw.shape[1] < 2:
-            raise ValueError("raw moments must start with K_0 = 1")
+            raise ValueError(
+                f"moment rows must be 2-d with at least K_0 and K_1 per row, got shape {raw.shape}"
+            )
         # a non-finite K_k leaves I_k non-finite, so with every K_0 = 1 the
         # connected moments alone show that a row is finite
         if len(raw) == 1:

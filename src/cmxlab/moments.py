@@ -92,13 +92,21 @@ class PauliExpectationCache:
         return len(self.values)
 
 
-def hamiltonian_powers(h: PauliSum, max_order: int) -> list[PauliSum]:
+def hamiltonian_powers(
+    h: PauliSum, max_order: int, seen: np.ndarray | None = None
+) -> list[PauliSum]:
     """[H^1, ..., H^max_order] as collected Pauli sums.
 
     H^l = H^(l-1).symmetric_product(H): since H^(l-1) commutes with H, only
     commuting string pairs contribute, each with a real sign.  Iterated
     sum-times-sum products keep the term count bounded by min(M^l, 4**n)
     instead of enumerating M^l index tuples.
+
+    A bool table `seen`, indexed by x-mask, is passed to the last product
+    only: H^max_order (for max_order >= 2) keeps just its terms with a seen
+    x-mask, each bit for bit the full power's, while the lower powers, which
+    feed the next product, stay whole.  The union of `visible_strings` over
+    the states to be measured drops only terms that add +-0 to their K_l.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
@@ -106,8 +114,8 @@ def hamiltonian_powers(h: PauliSum, max_order: int) -> list[PauliSum]:
     # a product that overflows float64 leaves non-finite coefficients, and
     # so non-finite moments, which MomentTable rejects by order
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_order - 1):
-            powers.append(powers[-1].symmetric_product(h))
+        for order in range(2, max_order + 1):
+            powers.append(powers[-1].symmetric_product(h, seen if order == max_order else None))
     return powers
 
 

@@ -24,7 +24,9 @@ in them by binary search.  The one product of sums,
 `PauliSum.symmetric_product`, builds Hamiltonian powers: it keeps the
 commuting string pairs, whose products have real signs, and forms masks,
 signs and coefficients for those pairs alone, each collected coefficient
-bit-identical to a scalar string-product loop accumulating a dict.
+bit-identical to a scalar string-product loop accumulating a dict.  Given a
+table of the x-masks a caller can see, it forms only the products that land
+on them, with the same bits.
 
 Labels are read left to right as qubit 0..n-1, e.g. "XIZ" puts X on qubit 0.
 """
@@ -284,8 +286,9 @@ class PauliSum:
             and np.array_equal(self.coeff, other.coeff)
         )
 
-    def symmetric_product(self, other: "PauliSum") -> "PauliSum":
-        """The symmetric product (AB + BA) / 2 of two sums.
+    def symmetric_product(self, other: "PauliSum", seen: np.ndarray | None = None) -> "PauliSum":
+        """The symmetric product (AB + BA) / 2 of two sums, or only its
+        terms whose x-mask a bool table `seen` marks True.
 
         Anticommuting string pairs cancel in it and commuting pairs P, Q
         give PQ = QP = +-R, so only pairs whose commutation parity
@@ -303,6 +306,13 @@ class PauliSum:
         coefficient is bit for bit that of a row-major double loop over A
         then B accumulating a dict, and depends only on the two term sets.
         Since H^(l-1) commutes with H, H^(l-1).symmetric_product(H) is H^l.
+
+        `seen`, when given, is read-only and indexed by x-mask (length
+        2**n_qubits): a pair is then kept only if it commutes and its
+        product's x-mask is seen, one more mask on each block's grid.  The
+        blocks, collect and prune are those above, so the result is the
+        full product's terms with a seen x-mask, in the same order, each
+        coefficient bit for bit the full product's.
         """
         if self.n_qubits != other.n_qubits:
             raise DimensionMismatchError("cannot multiply sums on different qubit counts")
@@ -313,7 +323,11 @@ class PauliSum:
         while start < len(ax):
             rows = slice(start, start + 2 * max(_MIN_BLOCK, len(x)) // max(1, len(bx)) + 1)
             zx = np.bitwise_count(az[rows, None] & bx).ravel()
-            idx = np.flatnonzero(((zx + np.bitwise_count(ax[rows, None] & bz).ravel()) & 1) == 0)
+            keep = ((zx + np.bitwise_count(ax[rows, None] & bz).ravel()) & 1) == 0
+            if seen is not None:
+                keep &= seen.take((ax[rows, None] ^ bx).ravel())
+            idx = np.flatnonzero(keep)
+            del keep
             i, j = np.divmod(idx, len(bx))
             i += start
             px, pz = ax[i] ^ bx[j], az[i] ^ bz[j]

@@ -15,9 +15,10 @@ angle after that costs only the estimator's solve.  On a basis state |k>,
 the trial the CLI scans from, the states see few strings (see
 `statevector.visible_strings`): |k> and G|k> only those with x-mask 0, and
 the anchor rotation only those with x-mask 0 or x(G), so the anchor reads
-at most two Walsh-Hadamard tables.  The whole grid is one `MomentRows`
-record, solved in one stacked call (`methods.evaluate_rows`); only the
-sequential refinement probes are solved one table at a time.
+at most two Walsh-Hadamard tables, and the top power is formed only over
+those two x-masks.  The whole grid is one `MomentRows` record, solved in one
+stacked call (`methods.evaluate_rows`), and the golden-section refinement
+solves the probes of three steps ahead per stacked call.
 """
 
 from __future__ import annotations
@@ -28,11 +29,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SingularScanError
+from .errors import ContractViolationError, SingularScanError
+# evaluate_method is not called here; the benchmark's tracer wraps it by name
 from .methods import MethodSpec, evaluate_method, evaluate_rows, parse_method
 from .moments import MomentRows, MomentTable, hamiltonian_powers, raw_moments_pauli
 from .pauli import PauliString, PauliSum
-from .statevector import StateVector, apply_generator_rotation, apply_pauli
+from .statevector import (
+    StateVector,
+    apply_generator_rotation,
+    apply_pauli,
+    check_trial,
+    visible_strings,
+)
 
 GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_GRID_POINTS = 81
@@ -40,6 +48,10 @@ DEFAULT_GRID_POINTS = 81
 # conditioned
 ANCHOR_THETA = math.pi / 4.0
 REFINE_TOLERANCE = 1e-6
+# golden-section steps solved per stacked call: their 1 + 2 + 4 probe angles
+# over every branch; a 7-row solve costs about 1.6 one-row solves and
+# replaces three, and four steps (15 rows) measured no faster
+LOOKAHEAD_STEPS = 3
 
 
 def default_theta_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -74,24 +86,68 @@ class DeviationReport:
     infinite_improvement: bool
 
 
-def _golden_section(fn, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section minimum of fn on [lo, hi] to width REFINE_TOLERANCE.
+def _golden_step(lo: float, hi: float, x1: float, x2: float, left: bool):
+    """The bracket and inner points after one golden-section step: it keeps
+    [lo, x2] when `left` (f1 <= f2), else [x1, hi], and its new inner point,
+    x1 on the left or x2 on the right, is the step's probe."""
+    if left:
+        hi, x2 = x2, x1
+        x1 = hi - GOLDEN_RATIO * (hi - lo)
+    else:
+        lo, x1 = x1, x2
+        x2 = lo + GOLDEN_RATIO * (hi - lo)
+    return lo, hi, x1, x2
+
+
+def _probe_tree(lo: float, hi: float, x1: float, x2: float, left: bool, steps: int) -> list[float]:
+    """The probe of the step that takes branch `left` from this bracket,
+    then those of up to steps - 1 further steps on either branch while the
+    bracket stays wider than REFINE_TOLERANCE: at most 2**steps - 1 angles."""
+    lo, hi, x1, x2 = _golden_step(lo, hi, x1, x2, left)
+    angles = [x1 if left else x2]
+    if steps > 1 and hi - lo > REFINE_TOLERANCE:
+        for branch in (True, False):
+            angles += _probe_tree(lo, hi, x1, x2, branch, steps - 1)
+    return angles
+
+
+def _read(value):
+    """A probe's objective value, or the error its evaluation raised, raised
+    now."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _golden_section(solve, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section minimum on [lo, hi] to width REFINE_TOLERANCE.
 
     Derivative-free on purpose: estimator curves can have kinks where the
-    root ordering changes.
+    root ordering changes.  `solve(angles)` returns the objective at each
+    angle, or the exception evaluating it raised, which is raised only when
+    the search reads that angle.  A step's branch is known from (f1, f2)
+    before its probe is solved, and a probe's angle depends only on the
+    branches taken, so one call solves the two initial probes and each
+    further call the probes of the next LOOKAHEAD_STEPS steps on every
+    branch.  The walk takes the steps with the real comparisons, so its
+    probes, stopping rule and result are those of solving one probe at a
+    time.
     """
     x1 = hi - GOLDEN_RATIO * (hi - lo)
     x2 = lo + GOLDEN_RATIO * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
+    # an angle has one value, whichever call solved it
+    known = dict(zip((x1, x2), solve([x1, x2])))
+    f1, f2 = _read(known[x1]), _read(known[x2])
     while hi - lo > REFINE_TOLERANCE:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN_RATIO * (hi - lo)
-            f1 = fn(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN_RATIO * (hi - lo)
-            f2 = fn(x2)
+        left = f1 <= f2
+        bracket = lo, hi, x1, x2
+        lo, hi, x1, x2 = _golden_step(lo, hi, x1, x2, left)
+        probe = x1 if left else x2
+        if probe not in known:
+            angles = _probe_tree(*bracket, left, LOOKAHEAD_STEPS)
+            known.update(zip(angles, solve(angles)))
+        value = _read(known[probe])
+        f1, f2 = (value, f1) if left else (f2, value)
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
@@ -110,12 +166,16 @@ def energy_vs_theta(
     `moments_at_opt` then comes from K_l(theta) = c^2 alpha_l + s^2 beta_l
     + s c gamma_l (see the module docstring), which holds for any base and
     any generator string G.  At theta = 0 it gives the base's moments bit
-    for bit.  The grid's rows are built in one array expression and checked
-    as one `MomentRows` record; its energies and flags come from one stacked
-    `evaluate_rows` call and its I_1..I_3 from the record, each row bit for
-    bit what one `MomentTable` and `evaluate_method` give at that angle.  The
-    golden-section probes depend on each other, so each is one
-    `evaluate_method` call.
+    for bit.  The top power keeps only the terms whose x-mask one of the
+    three states can see (see `hamiltonian_powers`); every term it drops
+    would add +-0 to that moment.  The grid's rows are built in one array
+    expression and checked as one `MomentRows` record; its energies and
+    flags come from one stacked `evaluate_rows` call and its I_1..I_3 from
+    the record, each row bit for bit what one `MomentTable` and
+    `evaluate_method` give at that angle.  The golden-section refinement
+    solves its probes the same way, LOOKAHEAD_STEPS steps per stacked call
+    (see `_golden_section`); a probe's moments that the search never reads
+    may fail the record's checks without failing the scan.
 
     Singular grid points are recorded with their flag and excluded from the
     minimum; if every point is singular the full diagnostic sweep is raised.
@@ -125,24 +185,33 @@ def energy_vs_theta(
     if grid.size == 0:
         raise ValueError("theta grid must be nonempty")
     max_order = max(spec.required_max_order, 3)
-    powers = hamiltonian_powers(h, max_order)
+    # rotate first: it rejects a generator of another size before anything
+    # is measured; then H and the base are checked as the first measurement
+    # would check them
+    anchor = apply_generator_rotation(ANCHOR_THETA, generator, base)
+    check_trial(h, base)
+    image = apply_pauli(generator, base)
+    masks = np.arange(1 << base.n_qubits)
+    seen = visible_strings(masks, base) | visible_strings(masks, image)
+    seen |= visible_strings(masks, anchor)
+    seen.setflags(write=False)
+    powers = hamiltonian_powers(h, max_order, seen)
 
     def measured(state: StateVector) -> np.ndarray:
         table, _ = raw_moments_pauli(h, state, max_order, powers=powers)
         return np.array(table.raw)
 
-    # rotate first: it rejects a generator of another size before anything
-    # is measured
-    anchor = apply_generator_rotation(ANCHOR_THETA, generator, base)
     alpha = measured(base)
-    beta = measured(apply_pauli(generator, base))
+    beta = measured(image)
     # the cos and sin the rotation itself used
     c_a, s_a = np.cos(ANCHOR_THETA), np.sin(ANCHOR_THETA)
     gamma = (measured(anchor) - c_a * c_a * alpha - s_a * s_a * beta) / (s_a * c_a)
 
     def rows_at(theta: np.ndarray) -> np.ndarray:
         c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
-        raw = c * c * alpha + s * s * beta + s * c * gamma
+        # an overflowing row is non-finite, which MomentRows rejects by order
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = c * c * alpha + s * s * beta + s * c * gamma
         raw[:, 0] = 1.0
         return raw
 
@@ -167,10 +236,17 @@ def energy_vs_theta(
         lo = float(grid[max(best - 1, 0)])
         hi = float(grid[min(best + 1, grid.size - 1)])
 
-        def objective(theta: float) -> float:
-            value = evaluate_method(spec, table_at(theta))
-            bad = value.singular_flag or not math.isfinite(value.energy)
-            return math.inf if bad else value.energy
+        def objective(thetas: list[float]) -> list:
+            raw = rows_at(np.array(thetas))
+            try:
+                probes = MomentRows(raw)
+            except ContractViolationError as error:
+                if len(thetas) == 1:
+                    return [error]
+                # each row alone, so that only a row the search reads fails
+                return [value for theta in thetas for value in objective([theta])]
+            energy, bad = evaluate_rows(spec, probes)[:2]
+            return np.where(bad | ~np.isfinite(energy), np.inf, energy).tolist()
 
         theta_ref, energy_ref = _golden_section(objective, lo, hi)
         if energy_ref <= energy_opt:

@@ -408,6 +408,65 @@ class TestArrayProduct:
             PauliSum(65, [(PauliString(65, 1 << 64, 0), 1.0)])
 
 
+@st.composite
+def masked_products(draw):
+    """Two random Hermitian sums on 1-6 qubits and a bool table over their
+    x-masks: all True, all False or drawn bit by bit."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_hermitian_sum(rng, n, draw(st.integers(1, 30)))
+    b = random_hermitian_sum(rng, n, draw(st.integers(1, 12)))
+    kind = draw(st.sampled_from(["all", "none", "drawn"]))
+    if kind == "drawn":
+        seen = np.array(draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n)))
+    else:
+        seen = np.full(1 << n, kind == "all")
+    seen.setflags(write=False)
+    return a, b, seen
+
+
+def filtered(product, seen):
+    """The terms of a product whose x-mask the table marks, as bit patterns."""
+    return [(p, c.hex()) for p, c in product.items() if seen[p.x_mask]]
+
+
+class TestMaskedProduct:
+    """A product with a seen table is the full product filtered by it: the
+    same strings in the same order, each coefficient bit for bit."""
+
+    @given(masked_products())
+    @settings(max_examples=200, deadline=None)
+    def test_masked_product_is_the_filtered_full_product(self, case):
+        a, b, seen = case
+        full = a.symmetric_product(b)
+        masked = a.symmetric_product(b, seen)
+        assert exact_terms(masked.items()) == filtered(full, seen)
+        if seen.all():
+            assert masked == full
+        assert not any(x.flags.writeable for x in (masked.x, masked.z, masked.coeff))
+
+    @given(masked_products(), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_powers_mask_only_the_top_power(self, case, order):
+        h, _, seen = case
+        whole = hamiltonian_powers(h, order)
+        masked = hamiltonian_powers(h, order, seen)
+        assert masked[:-1] == whole[:-1]
+        # H^1 is no product, so it stays whole
+        want = exact_terms(h.items()) if order == 1 else filtered(whole[-1], seen)
+        assert exact_terms(masked[-1].items()) == want
+
+    def test_multi_block_masked_product(self, rng):
+        # blocks of a masked product follow its smaller collected count, so
+        # they split the pairs differently from the full product's blocks
+        h = random_hermitian_sum(rng, 6, 40)
+        a = h.symmetric_product(h).symmetric_product(h)
+        assert len(a) * len(h) > 3 * 2 * (1 << 14)
+        seen = rng.random(64) < 0.3
+        assert exact_terms(a.symmetric_product(h, seen).items()) == filtered(
+            a.symmetric_product(h), seen)
+
+
 class TestOrderIndependentQueries:
     def test_term_order_does_not_matter(self, rng):
         labels = ["XXI", "ZIZ", "IYY", "ZZZ", "XIY"]

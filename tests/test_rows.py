@@ -221,6 +221,19 @@ class TestRowErrors:
         with pytest.raises(ContractViolationError, match="K_1 = inf"):
             MomentRows([[1.0, math.inf], [0.9, 0.5]])
 
+    @pytest.mark.parametrize("build, shape", [
+        (lambda: MomentRows([1.0, 0.5]), "(2,)"),
+        (lambda: MomentRows([[1.0]]), "(1, 1)"),
+        (lambda: MomentTable((1.0,)), "(1, 1)"),
+        (lambda: pds.solve_pds([1.0], 1), "(1, 1)"),
+    ], ids=["flat", "one-column", "table", "solve_pds"])
+    def test_a_bad_shape_is_named(self, build, shape):
+        # K_0 is 1 in every case: the shape, not K_0, is what is wrong
+        with pytest.raises(ValueError) as error:
+            build()
+        assert str(error.value) == (
+            f"moment rows must be 2-d with at least K_0 and K_1 per row, got shape {shape}")
+
     def test_short_rows_raise_what_the_solvers_raise(self):
         rows = MomentRows([saturated_row()[:4]] * 2)
         with pytest.raises(InsufficientMomentsError, match=r"PDS\(3\) needs K_0..K_5"):
