@@ -252,17 +252,29 @@ def hex_fields(scan):
                           "connected_at_opt": exact(scan.moments_at_opt.connected)}
 
 
+SCAN_METHODS = ["pds:3", "pds:2", "cmx-cioslowski:3", "cmx-knowles:3", "hw-series:3:0.5",
+                "expectation"]
+
+
 class TestStackedGridOracle:
     """The grid is solved in one stacked call and the refinement probes a
     few steps ahead per stacked call, over a top power formed only where the
     three states can see; every field of the result equals the
     angle-by-angle scan over whole powers bit for bit."""
 
-    @pytest.mark.parametrize("kind", ["basis", "dense", "rotated"])
     @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("method", ["pds:3", "pds:2", "cmx-cioslowski:3",
-                                        "cmx-knowles:3", "hw-series:3:0.5", "expectation"])
-    def test_scan_equals_the_per_angle_loop(self, kind, seed, method):
+    @pytest.mark.parametrize("method", SCAN_METHODS)
+    def test_scan_equals_the_per_angle_loop(self, seed, method):
+        self.check(seed, method, "basis")
+
+    @pytest.mark.parametrize("kind", ["dense", "rotated"])
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("method", SCAN_METHODS)
+    def test_off_basis_scan_equals_the_per_angle_loop(self, kind, seed, method):
+        self.check(seed, method, kind)
+
+    @staticmethod
+    def check(seed, method, kind):
         rng = np.random.default_rng(seed)
         n = 3 + seed % 4
         h = random_hermitian_sum(rng, n, 6 + 3 * n)
@@ -273,8 +285,7 @@ class TestStackedGridOracle:
             base = StateVector(n, amps / np.linalg.norm(amps))
         elif kind == "rotated":
             # off the computational basis, but seeing only a few x-masks
-            other = PauliString.from_label("X" * n)
-            base = apply_generator_rotation(0.3, other, base)
+            base = apply_generator_rotation(0.3, PauliString.from_label("X" * n), base)
         grid = default_theta_grid(41)
         scan = energy_vs_theta(h, base, generator, method, theta_grid=grid)
         assert hex_fields(scan) == hex_fields(per_angle_scan(h, base, generator, method, grid))
@@ -343,6 +354,14 @@ class TestLookAheadRefinement:
             0.0, 1.0,
         )
         assert calls[0] == 2 and set(calls[1:-1]) == {7}
+
+    def test_no_probe_is_solved_past_the_tolerance(self):
+        # one step narrows this bracket below REFINE_TOLERANCE, so its
+        # look-ahead call solves that step's probe alone
+        calls = []
+        variational._golden_section(
+            lambda angles: calls.append(len(angles)) or [t * t for t in angles], 0.0, TOL * 1.0001)
+        assert calls == [2, 1]
 
     def test_a_scan_solves_a_few_stacked_calls(self, monkeypatch):
         solves = []
@@ -458,8 +477,10 @@ class TestScanErrors:
             apply_generator_rotation(0.1, PauliString.from_label("YX"), basis_state("0110"))
         assert str(error.value) == str(rotation_error.value)
 
-    def test_hamiltonian_of_another_size(self):
-        h = PauliSum.from_label_terms([(1.0, "ZZ"), (0.5, "XX")])
+    @pytest.mark.parametrize("labels", [("ZZ", "XX"), ("ZZIIII", "XXIIXY")])
+    def test_hamiltonian_of_another_size(self, labels):
+        # fewer or more qubits than the base, whose x-masks the scan tabulates
+        h = PauliSum.from_label_terms([(1.0, labels[0]), (0.5, labels[1])])
         base = basis_state("0110")
         with pytest.raises(DimensionMismatchError) as error:
             energy_vs_theta(h, base, GENERATOR, "pds:2")
