@@ -10,6 +10,7 @@ rotation.
 """
 
 import argparse
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from cmxlab import (
     siam_fci_energy,
     siam_hamiltonian,
 )
+from cmxlab.cli import variational_csv
 
 
 def main() -> int:
@@ -51,15 +53,9 @@ def main() -> int:
             f"{report.improvement_factor:.3e}"
         )
         if args.csv_prefix:
-            path = f"{args.csv_prefix}_V{v:g}.csv"
-            with open(path, "w") as fh:
-                fh.write("theta,energy,i1,i2,i3,singular_flag\n")
-                for i, theta in enumerate(scan.theta_grid):
-                    fh.write(
-                        f"{theta:.17g},{scan.energies[i]:.17g},{scan.i1[i]:.17g},"
-                        f"{scan.i2[i]:.17g},{scan.i3[i]:.17g},"
-                        f"{int(scan.singular_flags[i])}\n"
-                    )
+            # the CSV of `cmxlab variational`, byte for byte
+            path = Path(f"{args.csv_prefix}_V{v:g}.csv")
+            path.write_text("\n".join(variational_csv(scan)) + "\n")
     finite = [f for f in factors if np.isfinite(f)]
     label = f"{np.mean(finite):.3e}" if finite else "inf"
     print(f"# mean improvement factor: {label}"

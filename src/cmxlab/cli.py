@@ -51,7 +51,7 @@ from .statevector import (
     fidelity,
     require_dense,
 )
-from .variational import default_theta_grid, deviation_report, energy_vs_theta
+from .variational import ScanResult, default_theta_grid, deviation_report, energy_vs_theta
 
 SWEEP_HEADER = (
     "sweep_value,method,order,energy,reference,deviation,"
@@ -295,6 +295,16 @@ def _sweep(args: argparse.Namespace) -> Report:
         yield f"wrote {args.output}"
 
 
+def variational_csv(scan: ScanResult) -> list[str]:
+    """The lines of a scan's CSV: VARIATIONAL_HEADER, then one row per grid
+    angle."""
+    return [VARIATIONAL_HEADER] + [
+        _row(theta, scan.energies[i], scan.i1[i], scan.i2[i], scan.i3[i],
+             _fmt_flag(scan.singular_flags[i]))
+        for i, theta in enumerate(scan.theta_grid)
+    ]
+
+
 def _variational(args: argparse.Namespace) -> Report:
     grid = default_theta_grid(args.grid_points)
     methods = parse_method_list(args.method)
@@ -307,11 +317,7 @@ def _variational(args: argparse.Namespace) -> Report:
     generator = PauliString.from_label(args.generator)
     scan = energy_vs_theta(prep.hamiltonian, prep.state, generator, methods[0],
                            theta_grid=grid)
-    lines = [VARIATIONAL_HEADER]
-    for i, theta in enumerate(scan.theta_grid):
-        lines.append(_row(theta, scan.energies[i], scan.i1[i], scan.i2[i], scan.i3[i],
-                          _fmt_flag(scan.singular_flags[i])))
-    yield lines
+    yield variational_csv(scan)
     report = deviation_report(scan, reference)
     yield (f"theta_opt={_fmt(scan.theta_opt)} energy_opt={_fmt(scan.energy_opt)} "
            f"reference={_fmt(reference)}")
@@ -327,13 +333,13 @@ def _noise(args: argparse.Namespace) -> Report:
         raise UsageError(f"--methods {args.methods} needs --max-order >= {needed}, "
                          f"got {args.max_order}")
     [prep] = _prepare(args, args.max_order)
-    lines = [NOISE_HEADER]
     sampled = prep.estimates
-    rows = zip(sampled, sampled.true.tolist(), sampled.values())
-    for p, true, est in sorted(rows, key=lambda row: row[0].label):
-        lines.append(_row(p.label, true, est.raw_estimate, est.mitigated_estimate,
-                          est.standard_error, est.shots_used))
-    yield lines
+    n, batch = sampled.n_qubits, sampled.batch
+    labels = [PauliString(n, x, z).label
+              for x, z in zip(sampled.x.tolist(), sampled.z.tolist())]
+    rows = sorted(zip(labels, sampled.true.tolist(), batch.raw_estimate.tolist(),
+                      batch.mitigated_estimate.tolist(), batch.standard_error.tolist()))
+    yield [NOISE_HEADER] + [_row(*row, batch.shots_used) for row in rows]
     for spec in methods:
         value = evaluate_method(spec, prep.table)
         yield f"{spec}: energy={_fmt(value.energy)} singular={_fmt_flag(value.singular_flag)}"

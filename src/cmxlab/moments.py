@@ -75,7 +75,8 @@ class PauliExpectationCache:
     counts the remaining non-identity terms, which reuse the value of a
     string counted in either.  The identity string is never measured: its
     expectation is exactly 1.  No per-string object is built or kept: the
-    kernel reads each string's masks (see `string_expectations`).
+    kernel reads each string's masks (see `string_expectations`).  The
+    arrays are read-only.
     """
 
     x: np.ndarray
@@ -83,6 +84,10 @@ class PauliExpectationCache:
     values: np.ndarray
     hits: int
     unseen: int
+
+    def __post_init__(self):
+        for array in (self.x, self.z, self.values):
+            array.setflags(write=False)
 
     @property
     def misses(self) -> int:

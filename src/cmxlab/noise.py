@@ -25,17 +25,15 @@ estimate for every string of H.  Sampling fewer strings therefore waits
 for a change that moves those references with it.
 
 `noisy_moments` returns the measured strings as one `SampledStrings`
-record of aligned arrays in that sampling order: the masks, the exact
-expectations and the batch of shot estimates.  The record is also a
-read-only mapping from each measured `PauliString` to its scalar
-`ShotEstimate`, so no per-string object is built unless a caller asks for
-one.
+record of read-only aligned arrays in that sampling order: the masks, the
+exact expectations and the batch of shot estimates.  Each string is one
+Hadamard-test circuit; the record builds no per-string object.
 """
 
 from __future__ import annotations
 
 import numbers
-from collections.abc import ItemsView, Iterator, Mapping, ValuesView
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,18 +88,17 @@ class ShotEstimate:
 
 
 @dataclass(frozen=True, eq=False)
-class SampledStrings(Mapping[PauliString, ShotEstimate]):
+class SampledStrings:
     """The distinct strings one noisy moment table sampled, as aligned
-    arrays in sampling order, which is ascending (x, z) mask order.
+    read-only arrays in sampling order, which is ascending (x, z) mask
+    order.
 
     ``x`` and ``z`` are the masks, in the width of the sum they came from
     (see `cmxlab.pauli`), ``true`` the exact expectation of each string and
     ``batch`` the `ShotEstimate` of arrays from the table's one
-    `hadamard_test_estimate` call.  As a mapping, a measured `PauliString`
-    on ``n_qubits`` qubits gives its scalar `ShotEstimate`, whose floats
-    are the batch's elements; any other key, the identity included, raises
-    KeyError.  Lookups go through `find_string`.  Iteration yields the
-    strings in sampling order.
+    `hadamard_test_estimate` call.  The record is not iterable, and two
+    records compare equal only if they are the same object; compare their
+    arrays instead.
     """
 
     n_qubits: int
@@ -110,60 +107,42 @@ class SampledStrings(Mapping[PauliString, ShotEstimate]):
     true: np.ndarray
     batch: ShotEstimate
 
+    # without this, `p in record` and `list(record)` would fall back to
+    # record[0], record[1], ... and raise KeyError(0); with it, TypeError
+    __iter__ = None
+
     def __post_init__(self):
-        for array in (self.x, self.z, self.true):
+        b = self.batch
+        for array in (self.x, self.z, self.true,
+                      b.raw_estimate, b.mitigated_estimate, b.standard_error):
             array.setflags(write=False)
 
-    def _index(self, p: object) -> int:
+    def __len__(self) -> int:
+        """The number of sampled strings.  Kept only until the benchmark's
+        tracer reads the arrays."""
+        return len(self.x)
+
+    def __getitem__(self, p: PauliString) -> ShotEstimate:
+        """The scalar `ShotEstimate` of a measured `PauliString` on
+        ``n_qubits`` qubits, whose floats are the batch's elements; any
+        other key, the identity included, raises KeyError.  Kept only until
+        the benchmark's digest reads the arrays."""
+        i = None
         if isinstance(p, PauliString) and p.n_qubits == self.n_qubits:
             i = find_string(self.x, self.z, p.x_mask, p.z_mask)
-            if i is not None:
-                return i
-        raise KeyError(p)
+        if i is None:
+            raise KeyError(p)
+        b = self.batch
+        return ShotEstimate(float(b.raw_estimate[i]), float(b.mitigated_estimate[i]),
+                            float(b.standard_error[i]), b.shots_used, b.mitigation_applied)
 
-    def _estimate(self, raw: float, mitigated: float, error: float) -> ShotEstimate:
-        return ShotEstimate(raw, mitigated, error, self.batch.shots_used,
-                            self.batch.mitigation_applied)
-
-    def _estimates(self) -> Iterator[ShotEstimate]:
+    def values(self) -> Iterator[ShotEstimate]:
+        """The scalar estimates in sampling order.  Kept only until the
+        benchmark's tracer reads the arrays."""
         b = self.batch
         for row in zip(b.raw_estimate.tolist(), b.mitigated_estimate.tolist(),
                        b.standard_error.tolist()):
-            yield self._estimate(*row)
-
-    def __getitem__(self, p: PauliString) -> ShotEstimate:
-        i = self._index(p)
-        b = self.batch
-        return self._estimate(float(b.raw_estimate[i]), float(b.mitigated_estimate[i]),
-                              float(b.standard_error[i]))
-
-    def __iter__(self) -> Iterator[PauliString]:
-        n = self.n_qubits
-        for x, z in zip(self.x.tolist(), self.z.tolist()):
-            yield PauliString(n, x, z)
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    def values(self) -> ValuesView:
-        return _SampledValues(self)
-
-    def items(self) -> ItemsView:
-        return _SampledItems(self)
-
-
-class _SampledValues(ValuesView):
-    """Values read off the batch arrays in order, with no lookups."""
-
-    def __iter__(self):
-        return self._mapping._estimates()
-
-
-class _SampledItems(ItemsView):
-    """Items read off the record's arrays in order, with no lookups."""
-
-    def __iter__(self):
-        return zip(self._mapping, self._mapping._estimates())
+            yield ShotEstimate(*row, b.shots_used, b.mitigation_applied)
 
 
 def damping_factor(nm: NoiseModel, depth_proxy: tuple[int, int]) -> float:

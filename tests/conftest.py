@@ -166,6 +166,23 @@ def random_hermitian_sum(rng: np.random.Generator, n: int, n_terms: int) -> Paul
     return PauliSum.from_label_terms(terms, n_qubits=n)
 
 
+def record_strings(record) -> list[PauliString]:
+    """The strings of a `SampledStrings` record, built from its masks in
+    sampling order."""
+    return [PauliString(record.n_qubits, x, z)
+            for x, z in zip(record.x.tolist(), record.z.tolist())]
+
+
+def record_bytes(record) -> tuple:
+    """Every array of a `SampledStrings` record as bytes, with its dtype,
+    and the batch's shot count and mitigation flag."""
+    b = record.batch
+    arrays = (record.x, record.z, record.true,
+              b.raw_estimate, b.mitigated_estimate, b.standard_error)
+    return (record.n_qubits, *((a.dtype, a.tobytes()) for a in arrays),
+            b.shots_used, b.mitigation_applied)
+
+
 def sum_and_trial(max_qubits: int):
     """Strategy for a random 1..max_qubits-qubit sum of 1-10 terms and a
     normalised trial state, a basis state or a random one, both drawn from

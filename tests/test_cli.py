@@ -15,6 +15,9 @@ from cmxlab.methods import MethodSpec, parse_method, parse_method_list
 from cmxlab.pauli import PauliSum, serialize_pauli_sum
 
 GOLDEN = Path(__file__).parent / "golden" / "siam_noise_sweep.csv"
+# stdout of `noise --generator YXXX --theta 0.3 --shots 512 --seed 3`: the
+# CSV of its 21 sampled strings, then one line per method
+STRINGS_GOLDEN = Path(__file__).parent / "golden" / "siam_noise_strings.csv"
 
 
 def run_cli(*argv):
@@ -150,6 +153,19 @@ class TestSweep:
         )
         assert code == 0
         assert out_csv.read_bytes() == GOLDEN.read_bytes()
+
+    def test_golden_noise_strings_are_byte_identical(self, tmp_path):
+        args = ("noise", "--generator", "YXXX", "--theta", "0.3", "--shots", "512",
+                "--seed", "3")
+        golden = STRINGS_GOLDEN.read_text()
+        code, text = run_cli(*args)
+        assert code == 0 and text == golden
+        out_csv = tmp_path / "strings.csv"
+        code, summary = run_cli(*args, "--output", str(out_csv))
+        lines = golden.splitlines(keepends=True)
+        assert code == 0 and len(lines) == 1 + 21 + 2
+        assert out_csv.read_bytes() == "".join(lines[:22]).encode()
+        assert summary == "".join(lines[22:])
 
     def test_noisy_sweep_deterministic(self, tmp_path):
         args = (

@@ -48,6 +48,7 @@ from conftest import (
     dense_reachable_spectrum,
     random_hermitian_sum,
     random_label,
+    record_bytes,
     siam_caption_terms,
     sum_and_trial,
 )
@@ -513,7 +514,7 @@ class TestCanonicalTermOrder:
             noisy_moments(h, state, 4, nm) for h in (a, b)
         )
         assert bits(noisy_a) == bits(noisy_b)
-        assert list(estimates_a.items()) == list(estimates_b.items())
+        assert record_bytes(estimates_a) == record_bytes(estimates_b)
 
 
 class TestOracleEquivalence:

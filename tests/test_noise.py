@@ -22,7 +22,7 @@ from cmxlab.noise import (
 from cmxlab.pauli import PauliString, PauliSum
 from cmxlab.statevector import _NORM_TOL, StateVector, basis_state, pauli_expectation
 
-from conftest import sum_and_trial
+from conftest import record_bytes, record_strings, sum_and_trial
 
 
 def siam(v=1.0):
@@ -198,33 +198,50 @@ class TestSampledStrings:
         keys = list(zip(sampled.x.tolist(), sampled.z.tolist()))
         assert keys == sorted(set(keys)) and (0, 0) not in keys
         assert len(sampled) == len(keys) == len(sampled.true) == len(batch.raw_estimate)
-        strings = list(sampled)
-        assert [(p.n_qubits, p.x_mask, p.z_mask) for p in strings] == [
-            (n, x, z) for x, z in keys
-        ]
+        strings = record_strings(sampled)
         columns = zip(batch.raw_estimate.tolist(), batch.mitigated_estimate.tolist(),
                       batch.standard_error.tolist(), sampled.true.tolist())
         for p, (raw, mitigated, error, true) in zip(strings, columns):
             est = sampled[p]
-            assert p in sampled
             assert hexes(est) == [raw.hex(), mitigated.hex(), error.hex()]
             assert (est.shots_used, est.mitigation_applied) == (
                 batch.shots_used, batch.mitigation_applied)
             assert true.hex() == pauli_expectation(p.x_mask, p.z_mask, state).hex()
-            other = PauliString(n + 1, p.x_mask, p.z_mask)
-            assert other not in sampled
             with pytest.raises(KeyError):
-                sampled[other]
+                sampled[PauliString(n + 1, p.x_mask, p.z_mask)]
         assert [hexes(e) for e in sampled.values()] == [hexes(sampled[p]) for p in strings]
-        assert list(sampled.items()) == [(p, sampled[p]) for p in strings]
         measured = set(keys)
         unmeasured = [PauliString(n, x, z) for x in range(1 << n) for z in range(1 << n)
                       if (x, z) not in measured]
         assert PauliString.identity(n) in unmeasured
         for p in unmeasured + ["XI", (1, 0)]:
-            assert p not in sampled
             with pytest.raises(KeyError):
                 sampled[p]
+        # the record is not iterable, so membership is not a lookup either
+        with pytest.raises(TypeError):
+            iter(sampled)
+        for p in strings[:1] + [PauliString.identity(n)]:
+            with pytest.raises(TypeError):
+                p in sampled
+
+    @pytest.mark.parametrize("basis", [True, False])
+    def test_records_are_read_only(self, basis):
+        h = siam()
+        if basis:
+            state = basis_state("0110")
+        else:
+            amplitudes = np.linspace(1.0, 2.0, 16) * np.exp(1j * np.arange(16))
+            state = StateVector(4, amplitudes / np.linalg.norm(amplitudes))
+        _, cache = raw_moments_pauli(h, state, 3)
+        _, sampled = noisy_moments(h, state, 3, NoiseModel(p00=0.97, p11=0.96, shots=512))
+        b = sampled.batch
+        arrays = (cache.x, cache.z, cache.values, sampled.x, sampled.z, sampled.true,
+                  b.raw_estimate, b.mitigated_estimate, b.standard_error)
+        assert len(cache) > 0 and len(sampled) > 0
+        for array in arrays:
+            assert array.flags.writeable is False
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestNoisyMoments:
@@ -248,7 +265,7 @@ class TestNoisyMoments:
     def test_estimates_reused_across_orders(self):
         nm = NoiseModel(shots=512, seed=7)
         _, estimates = noisy_moments(siam(1.0), basis_state("0110"), 3, nm)
-        labels = {p.label for p in estimates}
+        labels = {p.label for p in record_strings(estimates)}
         assert "ZZII" in labels or "ZIZI" in labels
         # every estimate is for a distinct phaseless string
         assert len(labels) == len(estimates)
@@ -304,7 +321,7 @@ class TestNoisyMoments:
         _, second = noisy_moments(reordered, state, 3, nm, depth_proxy=(2, 1))
         assert list(reordered.items()) == terms
         assert len(first) > 10
-        assert first == second
+        assert record_bytes(first) == record_bytes(second)
 
     def test_strings_of_one_table_are_unbiased_and_uncorrelated(self):
         h = PauliSum.from_label_terms([(0.5, "XY"), (0.3, "ZX")])

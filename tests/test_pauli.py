@@ -33,6 +33,7 @@ from conftest import (
     multiply,
     random_hermitian_sum,
     random_label,
+    record_strings,
     reduce_product,
     string_matrix,
 )
@@ -569,8 +570,9 @@ class TestMaskWidth:
         assert all(p in square for p, _ in square.items())
         assert all(p not in h and p not in square for p in absent + other_size)
         assert identity in square and identity not in h
-        assert [sampled[p] for p in sampled] == list(sampled.values())
-        assert all(p in sampled for p in present)
+        strings = record_strings(sampled)
+        assert [sampled[p] for p in strings] == list(sampled.values())
+        assert all(p in strings for p in present)
         for p in absent + other_size + [identity]:
             with pytest.raises(KeyError):
                 sampled[p]
