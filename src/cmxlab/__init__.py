@@ -23,6 +23,7 @@ from .models import (
     siam_hamiltonian,
 )
 from .moments import (
+    MomentPlan,
     MomentRows,
     MomentTable,
     PauliExpectationCache,

@@ -5,7 +5,10 @@ Two independent routes compute the raw moments: the Pauli route expands H^n
 as a collected Pauli sum and measures once each distinct Pauli string the
 trial can see, while the dense route repeatedly applies H to the state.
 They must agree; tests enforce it.  Both read the same real coefficients,
-since every `PauliSum` is Hermitian from the moment it is built.
+since every `PauliSum` is Hermitian from the moment it is built.  The Pauli
+route groups the strings of the powers once, in a `MomentPlan`, which then
+assembles a table from one value per string: the exact values here, the
+shot estimates in `cmxlab.noise`, for as many states as share the powers.
 
 Every route returns a `MomentTable`, the one-row view of the checked
 `MomentRows` record, which derives the connected moments I_k and rejects a
@@ -17,9 +20,9 @@ reads a stack of connected rows, such as `MomentRows.connected`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, pairwise, repeat
 from math import factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,8 +53,8 @@ def string_expectations(xs: np.ndarray, zs: np.ndarray, state: StateVector) -> n
     computes little per call: on a computational-basis trial it answers in
     O(1) from the state's `basis_index`, and on any other state it reads
     the state's table for the string's X part, which it builds once per run
-    of equal x-masks.  Strings in ascending (x, z) order, as
-    `assemble_moments` gives them, build each table once.  The kernel reads
+    of equal x-masks.  Strings in ascending (x, z) order, as a
+    `MomentPlan` holds them, build each table once.  The kernel reads
     the masks themselves, so neither moment route builds a per-string
     object."""
     return np.fromiter(
@@ -93,9 +96,6 @@ class PauliExpectationCache:
     def misses(self) -> int:
         return len(self.values)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def hamiltonian_powers(
     h: PauliSum, max_order: int, seen: np.ndarray | None = None
@@ -132,62 +132,67 @@ def _real_moment(value: complex, order: int) -> float:
     return float(value.real)
 
 
-def _ordered_sum(terms: np.ndarray) -> float:
-    """Sum from 0.0 in array order, as a Python loop adds; np.sum would add
-    pairwise.  The + 0.0 gives an all-negative-zero sum the 0.0 start."""
-    return float(np.cumsum(terms)[-1]) + 0.0 if len(terms) else 0.0
+class MomentPlan:
+    """The distinct measured strings of H^1..H^max_order, grouped once, and
+    the assembly of a moment table from one value per string.
 
-
-def assemble_moments(
-    powers: Sequence[PauliSum],
-    max_order: int,
-    values: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> tuple[MomentTable, int]:
-    """K_l = sum over the terms c P of H^l of c * <P>, with <P> from one
-    batch provider call.
-
-    `values(xs, zs)` is called exactly once per table, with the masks of
-    every distinct non-identity string of H^1..H^max_order in ascending
-    (x, z) order, in the powers' own width (see `cmxlab.pauli`), and
-    returns one float per string; each string stands for one measured
-    circuit.  The identity term contributes c itself.  Each K_l is summed
-    from 0.0 in the power's canonical term order, so the result is bit for
-    bit that of adding the terms one by one and depends only on the powers'
-    term sets.  Also returns the number of non-identity
-    terms, so hits = terms - distinct strings.  A max_order below 1 raises
-    ValueError, and fewer than max_order powers InsufficientMomentsError.
+    ``x`` and ``z`` are the read-only masks of every distinct non-identity
+    string of the powers, in ascending (x, z) order and the powers' own
+    width (see `cmxlab.pauli`); each stands for one measured circuit.
+    ``terms`` counts the powers' non-identity terms, so ``terms - len(x)``
+    terms reuse a string's value.  A max_order below 1 raises ValueError,
+    and fewer than max_order powers InsufficientMomentsError, before
+    anything is measured.  One plan serves any number of states measured
+    against the same powers.
     """
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
-    if len(powers) < max_order:
-        raise InsufficientMomentsError(
-            f"{len(powers)} powers cannot serve order {max_order}"
-        )
-    used = powers[:max_order]
-    x = np.concatenate([p.x for p in used])
-    z = np.concatenate([p.z for p in used])
-    coeff = np.concatenate([p.coeff for p in used])
-    measured = (x | z) != 0
-    x, z = x[measured], z[measured]
-    first, group = group_keys(x, z)
-    expectation = np.ones(len(coeff))
-    expectation[measured] = np.asarray(values(x[first], z[first]), dtype=float)[group]
-    raw = [1.0]
-    stop = 0
-    # overflowed powers give non-finite moments, which MomentTable rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = coeff * expectation
-        for power in used:
-            start, stop = stop, stop + len(power)
-            raw.append(_ordered_sum(terms[start:stop]))
-    return MomentTable(tuple(raw)), len(x)
+
+    def __init__(self, powers: Sequence[PauliSum], max_order: int):
+        if max_order < 1:
+            raise ValueError(f"max_order must be >= 1, got {max_order}")
+        if len(powers) < max_order:
+            raise InsufficientMomentsError(
+                f"{len(powers)} powers cannot serve order {max_order}"
+            )
+        used = powers[:max_order]
+        x = np.concatenate([p.x for p in used])
+        z = np.concatenate([p.z for p in used])
+        measured = (x | z) != 0
+        x, z = x[measured], z[measured]
+        first, group = group_keys(x, z)
+        self.x, self.z = x[first], z[first]
+        for array in (self.x, self.z):
+            array.setflags(write=False)
+        self.max_order = max_order
+        self.terms = len(x)
+        self._coeff = np.concatenate([p.coeff for p in used])
+        self._measured, self._group = measured, group
+        self._powers = [slice(*ends) for ends in pairwise(accumulate(map(len, used), initial=0))]
+
+    def assemble(self, values: np.ndarray) -> MomentTable:
+        """K_l = sum over the terms c P of H^l of c * values[P], with one
+        float per string of ``x``; the identity term contributes c itself.
+        Each K_l is summed from 0.0 in the power's canonical term order, so
+        the result is bit for bit that of adding the terms one by one and
+        depends only on the powers' term sets."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.x.shape:
+            raise ValueError(f"{values.shape} values for {len(self.x)} strings")
+        expectation = np.ones(len(self._coeff))
+        expectation[self._measured] = values[self._group]
+        # overflowed powers give non-finite moments, which MomentTable rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = self._coeff * expectation
+            # cumsum adds in array order, where np.sum would add pairwise
+            sums = [np.cumsum(terms[power]) for power in self._powers]
+        # the + 0.0 gives an all-negative-zero sum the 0.0 start of a loop
+        return MomentTable((1.0, *(float(s[-1]) + 0.0 if len(s) else 0.0 for s in sums)))
 
 
 def raw_moments_pauli(
     h: PauliSum,
     state: StateVector,
     max_order: int,
-    powers: Sequence[PauliSum] | None = None,
+    plan: MomentPlan | None = None,
 ) -> tuple[MomentTable, PauliExpectationCache]:
     """Raw moments via the Pauli-product expansion.
 
@@ -195,27 +200,23 @@ def raw_moments_pauli(
     the trial can see (see `statevector.visible_strings`) is measured once,
     one kernel call and one Hadamard-test circuit each.  Every other string
     is filled with +0.0, the bits the kernel would return for it, so the
-    moments are bit for bit those of measuring every string.  Precomputed
-    powers can be passed when sweeping many states against one
-    Hamiltonian.  The trial must have unit norm (see `check_trial`).
+    moments are bit for bit those of measuring every string.  A plan of H's
+    powers (see `MomentPlan`) can be passed when measuring many states
+    against one Hamiltonian; a plan of another order raises ValueError.
+    The trial must have unit norm (see `check_trial`).
     """
     check_trial(h, state)
-    if powers is None:
-        powers = hamiltonian_powers(h, max_order)
-    measured: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
-
-    def measure(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        seen = visible_strings(xs, state)
-        xs, zs = xs[seen], zs[seen]
-        found = string_expectations(xs, zs, state)
-        measured.append((xs, zs, found, len(seen) - len(found)))
-        values = np.zeros(len(seen))
-        values[seen] = found
-        return values
-
-    table, terms = assemble_moments(powers, max_order, measure)
-    xs, zs, values, unseen = measured[0]
-    return table, PauliExpectationCache(xs, zs, values, terms - len(values) - unseen, unseen)
+    if plan is None:
+        plan = MomentPlan(hamiltonian_powers(h, max_order), max_order)
+    elif plan.max_order != max_order:
+        raise ValueError(f"a plan of order {plan.max_order} cannot serve order {max_order}")
+    seen = visible_strings(plan.x, state)
+    xs, zs = plan.x[seen], plan.z[seen]
+    found = string_expectations(xs, zs, state)
+    values = np.zeros(len(seen))
+    values[seen] = found
+    cache = PauliExpectationCache(xs, zs, found, plan.terms - len(seen), len(seen) - len(found))
+    return plan.assemble(values), cache
 
 
 def raw_moments_dense(h: PauliSum, state: StateVector, max_order: int) -> MomentTable:

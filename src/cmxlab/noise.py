@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .moments import MomentTable, assemble_moments, hamiltonian_powers, string_expectations
+from .moments import MomentPlan, MomentTable, hamiltonian_powers, string_expectations
 from .pauli import PauliString, PauliSum, find_string
 from .statevector import _NORM_TOL, StateVector, check_trial
 
@@ -222,21 +222,15 @@ def noisy_moments(
     errors are correlated precisely as measurement reuse implies.  All
     strings of the table are sampled in one `hadamard_test_estimate` call
     from a generator seeded with nm.seed, in the ascending (x_mask, z_mask)
-    order `assemble_moments` hands them over, so the table does not depend
+    order of the table's `MomentPlan`, so the table does not depend
     on the order of H's terms; a string's estimate does depend on which
     strings the table measures.  The sampled strings are returned as one
     `SampledStrings` record in that sampling order.  The trial must have
     unit norm (see `check_trial`).
     """
     check_trial(h, state)
-    powers = hamiltonian_powers(h, max_order)
-    sampled: list[SampledStrings] = []
-
-    def estimate(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        truth = string_expectations(xs, zs, state)
-        batch = hadamard_test_estimate(truth, nm, depth_proxy)
-        sampled.append(SampledStrings(h.n_qubits, xs, zs, truth, batch))
-        return batch.mitigated_estimate if mitigated else batch.raw_estimate
-
-    table, _ = assemble_moments(powers, max_order, estimate)
-    return table, sampled[0]
+    plan = MomentPlan(hamiltonian_powers(h, max_order), max_order)
+    truth = string_expectations(plan.x, plan.z, state)
+    batch = hadamard_test_estimate(truth, nm, depth_proxy)
+    table = plan.assemble(batch.mitigated_estimate if mitigated else batch.raw_estimate)
+    return table, SampledStrings(h.n_qubits, plan.x, plan.z, truth, batch)

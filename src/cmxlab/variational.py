@@ -10,9 +10,10 @@ raw moment is then exactly
 
 with alpha the moments of |base>, beta those of G|base> and
 gamma_l = -2 Im <base|H^l G|base>.  So a scan measures three states once,
-with the Pauli expansion of each power computed once and shared, and every
-angle after that costs only the estimator's solve.  On a basis state |k>,
-the trial the CLI scans from, the states see few strings (see
+with the Pauli expansion of each power computed once and its strings
+grouped once, in one shared `MomentPlan`, and every angle after that costs
+only the estimator's solve.  On a basis state |k>, the trial the CLI scans
+from, the states see few strings (see
 `statevector.visible_strings`): |k> and G|k> only those with x-mask 0, and
 the anchor rotation only those with x-mask 0 or x(G), so the anchor reads
 at most two Walsh-Hadamard tables, and the top power is formed only over
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import ContractViolationError, SingularScanError
 # evaluate_method is not called here; the benchmark's tracer wraps it by name
 from .methods import MethodSpec, evaluate_method, evaluate_rows, parse_method
-from .moments import MomentRows, MomentTable, hamiltonian_powers, raw_moments_pauli
+from .moments import MomentPlan, MomentRows, MomentTable, hamiltonian_powers, raw_moments_pauli
 from .pauli import PauliString, PauliSum
 from .statevector import (
     StateVector,
@@ -195,10 +196,10 @@ def energy_vs_theta(
     seen = visible_strings(masks, base) | visible_strings(masks, image)
     seen |= visible_strings(masks, anchor)
     seen.setflags(write=False)
-    powers = hamiltonian_powers(h, max_order, seen)
+    plan = MomentPlan(hamiltonian_powers(h, max_order, seen), max_order)
 
     def measured(state: StateVector) -> np.ndarray:
-        table, _ = raw_moments_pauli(h, state, max_order, powers=powers)
+        table, _ = raw_moments_pauli(h, state, max_order, plan=plan)
         return np.array(table.raw)
 
     alpha = measured(base)

@@ -4,9 +4,12 @@ The dense references are built from literal 2x2 matrices and numpy alone, so
 they stay independent of the package implementation they check.  Qubit 0 is
 the leftmost label character and the most significant amplitude index bit,
 matching the package convention.  The scalar string product (`multiply`,
-`reduce_product`) is the oracle for the array product of `PauliSum`, and
-`cmx_closed_form` the oracle for the Cioslowski recursion.
+`reduce_product`) is the oracle for the array product of `PauliSum`,
+`exact_moments` expands H^n over it in exact rationals, and
+`cmx_closed_form` is the oracle for the Cioslowski recursion.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +93,44 @@ def reduce_product(factors, n_qubits: int | None = None) -> tuple[PauliString, i
         out, k = multiply(out, f)
         exponent += k
     return out, exponent % 4
+
+
+def exact_moments(terms, bits: str, max_order: int) -> list[Fraction]:
+    """Exact K_0..K_max_order of the sum of [(coeff, label), ...] from the
+    basis state |bits>, for coefficients that `Fraction` takes exactly.
+
+    H^n = H^(n-1) H is expanded as a Pauli sum whose coefficients are
+    Gaussian rationals (re, im): each string product comes from `multiply`,
+    and its phase i^k is applied exactly.  <bits|P|bits> is nonzero only
+    for strings with no X part, where it is (-1)^|z & bits|.  Every K_n is
+    asserted real, as a moment of a Hermitian sum must be.
+    """
+    n = len(bits)
+    h: dict[tuple[int, int], Fraction] = {}
+    for coeff, label in terms:
+        p = PauliString.from_label(label)
+        h[p.x_mask, p.z_mask] = h.get((p.x_mask, p.z_mask), Fraction(0)) + Fraction(coeff)
+    occupied = sum(1 << q for q, bit in enumerate(bits) if bit == "1")
+    power = {(0, 0): (Fraction(1), Fraction(0))}
+    moments = [Fraction(1)]
+    for _order in range(max_order):
+        product: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+        for (px, pz), (re, im) in power.items():
+            for (qx, qz), c in h.items():
+                r, k = multiply(PauliString(n, px, pz), PauliString(n, qx, qz))
+                value = (re * c, im * c)
+                for _quarter in range(k):
+                    value = (-value[1], value[0])
+                old = product.get((r.x_mask, r.z_mask), (Fraction(0), Fraction(0)))
+                product[r.x_mask, r.z_mask] = (old[0] + value[0], old[1] + value[1])
+        power = product
+        diagonal = [(1 - 2 * ((z & occupied).bit_count() % 2), value)
+                    for (x, z), value in power.items() if x == 0]
+        re = sum((sign * value[0] for sign, value in diagonal), Fraction(0))
+        im = sum((sign * value[1] for sign, value in diagonal), Fraction(0))
+        assert im == 0, f"K_{len(moments)} has imaginary part {im}"
+        moments.append(re)
+    return moments
 
 
 def cmx_closed_form(ivals, order: int) -> float:

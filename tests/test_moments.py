@@ -1,7 +1,9 @@
 """Moment engine: Pauli route vs dense route, connected recursion, series."""
 
+import functools
 import math
 import warnings
+from fractions import Fraction
 from math import comb
 from unittest import mock
 
@@ -19,8 +21,8 @@ from cmxlab.errors import (
 )
 from cmxlab.methods import evaluate_method, parse_method
 from cmxlab.moments import (
+    MomentPlan,
     MomentTable,
-    assemble_moments,
     hamiltonian_powers,
     hw_energy_rows,
     krylov_rank,
@@ -45,7 +47,9 @@ from conftest import (
     coefficient_norm,
     dense_moments,
     dense_of_sum,
+    dense_of_terms,
     dense_reachable_spectrum,
+    exact_moments,
     random_hermitian_sum,
     random_label,
     record_bytes,
@@ -116,7 +120,7 @@ class TestRawMomentsPauli:
     def test_cache_reuse_and_bound(self):
         h = siam_sum(1.0)
         table, cache = raw_moments_pauli(h, basis_state("0110"), 7)
-        assert len(cache) <= 4**4
+        assert cache.misses <= 4**4
         assert cache.hits > 0
         state = basis_state("0110")
         from cmxlab.statevector import pauli_expectation
@@ -125,14 +129,19 @@ class TestRawMomentsPauli:
         for x, z, value in rows:
             assert value == pytest.approx(pauli_expectation(x, z, state), abs=1e-12)
 
-    def test_precomputed_powers(self):
+    def test_precomputed_plan(self):
         h = siam_sum(1.0)
-        powers = hamiltonian_powers(h, 5)
-        table, _ = raw_moments_pauli(h, basis_state("0110"), 5, powers=powers)
+        plan = MomentPlan(hamiltonian_powers(h, 5), 5)
+        table, _ = raw_moments_pauli(h, basis_state("0110"), 5, plan=plan)
         direct, _ = raw_moments_pauli(h, basis_state("0110"), 5)
         assert table.raw == direct.raw
-        with pytest.raises(InsufficientMomentsError):
-            raw_moments_pauli(h, basis_state("0110"), 7, powers=powers)
+        # a plan of another order is refused before any string is measured
+        kernel = mock.Mock(wraps=moments.pauli_expectation)
+        with mock.patch.object(moments, "pauli_expectation", kernel):
+            for order in (3, 7):
+                with pytest.raises(ValueError, match=f"plan of order 5 cannot serve order {order}"):
+                    raw_moments_pauli(h, basis_state("0110"), order, plan=plan)
+        assert kernel.call_count == 0
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
     @pytest.mark.parametrize("bits", ["01101", "011"])
@@ -354,24 +363,19 @@ class TestVisibleStrings:
     @given(trial_kinds(6))
     @settings(max_examples=150, deadline=None)
     def test_skipping_invisible_strings_keeps_the_bits(self, case):
-        # the parent provider measured every distinct string; the exact
-        # route now calls the kernel on the visible ones only, and every
-        # string it skips has the kernel value +0.0 it fills in
+        # the reference measures every string of the plan; the exact route
+        # calls the kernel on the visible ones only, and every string it
+        # skips has the kernel value +0.0 it fills in
         h, state, order = case
-        powers = hamiltonian_powers(h, order)
-        every = []
-
-        def measure_all(xs, zs):
-            every.append((xs, zs, moments.string_expectations(xs, zs, state)))
-            return every[-1][2]
-
-        want, _ = assemble_moments(powers, order, measure_all)
+        plan = MomentPlan(hamiltonian_powers(h, order), order)
+        xs, zs = plan.x, plan.z
+        values = moments.string_expectations(xs, zs, state)
+        want = plan.assemble(values)
         kernel = mock.Mock(wraps=moments.pauli_expectation)
         with mock.patch.object(moments, "pauli_expectation", kernel):
-            got, cache = raw_moments_pauli(h, state, order, powers=powers)
+            got, cache = raw_moments_pauli(h, state, order, plan=plan)
         assert [k.hex() for k in got.raw] == [k.hex() for k in want.raw]
         assert kernel.call_count == cache.misses
-        (xs, zs, values), = every
         seen = statevector.visible_strings(xs, state)
         assert (cache.misses, cache.unseen) == (seen.sum(), (~seen).sum())
         assert cache.x.tobytes() == xs[seen].tobytes()
@@ -385,11 +389,11 @@ class TestVisibleStrings:
         # and so the same error, whether its string is measured or skipped
         h = siam_sum(1e160)
         state = basis_state("0110")
-        powers = hamiltonian_powers(h, 3)
+        plan = MomentPlan(hamiltonian_powers(h, 3), 3)
         with pytest.raises(ContractViolationError) as want:
-            assemble_moments(powers, 3, lambda xs, zs: moments.string_expectations(xs, zs, state))
+            plan.assemble(moments.string_expectations(plan.x, plan.z, state))
         with pytest.raises(ContractViolationError) as got:
-            raw_moments_pauli(h, state, 3, powers=powers)
+            raw_moments_pauli(h, state, 3, plan=plan)
         assert str(got.value) == str(want.value)
 
     def test_siam_basis_trial_measures_only_diagonal_strings(self):
@@ -400,7 +404,19 @@ class TestVisibleStrings:
         assert not cache.x.any()
 
 
-class TestAssembleMoments:
+def plan_strings(plan):
+    """The (x, z) mask pairs of a plan's strings, in its order."""
+    return list(zip(plan.x.tolist(), plan.z.tolist()))
+
+
+def cache_bytes(cache):
+    """Every array of a `PauliExpectationCache` as bytes, with its dtype,
+    and its counts."""
+    arrays = (cache.x, cache.z, cache.values)
+    return (*((a.dtype, a.tobytes()) for a in arrays), cache.hits, cache.unseen)
+
+
+class TestMomentPlan:
     @given(assembly_inputs())
     @settings(max_examples=300, deadline=None)
     def test_matches_sequential_loop_bit_for_bit(self, inputs):
@@ -410,70 +426,99 @@ class TestAssembleMoments:
             return table[4 * x + z]
 
         want, cache, hits = sequential_assembly(powers, value)
-        calls = []
-
-        def values(xs, zs):
-            calls.append(list(zip(xs.tolist(), zs.tolist())))
-            return np.array([value(x, z) for x, z in calls[-1]])
-
-        got, terms = assemble_moments(powers, len(powers), values)
-        # one provider call with every distinct string, in ascending (x, z)
-        # order
-        assert calls == [sorted(cache)]
-        assert terms - len(cache) == hits
+        plan = MomentPlan(powers, len(powers))
+        # every distinct string once, in ascending (x, z) order
+        assert plan_strings(plan) == sorted(cache)
+        assert plan.terms - len(cache) == hits
+        got = plan.assemble([value(x, z) for x, z in plan_strings(plan)])
         assert [k.hex() for k in got.raw[1:]] == [v.hex() for v in want]
 
     def test_raw_moments_counts_match_a_dict_cache(self, rng):
         h = random_hermitian_sum(rng, 4, 12)
         state = random_state(rng, 4)
-        powers = hamiltonian_powers(h, 4)
+        plan = MomentPlan(hamiltonian_powers(h, 4), 4)
         want, cache, hits = sequential_assembly(
-            powers, lambda x, z: moments.pauli_expectation(x, z, state)
+            hamiltonian_powers(h, 4), lambda x, z: moments.pauli_expectation(x, z, state)
         )
-        table, got = raw_moments_pauli(h, state, 4, powers=powers)
+        table, got = raw_moments_pauli(h, state, 4, plan=plan)
         keys = list(zip(got.x.tolist(), got.z.tolist()))
         assert dict(zip(keys, got.values.tolist())) == cache
         assert keys == sorted(cache)
-        assert (got.hits, got.misses, len(got)) == (hits, len(cache), len(cache))
+        assert (got.hits, got.misses) == (hits, len(cache))
         assert [k.hex() for k in table.raw[1:]] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("route", ["pauli", "noisy"])
     def test_too_few_powers_are_refused_before_any_measurement(self, route):
-        # both string routes share assemble_moments' checks: H^1, H^2 cannot
-        # give K_4, no order is below 1, and no string is measured or
-        # sampled first
+        # both string routes build their tables through a MomentPlan, whose
+        # checks come first: H^1, H^2 cannot give K_4, no order is below 1,
+        # and no string is measured or sampled first
         h, state = siam_sum(1.0), basis_state("0110")
         powers = hamiltonian_powers(h, 2)
-        nm = NoiseModel(p00=0.97, p11=0.96, shots=512, seed=3)
+        kernel = mock.Mock(wraps=moments.pauli_expectation)
+        sampler = mock.Mock(wraps=hadamard_test_estimate)
+        with mock.patch.object(moments, "pauli_expectation", kernel), \
+                mock.patch("cmxlab.noise.hadamard_test_estimate", sampler):
+            with pytest.raises(InsufficientMomentsError, match="2 powers cannot serve order 4"):
+                MomentPlan(powers, 4)
+            with pytest.raises(ValueError, match="max_order must be >= 1, got 0"):
+                MomentPlan(powers, 0)
+            with pytest.raises(ValueError, match="max_order must be >= 1, got 0"):
+                ROUTES[route](h, state, 0)
+            assert kernel.call_count == sampler.call_count == 0
+            table = ROUTES[route](h, state, 2)
+        assert table.max_order == 2 and kernel.call_count > 0
+        assert sampler.call_count == (route == "noisy")
 
-        def exact(xs, zs):
-            return moments.string_expectations(xs, zs, state)
-
-        def sampled(xs, zs):
-            return hadamard_test_estimate(exact(xs, zs), nm).mitigated_estimate
-
-        provider = mock.Mock(side_effect={"pauli": exact, "noisy": sampled}[route])
-        with pytest.raises(InsufficientMomentsError, match="2 powers cannot serve order 4"):
-            assemble_moments(powers, 4, provider)
-        assert provider.call_count == 0
-        with pytest.raises(ValueError, match="max_order must be >= 1, got 0"):
-            assemble_moments(powers, 0, provider)
-        assert provider.call_count == 0
-        table, _ = assemble_moments(powers, 2, provider)
-        assert table.max_order == 2 and provider.call_count == 1
-
-    def test_provider_gets_keys_in_strictly_ascending_order(self, rng):
+    def test_strings_are_strictly_ascending(self, rng):
         h = random_hermitian_sum(rng, 5, 20)
-        calls = []
-
-        def values(xs, zs):
-            calls.append(list(zip(xs.tolist(), zs.tolist())))
-            return np.zeros(len(xs))
-
-        assemble_moments(hamiltonian_powers(h, 3), 3, values)
-        (keys,) = calls
+        keys = plan_strings(MomentPlan(hamiltonian_powers(h, 3), 3))
         assert len(keys) > 100
         assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    @given(st.integers(1, 5), st.integers(1, 10), st.integers(1, 4), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_one_plan_serves_many_states(self, n, n_terms, order, n_states, seed):
+        # one plan measured on 1-4 states, basis, rotated or dense, gives
+        # each the bits of a fresh route call that groups its own strings
+        rng = np.random.default_rng(seed)
+        h = random_hermitian_sum(rng, n, n_terms)
+        plan = MomentPlan(hamiltonian_powers(h, order), order)
+        for _ in range(n_states):
+            state = basis_state("".join(rng.choice(["0", "1"], size=n)))
+            kind = rng.integers(3)
+            if kind == 1:
+                generator = PauliString.from_label(random_label(rng, n))
+                state = apply_generator_rotation(rng.uniform(-np.pi, np.pi), generator, state)
+            elif kind == 2:
+                state = random_state(rng, n)
+            got, got_cache = raw_moments_pauli(h, state, order, plan=plan)
+            want, want_cache = raw_moments_pauli(h, state, order)
+            assert [k.hex() for k in got.raw] == [k.hex() for k in want.raw]
+            assert cache_bytes(got_cache) == cache_bytes(want_cache)
+
+    def test_arrays_are_read_only(self, rng):
+        plan = MomentPlan(hamiltonian_powers(random_hermitian_sum(rng, 3, 6), 3), 3)
+        assert len(plan.x) > 0
+        for array in (plan.x, plan.z):
+            assert array.flags.writeable is False
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_values_must_match_the_strings(self):
+        plan = MomentPlan(hamiltonian_powers(siam_sum(1.0), 3), 3)
+        for values in (np.zeros(len(plan.x) - 1), np.zeros(len(plan.x) + 1), 0.0):
+            with pytest.raises(ValueError, match=f"values for {len(plan.x)} strings"):
+                plan.assemble(values)
+
+    def test_zero_hamiltonian_gives_an_empty_plan(self):
+        zero = PauliSum(3)
+        plan = MomentPlan(hamiltonian_powers(zero, 3), 3)
+        assert (len(plan.x), len(plan.z), plan.terms, plan.max_order) == (0, 0, 0, 3)
+        assert plan.assemble([]).raw == (1.0, 0.0, 0.0, 0.0)
+        table, cache = raw_moments_pauli(zero, basis_state("010"), 3, plan=plan)
+        assert table.raw == (1.0, 0.0, 0.0, 0.0)
+        assert (cache.misses, cache.unseen, cache.hits) == (0, 0, 0)
 
 
 @st.composite
@@ -571,6 +616,52 @@ class TestOracleEquivalence:
             table = raw_moments_dense(h, random_state(rng, 3), 6)
             hankel = np.array([[table.raw[i + j] for j in range(4)] for i in range(4)])
             assert np.linalg.eigvalsh(hankel).min() > -1e-9
+
+
+# (scale, shift) of SIAM at U = 8, V = 1: every coefficient is dyadic, so
+# H = scale * H_SIAM + shift is exact in floats and in Fractions
+ORACLE_CASES = {"small": (2**-10, 0), "small-shifted": (2**-10, 1.5), "offset": (1, 2**20)}
+
+
+@functools.cache
+def oracle_case(case):
+    """The case's terms and its exact K_0..K_7 from |0110>."""
+    scale, shift = ORACLE_CASES[case]
+    siam = siam_caption_terms(8.0, 4.0, 0.0, 4.0, 1.0)
+    terms = [(Fraction(c) * scale, label) for c, label in siam]
+    terms.append((Fraction(shift), "IIII"))
+    return terms, exact_moments(terms, "0110", 7)
+
+
+class TestExactOracle:
+    """Both routes against exact rational moments.  CHANGES.md records each
+    route's central moments m_4..m_7 on these cases as the baseline for
+    unit-free moments."""
+
+    def test_oracle_matches_the_dense_matrix(self):
+        terms = siam_caption_terms(8.0, 4.0, 0.0, 4.0, 1.0)
+        want = dense_moments(dense_of_terms(terms), basis_vector("0110"), 7)
+        got = exact_moments(terms, "0110", 7)
+        assert got[:4] == [1, -4, 18, -80]
+        assert [float(k) for k in got] == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("route, case", [
+        ("dense", "small"),
+        ("dense", "small-shifted"),
+        ("dense", "offset"),
+        pytest.param("pauli", "small", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="the absolute prune drops every term of H^5..H^7 at scale 2^-10, "
+                   "so the Pauli route gives K_5..K_7 = 0.0")),
+        ("pauli", "small-shifted"),
+        ("pauli", "offset"),
+    ])
+    def test_route_matches_the_exact_moments(self, route, case):
+        terms, exact = oracle_case(case)
+        h = PauliSum.from_label_terms([(float(c), label) for c, label in terms])
+        table = ROUTES[route](h, basis_state("0110"), 7)
+        errors = [float(abs(Fraction(k) - e) / abs(e)) for k, e in zip(table.raw, exact)]
+        assert max(errors) <= 1e-14, errors
 
 
 class TestConnectedMoments:

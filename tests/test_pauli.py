@@ -15,7 +15,7 @@ from cmxlab.errors import (
     DimensionMismatchError,
     HamiltonianParseError,
 )
-from cmxlab.moments import assemble_moments, hamiltonian_powers, raw_moments_pauli
+from cmxlab.moments import MomentPlan, hamiltonian_powers, raw_moments_pauli
 from cmxlab.noise import NoiseModel, noisy_moments
 from cmxlab.pauli import (
     DEFAULT_PRUNE_THRESHOLD,
@@ -537,21 +537,14 @@ class TestMaskWidth:
         empty = x_top.symmetric_product(z_top)
         assert len(empty) == 0
         powers = hamiltonian_powers(h, 3)
-        received = []
-
-        def provider(xs, zs):
-            received.append((xs, zs))
-            return np.zeros(len(xs))
-
-        assemble_moments(powers, 3, provider)
+        plan = MomentPlan(powers, 3)
+        assert plan.assemble(np.zeros(len(plan.x))).max_order == 3
         with stand_in_kernel():
             _, cache = raw_moments_pauli(h, None, 3)
             _, sampled = noisy_moments(h, None, 3, NoiseModel(shots=64))
-        assert len(received[0][0]) == len(cache) == len(sampled) > 0
-        for masks in (h, x_top, empty, PauliSum(n), *powers, cache, sampled):
+        assert len(plan.x) == cache.misses == len(sampled) > 0
+        for masks in (h, x_top, empty, PauliSum(n), *powers, plan, cache, sampled):
             assert (masks.x.dtype, masks.z.dtype) == (key, key)
-        (xs, zs), = received
-        assert (xs.dtype, zs.dtype) == (key, key)
 
     @pytest.mark.parametrize("n", [8, 9, 33, 64])
     def test_lookups(self, n):

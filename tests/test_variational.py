@@ -1,13 +1,14 @@
 """Trial-rotation scans: the flagship second-order minimization workflow."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmxlab import variational
+from cmxlab import moments, variational
 from cmxlab.errors import ContractViolationError, DimensionMismatchError, SingularScanError
 from cmxlab.methods import evaluate_method, parse_method
 from cmxlab.models import (
@@ -17,7 +18,14 @@ from cmxlab.models import (
     siam_fci_energy,
     siam_hamiltonian,
 )
-from cmxlab.moments import MomentRows, MomentTable, hamiltonian_powers, raw_moments_dense, raw_moments_pauli
+from cmxlab.moments import (
+    MomentPlan,
+    MomentRows,
+    MomentTable,
+    hamiltonian_powers,
+    raw_moments_dense,
+    raw_moments_pauli,
+)
 from cmxlab.pauli import PauliString, PauliSum
 from cmxlab.statevector import (
     StateVector,
@@ -156,6 +164,28 @@ class TestThreeStateIdentity:
         assert len(scan.theta_grid) == 81
         assert len(calls) == 3
 
+    def test_scan_groups_its_strings_once(self, monkeypatch):
+        # one plan, built from the scan's powers, serves its three states:
+        # one grouping of the strings, not one per state
+        plans, plans_passed = [], []
+        build, measure = variational.MomentPlan, variational.raw_moments_pauli
+
+        def built(*args, **kwargs):
+            plans.append(build(*args, **kwargs))
+            return plans[-1]
+
+        def measured(*args, **kwargs):
+            plans_passed.append(kwargs["plan"])
+            return measure(*args, **kwargs)
+
+        grouped = mock.Mock(wraps=moments.group_keys)
+        monkeypatch.setattr(variational, "MomentPlan", built)
+        monkeypatch.setattr(variational, "raw_moments_pauli", measured)
+        monkeypatch.setattr(moments, "group_keys", grouped)
+        energy_vs_theta(siam(1.0), basis_state("0110"), GENERATOR, "pds:2")
+        assert len(plans) == 1 and grouped.call_count == 1
+        assert plans_passed == plans * 3
+
     def test_theta_zero_gives_the_base_moments_exactly(self, rng):
         h = random_hermitian_sum(rng, 4, 10)
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
@@ -192,10 +222,10 @@ def per_angle_scan(h, base, generator, method, grid):
     states."""
     spec = parse_method(method)
     max_order = max(spec.required_max_order, 3)
-    powers = hamiltonian_powers(h, max_order)
+    plan = MomentPlan(hamiltonian_powers(h, max_order), max_order)
 
     def measured(state):
-        return np.array(raw_moments_pauli(h, state, max_order, powers=powers)[0].raw)
+        return np.array(raw_moments_pauli(h, state, max_order, plan=plan)[0].raw)
 
     alpha = measured(base)
     beta = measured(apply_pauli(generator, base))
@@ -387,7 +417,7 @@ def designed_moments(monkeypatch, curves):
     pi/2 and ANCHOR_THETA."""
     angles = iter((0.0, math.pi / 2.0, variational.ANCHOR_THETA))
 
-    def measured(h, state, max_order, powers=None):
+    def measured(h, state, max_order, plan=None):
         theta = next(angles)
         raw = [1.0] + [a + r * math.cos(2.0 * (theta - phi)) for a, r, phi in curves]
         return MomentTable(tuple(raw)), None
