@@ -41,7 +41,7 @@ from .models import (
 )
 from .moments import MomentRows, MomentTable, krylov_rank, raw_moments_pauli
 from .noise import MAX_SHOTS, NoiseModel, SampledStrings, noisy_moments
-from .pauli import PauliString, PauliSum, parse_pauli_sum
+from .pauli import PauliString, PauliSum, _fmt, parse_pauli_sum
 from .pds import solve_pds
 from .statevector import (
     StateVector,
@@ -63,10 +63,6 @@ NOISE_HEADER = "label,true_expectation,raw_estimate,mitigated_estimate,standard_
 
 _DEFAULT_SIAM_SWEEP = "0.1,0.5,1,2,3,6,10"
 _DEFAULT_TRIALS = {"siam": "0110", "h2": "01"}
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _fmt_flag(flag: bool) -> str:

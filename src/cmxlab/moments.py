@@ -6,9 +6,10 @@ as a collected Pauli sum and measures once each distinct Pauli string the
 trial can see, while the dense route repeatedly applies H to the state.
 They must agree; tests enforce it.  Both read the same real coefficients,
 since every `PauliSum` is Hermitian from the moment it is built.  The Pauli
-route groups the strings of the powers once, in a `MomentPlan`, which then
-assembles a table from one value per string: the exact values here, the
-shot estimates in `cmxlab.noise`, for as many states as share the powers.
+route forms the powers and groups their strings once, in a `MomentPlan`,
+which then assembles a table from one value per string: the exact values
+here, the shot estimates in `cmxlab.noise`, for as many states as the plan
+serves.
 
 Every route returns a `MomentTable`, the one-row view of the checked
 `MomentRows` record, which derives the connected moments I_k and rejects a
@@ -30,8 +31,10 @@ from ._record import MomentRows, MomentTable
 from .errors import ContractViolationError, InsufficientMomentsError
 from .pauli import PauliSum, group_keys
 from .statevector import (
+    _IMAG_TOL,
     StateVector,
     apply_pauli_sum,
+    check_sizes,
     check_trial,
     pauli_expectation,
     require_dense,
@@ -39,7 +42,6 @@ from .statevector import (
     visible_strings,
 )
 
-_IMAG_TOL = 1e-10
 SATURATION_TOLERANCE = 1e-8
 
 
@@ -133,40 +135,48 @@ def _real_moment(value: complex, order: int) -> float:
 
 
 class MomentPlan:
-    """The distinct measured strings of H^1..H^max_order, grouped once, and
-    the assembly of a moment table from one value per string.
+    """The powers H^1..H^max_order, their distinct measured strings grouped
+    once, and the assembly of a moment table from one value per string.
 
-    ``x`` and ``z`` are the read-only masks of every distinct non-identity
-    string of the powers, in ascending (x, z) order and the powers' own
-    width (see `cmxlab.pauli`); each stands for one measured circuit.
-    ``terms`` counts the powers' non-identity terms, so ``terms - len(x)``
-    terms reuse a string's value.  A max_order below 1 raises ValueError,
-    and fewer than max_order powers InsufficientMomentsError, before
-    anything is measured.  One plan serves any number of states measured
-    against the same powers.
+    The plan forms the powers itself (see `hamiltonian_powers`) and records
+    what it was built for: ``hamiltonian``, ``max_order`` and ``seen``.
+    Given trial states, it forms the top power only over the x-masks some
+    state can see, and ``seen`` is that read-only bool table, indexed by
+    x-mask (see `statevector.visible_strings`); without states ``seen`` is
+    None and the powers are whole.  ``x`` and ``z`` are the read-only masks
+    of every distinct non-identity string of the powers, in ascending
+    (x, z) order and the powers' own width (see `cmxlab.pauli`); each
+    stands for one measured circuit.  ``terms`` counts the powers'
+    non-identity terms, so ``terms - len(x)`` terms reuse a string's value.
+    A state of another size raises DimensionMismatchError and a max_order
+    below 1 ValueError, before anything is measured.  One plan serves any
+    number of states whose visible x-masks ``seen`` covers.
     """
 
-    def __init__(self, powers: Sequence[PauliSum], max_order: int):
-        if max_order < 1:
-            raise ValueError(f"max_order must be >= 1, got {max_order}")
-        if len(powers) < max_order:
-            raise InsufficientMomentsError(
-                f"{len(powers)} powers cannot serve order {max_order}"
-            )
-        used = powers[:max_order]
-        x = np.concatenate([p.x for p in used])
-        z = np.concatenate([p.z for p in used])
+    def __init__(self, h: PauliSum, max_order: int, states: Sequence[StateVector] = ()):
+        for state in states:
+            check_sizes(h, state)
+        seen = None
+        if states:
+            masks = np.arange(1 << h.n_qubits)
+            seen = np.logical_or.reduce([visible_strings(masks, state) for state in states])
+            seen.setflags(write=False)
+        # positionally, through the module global: the benchmark's tracer
+        # wraps it and reads H as its first argument
+        powers = hamiltonian_powers(h, max_order, seen)
+        x = np.concatenate([p.x for p in powers])
+        z = np.concatenate([p.z for p in powers])
         measured = (x | z) != 0
         x, z = x[measured], z[measured]
         first, group = group_keys(x, z)
         self.x, self.z = x[first], z[first]
         for array in (self.x, self.z):
             array.setflags(write=False)
-        self.max_order = max_order
+        self.hamiltonian, self.max_order, self.seen = h, max_order, seen
         self.terms = len(x)
-        self._coeff = np.concatenate([p.coeff for p in used])
+        self._coeff = np.concatenate([p.coeff for p in powers])
         self._measured, self._group = measured, group
-        self._powers = [slice(*ends) for ends in pairwise(accumulate(map(len, used), initial=0))]
+        self._powers = [slice(*ends) for ends in pairwise(accumulate(map(len, powers), initial=0))]
 
     def assemble(self, values: np.ndarray) -> MomentTable:
         """K_l = sum over the terms c P of H^l of c * values[P], with one
@@ -200,16 +210,19 @@ def raw_moments_pauli(
     the trial can see (see `statevector.visible_strings`) is measured once,
     one kernel call and one Hadamard-test circuit each.  Every other string
     is filled with +0.0, the bits the kernel would return for it, so the
-    moments are bit for bit those of measuring every string.  A plan of H's
-    powers (see `MomentPlan`) can be passed when measuring many states
-    against one Hamiltonian; a plan of another order raises ValueError.
-    The trial must have unit norm (see `check_trial`).
+    moments are bit for bit those of measuring every string.  A plan (see
+    `MomentPlan`) can be passed when measuring many states against one
+    Hamiltonian.  A plan built for another H or order, or one whose top
+    power dropped terms with an x-mask this state can see, raises
+    ValueError before anything is measured.  The trial must have unit norm
+    (see `check_trial`).
     """
     check_trial(h, state)
     if plan is None:
-        plan = MomentPlan(hamiltonian_powers(h, max_order), max_order)
-    elif plan.max_order != max_order:
-        raise ValueError(f"a plan of order {plan.max_order} cannot serve order {max_order}")
+        plan = MomentPlan(h, max_order)
+    elif (plan.hamiltonian != h or plan.max_order != max_order or plan.seen is not None
+          and not plan.seen[visible_strings(np.arange(len(plan.seen)), state)].all()):
+        raise ValueError(f"the plan cannot serve this H and state at order {max_order}")
     seen = visible_strings(plan.x, state)
     xs, zs = plan.x[seen], plan.z[seen]
     found = string_expectations(xs, zs, state)

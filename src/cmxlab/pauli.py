@@ -412,6 +412,8 @@ def parse_pauli_sum(text: str) -> PauliSum:
 
 
 def _fmt(x: float) -> str:
+    """A float at 17 significant digits, which round-trips float64: the
+    number format of Hamiltonian files and of the CLI's output."""
     return format(float(x), ".17g")
 
 

@@ -18,6 +18,8 @@ from .pauli import PauliString, PauliSum
 DENSE_QUBIT_LIMIT = 14
 
 _NORM_TOL = 1e-8
+# the largest imaginary residual of a real expectation, relative to max(1, |re|)
+_IMAG_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,7 +310,7 @@ def visible_strings(x_masks: np.ndarray, s: StateVector) -> np.ndarray:
 def expectation(h: PauliSum, s: StateVector) -> float:
     """<s|H|s>; the imaginary residual is checked."""
     val = complex(np.vdot(s.amplitudes, apply_pauli_sum(h, s).amplitudes))
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
+    if abs(val.imag) > _IMAG_TOL * max(1.0, abs(val.real)):
         raise ContractViolationError(f"imaginary residual {val.imag:g} too large")
     return float(val.real)
 

@@ -31,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolationError, SingularScanError
-# evaluate_method is not called here; the benchmark's tracer wraps it by name
+# evaluate_method and hamiltonian_powers are not called here; the
+# benchmark's tracer wraps them by name
 from .methods import MethodSpec, evaluate_method, evaluate_rows, parse_method
 from .moments import MomentPlan, MomentRows, MomentTable, hamiltonian_powers, raw_moments_pauli
 from .pauli import PauliString, PauliSum
@@ -40,7 +41,6 @@ from .statevector import (
     apply_generator_rotation,
     apply_pauli,
     check_trial,
-    visible_strings,
 )
 
 GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
@@ -168,7 +168,7 @@ def energy_vs_theta(
     + s c gamma_l (see the module docstring), which holds for any base and
     any generator string G.  At theta = 0 it gives the base's moments bit
     for bit.  The top power keeps only the terms whose x-mask one of the
-    three states can see (see `hamiltonian_powers`); every term it drops
+    three states can see (see `MomentPlan`); every term it drops
     would add +-0 to that moment.  The grid's rows are built in one array
     expression and checked as one `MomentRows` record; its energies and
     flags come from one stacked `evaluate_rows` call and its I_1..I_3 from
@@ -192,11 +192,7 @@ def energy_vs_theta(
     anchor = apply_generator_rotation(ANCHOR_THETA, generator, base)
     check_trial(h, base)
     image = apply_pauli(generator, base)
-    masks = np.arange(1 << base.n_qubits)
-    seen = visible_strings(masks, base) | visible_strings(masks, image)
-    seen |= visible_strings(masks, anchor)
-    seen.setflags(write=False)
-    plan = MomentPlan(hamiltonian_powers(h, max_order, seen), max_order)
+    plan = MomentPlan(h, max_order, (base, image, anchor))
 
     def measured(state: StateVector) -> np.ndarray:
         table, _ = raw_moments_pauli(h, state, max_order, plan=plan)

@@ -90,6 +90,23 @@ def random_state(rng, n):
     return StateVector(n, amps)
 
 
+def random_trial(rng, n):
+    """A random n-qubit basis state, rotated basis state or dense state."""
+    state = basis_state("".join(rng.choice(["0", "1"], size=n)))
+    kind = rng.integers(3)
+    if kind == 1:
+        generator = PauliString.from_label(random_label(rng, n))
+        return apply_generator_rotation(rng.uniform(-np.pi, np.pi), generator, state)
+    return random_state(rng, n) if kind == 2 else state
+
+
+def sees(state):
+    """The XORs of every pair of nonzero amplitude indices: the X parts,
+    in amplitude-index bits, of the strings the state can see."""
+    support = np.flatnonzero(state.amplitudes).tolist()
+    return {a ^ b for a in support for b in support}
+
+
 class TestRawMomentsPauli:
     def test_eigenstate_powers(self):
         h = PauliSum.from_label_terms([(0.7, "Z")])
@@ -131,7 +148,7 @@ class TestRawMomentsPauli:
 
     def test_precomputed_plan(self):
         h = siam_sum(1.0)
-        plan = MomentPlan(hamiltonian_powers(h, 5), 5)
+        plan = MomentPlan(h, 5)
         table, _ = raw_moments_pauli(h, basis_state("0110"), 5, plan=plan)
         direct, _ = raw_moments_pauli(h, basis_state("0110"), 5)
         assert table.raw == direct.raw
@@ -139,8 +156,38 @@ class TestRawMomentsPauli:
         kernel = mock.Mock(wraps=moments.pauli_expectation)
         with mock.patch.object(moments, "pauli_expectation", kernel):
             for order in (3, 7):
-                with pytest.raises(ValueError, match=f"plan of order 5 cannot serve order {order}"):
+                with pytest.raises(ValueError, match=f"cannot serve .* at order {order}"):
                     raw_moments_pauli(h, basis_state("0110"), order, plan=plan)
+        assert kernel.call_count == 0
+
+    def test_a_plan_of_another_hamiltonian_is_refused(self):
+        # the SIAM plan at U = 8 would give the U = 2 Hamiltonian U = 8's
+        # moments 1, -4, 18, -80 in place of its own 1, -1, 3, -5
+        h, state = siam_sum(1.0, u=2.0), basis_state("0110")
+        plan = MomentPlan(siam_sum(1.0), 3)
+        wrong = plan.assemble(moments.string_expectations(plan.x, plan.z, state))
+        assert wrong.raw == pytest.approx((1.0, -4.0, 18.0, -80.0), abs=1e-12)
+        assert ROUTES["pauli"](h, state, 3).raw == pytest.approx((1.0, -1.0, 3.0, -5.0), abs=1e-12)
+        kernel = mock.Mock(wraps=moments.pauli_expectation)
+        with mock.patch.object(moments, "pauli_expectation", kernel):
+            with pytest.raises(ValueError, match="cannot serve this H and state at order 3"):
+                raw_moments_pauli(h, state, 3, plan=plan)
+        assert kernel.call_count == 0
+
+    def test_a_plan_for_a_basis_state_refuses_a_dense_one(self, rng):
+        # a plan for |0110> forms H^3 only over the x-mask 0 it sees; a
+        # dense state sees the other x-masks too, whose terms of K_3 the
+        # plan dropped
+        h, state = siam_sum(1.0), random_state(rng, 4)
+        plan = MomentPlan(h, 3, [basis_state("0110")])
+        want, _ = raw_moments_pauli(h, state, 3)
+        partial = plan.assemble(moments.string_expectations(plan.x, plan.z, state))
+        assert partial.raw[:3] == want.raw[:3]
+        assert abs(partial.raw[3] - want.raw[3]) > 0.1
+        kernel = mock.Mock(wraps=moments.pauli_expectation)
+        with mock.patch.object(moments, "pauli_expectation", kernel):
+            with pytest.raises(ValueError, match="cannot serve this H and state at order 3"):
+                raw_moments_pauli(h, state, 3, plan=plan)
         assert kernel.call_count == 0
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -264,22 +311,21 @@ def sequential_assembly(powers, value):
 
 
 def assembly_inputs():
-    """1-4 sums on 1-3 qubits over a few keys, so identity terms and strings
-    repeated within and across sums are common, and per-string values that
-    include signed zeros."""
+    """A sum on 1-3 qubits over a few keys, so identity terms and strings
+    repeated within and across its powers are common, an order 1-4, and
+    per-string values that include signed zeros."""
     floats = st.floats(-4.0, 4.0, allow_subnormal=False)
     term = st.tuples(st.integers(0, 3), st.integers(0, 3), floats)
 
-    def build(n, raw_sums, values):
+    def build(n, raw, order, values):
         m = (1 << n) - 1
-        sums = [PauliSum(n, [(PauliString(n, x & m, z & m), c) for x, z, c in raw])
-                for raw in raw_sums]
-        return sums, values
+        return PauliSum(n, [(PauliString(n, x & m, z & m), c) for x, z, c in raw]), order, values
 
     return st.builds(
         build,
         st.integers(1, 3),
-        st.lists(st.lists(term, max_size=12), min_size=1, max_size=4),
+        st.lists(term, max_size=12),
+        st.integers(1, 4),
         st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
     )
 
@@ -367,7 +413,7 @@ class TestVisibleStrings:
         # calls the kernel on the visible ones only, and every string it
         # skips has the kernel value +0.0 it fills in
         h, state, order = case
-        plan = MomentPlan(hamiltonian_powers(h, order), order)
+        plan = MomentPlan(h, order)
         xs, zs = plan.x, plan.z
         values = moments.string_expectations(xs, zs, state)
         want = plan.assemble(values)
@@ -389,7 +435,7 @@ class TestVisibleStrings:
         # and so the same error, whether its string is measured or skipped
         h = siam_sum(1e160)
         state = basis_state("0110")
-        plan = MomentPlan(hamiltonian_powers(h, 3), 3)
+        plan = MomentPlan(h, 3)
         with pytest.raises(ContractViolationError) as want:
             plan.assemble(moments.string_expectations(plan.x, plan.z, state))
         with pytest.raises(ContractViolationError) as got:
@@ -420,13 +466,13 @@ class TestMomentPlan:
     @given(assembly_inputs())
     @settings(max_examples=300, deadline=None)
     def test_matches_sequential_loop_bit_for_bit(self, inputs):
-        powers, table = inputs
+        h, order, table = inputs
 
         def value(x, z):
             return table[4 * x + z]
 
-        want, cache, hits = sequential_assembly(powers, value)
-        plan = MomentPlan(powers, len(powers))
+        want, cache, hits = sequential_assembly(hamiltonian_powers(h, order), value)
+        plan = MomentPlan(h, order)
         # every distinct string once, in ascending (x, z) order
         assert plan_strings(plan) == sorted(cache)
         assert plan.terms - len(cache) == hits
@@ -436,7 +482,7 @@ class TestMomentPlan:
     def test_raw_moments_counts_match_a_dict_cache(self, rng):
         h = random_hermitian_sum(rng, 4, 12)
         state = random_state(rng, 4)
-        plan = MomentPlan(hamiltonian_powers(h, 4), 4)
+        plan = MomentPlan(h, 4)
         want, cache, hits = sequential_assembly(
             hamiltonian_powers(h, 4), lambda x, z: moments.pauli_expectation(x, z, state)
         )
@@ -450,18 +496,15 @@ class TestMomentPlan:
     @pytest.mark.parametrize("route", ["pauli", "noisy"])
     def test_too_few_powers_are_refused_before_any_measurement(self, route):
         # both string routes build their tables through a MomentPlan, whose
-        # checks come first: H^1, H^2 cannot give K_4, no order is below 1,
-        # and no string is measured or sampled first
+        # checks come first: no order is below 1, and no string is measured
+        # or sampled first
         h, state = siam_sum(1.0), basis_state("0110")
-        powers = hamiltonian_powers(h, 2)
         kernel = mock.Mock(wraps=moments.pauli_expectation)
         sampler = mock.Mock(wraps=hadamard_test_estimate)
         with mock.patch.object(moments, "pauli_expectation", kernel), \
                 mock.patch("cmxlab.noise.hadamard_test_estimate", sampler):
-            with pytest.raises(InsufficientMomentsError, match="2 powers cannot serve order 4"):
-                MomentPlan(powers, 4)
             with pytest.raises(ValueError, match="max_order must be >= 1, got 0"):
-                MomentPlan(powers, 0)
+                MomentPlan(h, 0)
             with pytest.raises(ValueError, match="max_order must be >= 1, got 0"):
                 ROUTES[route](h, state, 0)
             assert kernel.call_count == sampler.call_count == 0
@@ -471,7 +514,7 @@ class TestMomentPlan:
 
     def test_strings_are_strictly_ascending(self, rng):
         h = random_hermitian_sum(rng, 5, 20)
-        keys = plan_strings(MomentPlan(hamiltonian_powers(h, 3), 3))
+        keys = plan_strings(MomentPlan(h, 3))
         assert len(keys) > 100
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
@@ -483,22 +526,51 @@ class TestMomentPlan:
         # each the bits of a fresh route call that groups its own strings
         rng = np.random.default_rng(seed)
         h = random_hermitian_sum(rng, n, n_terms)
-        plan = MomentPlan(hamiltonian_powers(h, order), order)
+        plan = MomentPlan(h, order)
         for _ in range(n_states):
-            state = basis_state("".join(rng.choice(["0", "1"], size=n)))
-            kind = rng.integers(3)
-            if kind == 1:
-                generator = PauliString.from_label(random_label(rng, n))
-                state = apply_generator_rotation(rng.uniform(-np.pi, np.pi), generator, state)
-            elif kind == 2:
-                state = random_state(rng, n)
+            state = random_trial(rng, n)
             got, got_cache = raw_moments_pauli(h, state, order, plan=plan)
             want, want_cache = raw_moments_pauli(h, state, order)
             assert [k.hex() for k in got.raw] == [k.hex() for k in want.raw]
             assert cache_bytes(got_cache) == cache_bytes(want_cache)
 
+    @given(st.integers(1, 5), st.integers(1, 10), st.integers(1, 4), st.integers(0, 3),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_a_plan_for_states_serves_exactly_the_states_it_covers(
+        self, n, n_terms, order, n_states, seed
+    ):
+        # a plan built for 0-3 states measures a probe as a fresh call does,
+        # unless the probe sees an x-mask none of those states sees: then it
+        # refuses, as it always does for another H or order, before any
+        # kernel call
+        rng = np.random.default_rng(seed)
+        h = random_hermitian_sum(rng, n, n_terms)
+        states = [random_trial(rng, n) for _ in range(n_states)]
+        plan = MomentPlan(h, order, states)
+        probe = random_trial(rng, n)
+        want, want_cache = raw_moments_pauli(h, probe, order)
+        covered = not states or sees(probe) <= set().union(*map(sees, states))
+        shifted = PauliSum(n, [*h.items(), (PauliString.identity(n), 1.0)])
+        kernel = mock.Mock(wraps=moments.pauli_expectation)
+        with mock.patch.object(moments, "pauli_expectation", kernel):
+            for args in ((shifted, probe, order), (h, probe, order + 1)):
+                with pytest.raises(ValueError, match="cannot serve this H and state"):
+                    raw_moments_pauli(*args, plan=plan)
+            if not covered:
+                with pytest.raises(ValueError, match="cannot serve this H and state"):
+                    raw_moments_pauli(h, probe, order, plan=plan)
+                assert kernel.call_count == 0
+                return
+            assert kernel.call_count == 0
+            got, got_cache = raw_moments_pauli(h, probe, order, plan=plan)
+        assert [k.hex() for k in got.raw] == [k.hex() for k in want.raw]
+        # the same strings and values; the counts of terms that cost no
+        # circuit leave out the terms the top power dropped
+        assert cache_bytes(got_cache)[:3] == cache_bytes(want_cache)[:3]
+
     def test_arrays_are_read_only(self, rng):
-        plan = MomentPlan(hamiltonian_powers(random_hermitian_sum(rng, 3, 6), 3), 3)
+        plan = MomentPlan(random_hermitian_sum(rng, 3, 6), 3)
         assert len(plan.x) > 0
         for array in (plan.x, plan.z):
             assert array.flags.writeable is False
@@ -506,14 +578,14 @@ class TestMomentPlan:
                 array[0] = 0
 
     def test_values_must_match_the_strings(self):
-        plan = MomentPlan(hamiltonian_powers(siam_sum(1.0), 3), 3)
+        plan = MomentPlan(siam_sum(1.0), 3)
         for values in (np.zeros(len(plan.x) - 1), np.zeros(len(plan.x) + 1), 0.0):
             with pytest.raises(ValueError, match=f"values for {len(plan.x)} strings"):
                 plan.assemble(values)
 
     def test_zero_hamiltonian_gives_an_empty_plan(self):
         zero = PauliSum(3)
-        plan = MomentPlan(hamiltonian_powers(zero, 3), 3)
+        plan = MomentPlan(zero, 3)
         assert (len(plan.x), len(plan.z), plan.terms, plan.max_order) == (0, 0, 0, 3)
         assert plan.assemble([]).raw == (1.0, 0.0, 0.0, 0.0)
         table, cache = raw_moments_pauli(zero, basis_state("010"), 3, plan=plan)

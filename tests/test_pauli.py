@@ -537,7 +537,7 @@ class TestMaskWidth:
         empty = x_top.symmetric_product(z_top)
         assert len(empty) == 0
         powers = hamiltonian_powers(h, 3)
-        plan = MomentPlan(powers, 3)
+        plan = MomentPlan(h, 3)
         assert plan.assemble(np.zeros(len(plan.x))).max_order == 3
         with stand_in_kernel():
             _, cache = raw_moments_pauli(h, None, 3)

@@ -22,7 +22,6 @@ from cmxlab.moments import (
     MomentPlan,
     MomentRows,
     MomentTable,
-    hamiltonian_powers,
     raw_moments_dense,
     raw_moments_pauli,
 )
@@ -222,7 +221,7 @@ def per_angle_scan(h, base, generator, method, grid):
     states."""
     spec = parse_method(method)
     max_order = max(spec.required_max_order, 3)
-    plan = MomentPlan(hamiltonian_powers(h, max_order), max_order)
+    plan = MomentPlan(h, max_order)
 
     def measured(state):
         return np.array(raw_moments_pauli(h, state, max_order, plan=plan)[0].raw)
