@@ -15,6 +15,11 @@ to stdout.
 Every flag can also be given in a key = value config file (--config);
 command-line flags override file values.  CSV floats are written with 17
 significant digits so fixed-seed runs are byte-stable.
+
+A rejected run ends in one `error:` line on stderr: exit status 2 for a
+usage error, including a path the run cannot read or write (--config,
+--h2-file, --hamiltonian-file, --output, --emit-plot), and 1 for any other
+package error.
 """
 
 from __future__ import annotations
@@ -317,9 +322,8 @@ def _variational(args: argparse.Namespace) -> Report:
     report = deviation_report(scan, reference)
     yield (f"theta_opt={_fmt(scan.theta_opt)} energy_opt={_fmt(scan.energy_opt)} "
            f"reference={_fmt(reference)}")
-    factor = "inf" if report.infinite_improvement else _fmt(report.improvement_factor)
     yield (f"deviation at theta=0: {_fmt(report.dev_at_zero)}; at optimum: "
-           f"{_fmt(report.dev_at_opt)}; improvement factor: {factor}")
+           f"{_fmt(report.dev_at_opt)}; improvement factor: {_fmt(report.improvement_factor)}")
 
 
 def _noise(args: argparse.Namespace) -> Report:
@@ -356,24 +360,15 @@ def _diag(args: argparse.Namespace) -> Report:
 # plot script emission
 
 
-def emit_plot_script(csv_path: str | Path, out_path: str | Path | None = None) -> Path:
-    """Write a self-contained gnuplot script, by default next to the CSV.
+def emit_plot_script(csv: list[str], csv_path: str | Path, out_path: str | Path) -> None:
+    """Write a self-contained gnuplot script for the sweep or variational CSV
+    whose lines `csv` holds and which is written at `csv_path`.
 
     The script names the CSV by its path relative to the script's directory.
-    Sweep CSVs get one curve per method plus the reference line; variational
-    CSVs get the theta landscape.
+    Sweep CSVs get one curve per method, in first-row order, plus the
+    reference line; variational CSVs get the theta landscape.
     """
-    csv_path = Path(csv_path)
-    if not csv_path.exists():
-        raise UsageError(f"CSV {csv_path} does not exist")
-    lines = [ln for ln in csv_path.read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise UsageError(f"CSV {csv_path} is empty")
-    header = lines[0].split(",")
-    data = lines[1:]
-    if not data:
-        raise UsageError(f"CSV {csv_path} has no data rows")
-    out_path = Path(out_path) if out_path else csv_path.with_suffix(".gp")
+    out_path = Path(out_path)
     data_file = Path(os.path.relpath(csv_path, out_path.parent)).as_posix()
 
     script = [
@@ -382,19 +377,14 @@ def emit_plot_script(csv_path: str | Path, out_path: str | Path | None = None) -
         "set key outside",
         "set grid",
     ]
-    if header[:6] == VARIATIONAL_HEADER.split(","):
+    if csv[0] == VARIATIONAL_HEADER:
         script += [
             'set xlabel "theta (rad)"',
             'set ylabel "energy"',
             f'plot "{data_file}" using 1:2 with linespoints title "energy(theta)"',
         ]
-    elif header == SWEEP_HEADER.split(","):
-        methods = []
-        for row in data:
-            fields = row.split(",")
-            key = (fields[1], fields[2])
-            if key not in methods:
-                methods.append(key)
+    else:  # SWEEP_HEADER
+        methods = dict.fromkeys(tuple(row.split(",")[1:3]) for row in csv[1:])
         plot_terms = [
             f'"{data_file}" using 1:(strcol(2) eq "{name}" && column(3) == {order} ? '
             f'column(4) : NaN) with linespoints title "{name}:{order}"'
@@ -409,12 +399,7 @@ def emit_plot_script(csv_path: str | Path, out_path: str | Path | None = None) -
             "plot \\",
             ", \\\n".join("  " + term for term in plot_terms),
         ]
-    else:
-        raise UsageError(
-            f"CSV header {lines[0]!r} is neither a sweep nor a variational schema"
-        )
     out_path.write_text("\n".join(script) + "\n")
-    return out_path
 
 
 # ---------------------------------------------------------------------------
@@ -552,30 +537,25 @@ def _inject_config(argv: list[str]) -> list[str]:
     """Splice config-file tokens right after the subcommand so explicit
     flags, which come later, win.
 
-    The subcommand is the first token naming one, a --config value aside.
-    A --config given before it moves to after the file's tokens, where the
-    subcommand's parser reads it.  With no subcommand the --config tokens
-    are dropped unread, so argparse answers as for the call without them.
+    Every --config X and --config=X is taken out of argv, and the last one
+    names the file; a --config with no value stays for argparse to reject,
+    and with no --config the tokens come back as they were.  The
+    subcommand is the first remaining token naming one.  With no
+    subcommand the file is not read, so argparse answers as for the call
+    without the --config tokens.
     """
-    config_path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
-    if config_path is None:
-        return argv
-    head, moved, i = [], [], 0
-    while i < len(argv) and argv[i] not in COMMANDS:
-        width = 2 if argv[i] == "--config" else 1
-        (moved if argv[i].startswith("--config") else head).extend(argv[i:i + width])
-        i += width
-    if i >= len(argv):
-        return head  # argparse reports the missing subcommand
-    if not Path(config_path).exists():
-        raise UsageError(f"config file {config_path!r} does not exist")
-    tokens = _load_config_tokens(config_path)
-    return head + argv[i:i + 1] + tokens + moved + argv[i + 1:]
+    rest, config_path, tokens = [], None, iter(argv)
+    for token in tokens:
+        if token.startswith("--config="):
+            config_path = token.partition("=")[2]
+        elif token == "--config" and (value := next(tokens, None)) is not None:
+            config_path = value
+        else:
+            rest.append(token)
+    at = next((j + 1 for j, token in enumerate(rest) if token in COMMANDS), None)
+    if config_path is None or at is None:
+        return rest  # with no subcommand argparse reports it missing
+    return rest[:at] + _load_config_tokens(config_path) + rest[at:]
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
@@ -597,7 +577,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
             if output:
                 Path(output).write_text(text)
                 if plot:
-                    emit_plot_script(output, plot)
+                    emit_plot_script(csv, output, plot)
             else:
                 out.write(text)
         for line in report:
@@ -609,6 +589,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except CmxlabError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except OSError as err:
+        if err.filename is None:  # not a path, e.g. a closed stdout pipe
+            raise
+        print(f"error: {err.filename}: {err.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

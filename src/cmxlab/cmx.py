@@ -207,19 +207,19 @@ class SingularityFinding:
 
 def denominator_findings(
     denominators: Sequence[tuple[str, float]],
-    tolerance: float = SINGULARITY_TOLERANCE,
 ) -> tuple[SingularityFinding, ...]:
     """Near-zero denominators and the methods/orders each would poison,
     from the S[3,m] denominators of a `CmxResult` of `cmx_cioslowski`.
 
     They are taken on the unit-free moments and are also Knowles' det(A[m])
-    (S[3,1] = I_3 for the closed forms), so the tolerance is dimensionless.
-    Feeds the CLI hint for choosing an expansion that avoids small
-    denominators; automatic selection stays off.
+    (S[3,1] = I_3 for the closed forms), so they are held to the
+    dimensionless SINGULARITY_TOLERANCE.  Feeds the CLI hint for choosing
+    an expansion that avoids small denominators; automatic selection stays
+    off.
     """
     findings = []
     for m, (label, value) in enumerate(denominators, start=1):
-        if abs(value) < tolerance:
+        if abs(value) < SINGULARITY_TOLERANCE:
             affected = f"cmx-cioslowski({m + 1}), cmx-knowles({m + 1})"
             if m == 1:
                 affected += ", cmx closed forms (2, 3)"

@@ -78,10 +78,13 @@ class PauliExpectationCache:
     non-identity strings, each a known +0.0 that costs no circuit, so
     ``misses + unseen`` is the number of distinct strings.  ``hits``
     counts the remaining non-identity terms, which reuse the value of a
-    string counted in either.  The identity string is never measured: its
-    expectation is exactly 1.  No per-string object is built or kept: the
-    kernel reads each string's masks (see `string_expectations`).  The
-    arrays are read-only.
+    string counted in either.  The counts are of the plan's own powers: a
+    plan built for states forms its top power only over the x-masks they
+    see, so it can report fewer unseen strings and fewer hits than a fresh
+    call for the same H, state and order, with the same misses and moments.
+    The identity string is never measured: its expectation is exactly 1.
+    No per-string object is built or kept: the kernel reads each string's
+    masks (see `string_expectations`).  The arrays are read-only.
     """
 
     x: np.ndarray
@@ -214,8 +217,9 @@ def raw_moments_pauli(
     `MomentPlan`) can be passed when measuring many states against one
     Hamiltonian.  A plan built for another H or order, or one whose top
     power dropped terms with an x-mask this state can see, raises
-    ValueError before anything is measured.  The trial must have unit norm
-    (see `check_trial`).
+    ValueError before anything is measured.  The returned cache counts the
+    strings and terms of the plan's own powers (see `PauliExpectationCache`).
+    The trial must have unit norm (see `check_trial`).
     """
     check_trial(h, state)
     if plan is None:

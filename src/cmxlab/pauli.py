@@ -36,7 +36,7 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -191,7 +191,7 @@ class PauliSum:
     def __init__(
         self,
         n_qubits: int,
-        terms: Mapping[PauliString, complex] | Iterable[tuple[PauliString, complex]] = (),
+        terms: Iterable[tuple[PauliString, complex]] = (),
     ):
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
@@ -200,8 +200,7 @@ class PauliSum:
                 f"{n_qubits} qubits exceeds the {MAX_SUM_QUBITS}-qubit mask width of a PauliSum"
             )
         xs, zs, cs = [], [], []
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for p, c in items:
+        for p, c in terms:
             if p.n_qubits != n_qubits:
                 raise DimensionMismatchError(
                     f"term acts on {p.n_qubits} qubits, sum on {n_qubits}"
@@ -417,14 +416,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def serialize_pauli_sum(h: PauliSum, metadata: Mapping[str, str] | None = None) -> str:
-    """Canonical text form: n_qubits header, optional metadata lines, then
-    one term per line sorted by label, floats at 17 significant digits."""
+def serialize_pauli_sum(h: PauliSum) -> str:
+    """Canonical text form: n_qubits header, then one term per line sorted
+    by label, floats at 17 significant digits."""
     lines = [f"n_qubits = {h.n_qubits}"]
-    for key, value in (metadata or {}).items():
-        if key == "n_qubits":
-            continue
-        lines.append(f"{key} = {value}")
     for p, c in h.sorted_items():
         lines.append(f"{_fmt(c)} {p.label}")
     return "\n".join(lines) + "\n"

@@ -79,12 +79,12 @@ class ScanResult:
 @dataclass(frozen=True)
 class DeviationReport:
     """Deviation of the scan against a reference energy, before and after
-    rotation."""
+    rotation; `improvement_factor` is dev_at_zero / dev_at_opt, inf when the
+    optimum lands on the reference or the ratio overflows."""
 
     dev_at_zero: float
     dev_at_opt: float
     improvement_factor: float
-    infinite_improvement: bool
 
 
 def _golden_step(lo: float, hi: float, x1: float, x2: float, left: bool):
@@ -264,8 +264,8 @@ def energy_vs_theta(
 
 def deviation_report(scan: ScanResult, reference: float) -> DeviationReport:
     """Absolute deviations against a reference at theta = 0 and at the
-    optimum; the improvement factor is flagged infinite when the optimum
-    lands exactly on the reference."""
+    optimum; the improvement factor is inf when the optimum lands exactly on
+    the reference."""
     if not math.isfinite(reference):
         raise ValueError("reference must be finite")
     zero_index = min(
@@ -273,6 +273,4 @@ def deviation_report(scan: ScanResult, reference: float) -> DeviationReport:
     )
     dev_zero = abs(scan.energies[zero_index] - reference)
     dev_opt = abs(scan.energy_opt - reference)
-    if dev_opt == 0.0:
-        return DeviationReport(dev_zero, dev_opt, math.inf, True)
-    return DeviationReport(dev_zero, dev_opt, dev_zero / dev_opt, False)
+    return DeviationReport(dev_zero, dev_opt, math.inf if dev_opt == 0.0 else dev_zero / dev_opt)

@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 from cmxlab import cli, cmx
-from cmxlab.cli import emit_plot_script, main
+from cmxlab.cli import main
 from cmxlab.errors import UsageError
 from cmxlab.methods import MethodSpec, parse_method, parse_method_list
 from cmxlab.pauli import PauliSum, serialize_pauli_sum
@@ -425,9 +425,24 @@ class TestConfigFile:
         assert code == 0
         assert text.splitlines()[1].startswith("3,")
 
-    def test_missing_config(self):
+    def test_missing_config(self, capsys):
         code, _ = run_cli("sweep", "--methods", "pds:2", "--config", "/no/such.cfg")
         assert code == 2
+        assert capsys.readouterr().err == "error: /no/such.cfg: No such file or directory\n"
+
+    def test_last_config_wins(self, tmp_path):
+        first, last = tmp_path / "first.cfg", tmp_path / "last.cfg"
+        first.write_text("methods = pds:3\nsweep-values = 1\n")
+        last.write_text("methods = pds:2\nsweep-values = 2\n")
+        direct = run_cli("sweep", "--methods", "pds:2", "--sweep-values", "2")
+        assert direct[0] == 0
+        for argv in (["sweep", "--config", str(first), f"--config={last}"],
+                     [f"--config={first}", "sweep", "--config", str(last)]):
+            assert run_cli(*argv) == direct
+
+    def test_config_without_a_value(self, capsys):
+        assert exit_code("sweep", "--methods", "pds:2", "--config") == 2
+        assert "argument --config: expected one argument" in capsys.readouterr().err
 
     def test_malformed_config_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -508,41 +523,48 @@ class TestNonHermitianModel:
 
 
 class TestPlotScripts:
-    def test_sweep_script_mentions_every_method(self, tmp_path):
-        out_csv = tmp_path / "sweep.csv"
-        run_cli(
-            "sweep", "--methods", "pds:2,pds:3,cmx-knowles:2",
-            "--sweep-values", "0.5,1", "--output", str(out_csv),
+    def test_sweep_script_mentions_every_method(self, tmp_path, monkeypatch):
+        # a repeated method gets one curve, in first-row order; the script in
+        # another directory names the CSV relative to itself
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data").mkdir()
+        (tmp_path / "plots").mkdir()
+        code, _ = run_cli(
+            "sweep", "--methods", "pds:2,cmx-knowles:2,pds:2", "--sweep-values", "0.5,1",
+            "--output", "data/sweep.csv", "--emit-plot", "plots/sweep.gp",
         )
-        script = emit_plot_script(out_csv)
-        text = script.read_text()
-        for title in ("pds:2", "pds:3", "cmx-knowles:2", "reference"):
-            assert title in text
+        assert code == 0
+        assert Path("plots/sweep.gp").read_text() == (
+            "# gnuplot script generated by cmxlab\n"
+            'set datafile separator ","\n'
+            "set key outside\n"
+            "set grid\n"
+            'set xlabel "sweep value"\n'
+            'set ylabel "energy"\n'
+            "plot \\\n"
+            '  "../data/sweep.csv" using 1:(strcol(2) eq "pds" && column(3) == 2 ? '
+            'column(4) : NaN) with linespoints title "pds:2", \\\n'
+            '  "../data/sweep.csv" using 1:(strcol(2) eq "cmx-knowles" && column(3) == 2 ? '
+            'column(4) : NaN) with linespoints title "cmx-knowles:2", \\\n'
+            '  "../data/sweep.csv" using 1:5 with lines lc rgb "black" title "reference"\n'
+        )
 
-    def test_variational_script(self, tmp_path):
-        out_csv = tmp_path / "scan.csv"
-        run_cli(
+    def test_variational_script(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _ = run_cli(
             "variational", "--method", "pds:2", "--generator", "YXXX",
-            "--grid-points", "11", "--output", str(out_csv),
+            "--grid-points", "5", "--output", "scan.csv", "--emit-plot", "scan.gp",
         )
-        script = emit_plot_script(out_csv, tmp_path / "scan.gp")
-        assert "theta" in script.read_text()
-
-    def test_empty_csv_rejected(self, tmp_path):
-        empty = tmp_path / "empty.csv"
-        empty.write_text("")
-        with pytest.raises(UsageError):
-            emit_plot_script(empty)
-        header_only = tmp_path / "header.csv"
-        header_only.write_text("theta,energy,i1,i2,i3,singular_flag\n")
-        with pytest.raises(UsageError):
-            emit_plot_script(header_only)
-
-    def test_unknown_schema_rejected(self, tmp_path):
-        odd = tmp_path / "odd.csv"
-        odd.write_text("a,b\n1,2\n")
-        with pytest.raises(UsageError):
-            emit_plot_script(odd)
+        assert code == 0
+        assert Path("scan.gp").read_text() == (
+            "# gnuplot script generated by cmxlab\n"
+            'set datafile separator ","\n'
+            "set key outside\n"
+            "set grid\n"
+            'set xlabel "theta (rad)"\n'
+            'set ylabel "energy"\n'
+            'plot "scan.csv" using 1:2 with linespoints title "energy(theta)"\n'
+        )
 
     def test_emit_via_flag(self, tmp_path):
         out_csv = tmp_path / "sweep.csv"
@@ -695,11 +717,24 @@ class TestRunConfigValidation:
         ("moments", "--model", "h2", "--g", "1,2,3,4,5,6,7"),
         ("moments", "--g", "1,2,3"),
         ("sweep", "--methods", "pds:2", "--sweep-values", ","),
+        # a path the run cannot read or write, relative to an empty directory
+        ("sweep", "--methods", "pds:2", "--config", "."),
+        ("moments", "--model", "h2", "--h2-file", "."),
+        ("moments", "--model", "file", "--hamiltonian-file", "."),
+        ("moments", "--output", "missing/m.csv"),
+        ("sweep", "--methods", "pds:2", "--sweep-values", "1",
+         "--output", "s.csv", "--emit-plot", "missing/s.gp"),
     ], ids=["file-without-path", "missing-file", "g-three", "g-seven", "g-under-siam",
-            "empty-sweep"])
-    def test_usage_error(self, capsys, argv):
+            "empty-sweep", "config-directory", "h2-file-directory",
+            "hamiltonian-file-directory", "output-in-missing-directory",
+            "emit-plot-in-missing-directory"])
+    def test_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
         assert run_cli(*argv) == (2, "")
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # the CSV is written before its plot script
+        assert list(tmp_path.iterdir()) == ([tmp_path / "s.csv"] if "s.csv" in argv else [])
 
     @pytest.mark.parametrize("argv", [
         ("moments", "--model", "h2", "--g", "1,2,3,4,5,x"),

@@ -203,11 +203,11 @@ class TestShiftCovariance:
                     assert b.singular_flag == a.singular_flag
 
 
-def findings(ivals, tolerance=SINGULARITY_TOLERANCE):
+def findings(ivals):
     """The denominator findings of Cioslowski CMX at the highest order the
     connected moments serve."""
     order = (len(ivals) + 1) // 2
-    return denominator_findings(cmx_cioslowski(ivals, order).denominators, tolerance)
+    return denominator_findings(cmx_cioslowski(ivals, order).denominators)
 
 
 class TestSingularityReport:
@@ -218,7 +218,9 @@ class TestSingularityReport:
 
     def test_clean_moments_empty_report(self, rng):
         ivals = random_connected(rng, 5)
-        assert findings(ivals, tolerance=1e-12) == ()
+        denominators = cmx_cioslowski(ivals, 3).denominators
+        assert min(abs(value) for _, value in denominators) > SINGULARITY_TOLERANCE
+        assert findings(ivals) == ()
 
     def test_report_is_unit_free(self):
         ivals = [1.0, 0.5, 1e-15, 0.2, 0.3]
@@ -231,18 +233,21 @@ class TestSingularityReport:
             assert b.value == pytest.approx(a.value, rel=1e-9, abs=1e-20)
 
     def test_report_reads_the_cioslowski_denominators(self, rng):
-        # every denominator below the tolerance is a finding, in order,
-        # naming the orders it poisons; only S[3,1] poisons the closed forms
-        ivals = random_connected(rng, 7)
-        denominators = cmx_cioslowski(ivals, 4).denominators
-        report = denominator_findings(denominators, tolerance=np.inf)
-        assert [(f.label, f.value) for f in report] == list(denominators)
+        # a denominator whose magnitude lies below SINGULARITY_TOLERANCE is
+        # a finding, in order, naming the orders it poisons; only S[3,1]
+        # poisons the closed forms
+        labels = [label for label, _ in cmx_cioslowski(random_connected(rng, 7), 4).denominators]
+        below, above = 0.5 * SINGULARITY_TOLERANCE, 2.0 * SINGULARITY_TOLERANCE
+        report = denominator_findings(list(zip(labels, (below, -below, below))))
+        assert [(f.label, f.value) for f in report] == list(zip(labels, (below, -below, below)))
         assert [f.affected for f in report] == [
             "cmx-cioslowski(2), cmx-knowles(2), cmx closed forms (2, 3)",
             "cmx-cioslowski(3), cmx-knowles(3)",
             "cmx-cioslowski(4), cmx-knowles(4)",
         ]
-        assert denominator_findings(denominators, tolerance=0.0) == ()
+        report = denominator_findings(list(zip(labels, (above, -below, -above))))
+        assert [(f.label, f.value) for f in report] == [(labels[1], -below)]
+        assert denominator_findings([(label, -above) for label in labels]) == ()
 
     def test_stretched_two_qubit_model_shrinks_i3(self):
         # shrinking the diagonal gap of the {|01>,|10>} block mixes the trial

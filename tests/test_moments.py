@@ -146,6 +146,17 @@ class TestRawMomentsPauli:
         for x, z, value in rows:
             assert value == pytest.approx(pauli_expectation(x, z, state), abs=1e-12)
 
+    def test_hits_count_the_terms_of_the_plans_own_powers(self):
+        # a plan built for the state forms H^7 only over the x-masks the
+        # state sees, so the same table reports fewer reused terms
+        h, state = siam_sum(1.0), basis_state("0110")
+        fresh, fresh_cache = raw_moments_pauli(h, state, 7)
+        planned, plan_cache = raw_moments_pauli(h, state, 7, plan=MomentPlan(h, 7, [state]))
+        for got, want in ((planned.raw, fresh.raw), (planned.connected, fresh.connected)):
+            assert [k.hex() for k in got] == [k.hex() for k in want]
+        assert [(c.misses, c.unseen, c.hits) for c in (fresh_cache, plan_cache)] == [
+            (7, 16, 105), (7, 16, 89)]
+
     def test_precomputed_plan(self):
         h = siam_sum(1.0)
         plan = MomentPlan(h, 5)

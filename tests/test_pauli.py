@@ -636,9 +636,3 @@ class TestTextFormat:
         assert lines[0] == "n_qubits = 2"
         assert lines[1].endswith("IX") and lines[2].endswith("ZI")
         assert "0.33333333333333331" in lines[1]
-
-    def test_serialize_metadata(self):
-        h = PauliSum.from_label_terms([(1.0, "Z")])
-        text = serialize_pauli_sum(h, metadata={"source": "demo"})
-        assert "source = demo" in text
-        assert parse_pauli_sum(text) == h

@@ -572,7 +572,7 @@ class TestDeviationReport:
         report = deviation_report(scan, fci)
         assert report.dev_at_zero == pytest.approx(abs(PDS2_V1 - fci), abs=1e-9)
         assert report.dev_at_zero == pytest.approx(0.37893738196301197, abs=1e-9)
-        if report.infinite_improvement:
+        if math.isinf(report.improvement_factor):
             assert report.dev_at_opt == 0.0
         else:
             assert report.improvement_factor > 100.0
@@ -583,7 +583,7 @@ class TestDeviationReport:
             theta_grid=[0.0, 0.5], refine=False,
         )
         report = deviation_report(scan, -4.0)
-        assert report.infinite_improvement
+        assert report.dev_at_opt == 0.0
         assert math.isinf(report.improvement_factor)
 
     def test_non_finite_reference_rejected(self):
